@@ -3,7 +3,6 @@
 from hombrax.scalars import (
     PrimeFieldElement,
     Scalar,
-    monomial_inverse,
     parse_scalar,
     reduce_mod_p,
 )

@@ -303,9 +303,14 @@ def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
     first filtered by the residual restricted to the diagonal input columns
     e_i (x) e_i (a necessary condition computed generically from B's dense
     matrix, not from the pattern conditions), then survivors get the full
-    p-modular check (A (x) A) B = B (A (x) A) on every column.
+    p-modular check (A (x) A) B = B (A (x) A) on every column.  Raises
+    ValueError at degenerate residues (q^2 = 1 or l = 0 mod p), where bql(N)
+    leaves the family the accept set describes.
     """
     B = _bql_dense_mod_p(N, p, q_res, lam_res)
+    if (q_res * q_res - 1) % p == 0 or lam_res % p == 0:
+        raise ValueError(f"q = {q_res}, l = {lam_res} is degenerate mod {p}: "
+                         "need q^2 != 1 and l != 0")
     nnz = [(r, s, int(B[r, s])) for r in range(N * N) for s in range(N * N)
            if B[r, s]]
     total = p ** (N * N)

@@ -9,6 +9,12 @@ order -- which makes equality structural and zero-testing exact.  That is
 the whole point: operator identities are verified by checking that a
 residual has no terms at all, with no tolerance anywhere.
 
+Operators instantiated at a rational point have only constant entries, so
+``+``, ``*`` and unary ``-`` on two constants (a single term with an empty
+exponent vector) skip the term map: ``_constant`` wraps the ``Fraction``
+result directly, or returns the shared zero.  The result is the same
+canonical scalar the general Laurent path would build.
+
 The text format used in JSON exports writes a scalar as a sum of terms
 ``coef*name^exp*...`` with ``coef`` as ``num`` or ``num/den``, for example
 ``1*q^-1 + -1*q``.  ``parse_scalar`` round-trips the output of ``str()``.
@@ -104,10 +110,7 @@ class Scalar:
 
     @staticmethod
     def rational(value: RationalLike) -> "Scalar":
-        coef = Fraction(value)
-        if coef == 0:
-            return _ZERO
-        return Scalar({(): coef})
+        return _constant(Fraction(value))
 
     @staticmethod
     def param(name: str, exp: int = 1) -> "Scalar":
@@ -156,19 +159,25 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
+        a, b = self._terms, other._terms
+        if not a:
             return other
-        if not other._terms:
+        if not b:
             return self
-        merged = dict(self._terms)
-        for exps, coef in other._terms:
+        if len(a) == 1 == len(b) and not a[0][0] and not b[0][0]:
+            return _constant(a[0][1] + b[0][1])
+        merged = dict(a)
+        for exps, coef in b:
             merged[exps] = merged.get(exps, Fraction(0)) + coef
         return Scalar(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({exps: -coef for exps, coef in self._terms})
+        a = self._terms
+        if len(a) == 1 and not a[0][0]:
+            return _constant(-a[0][1])
+        return Scalar({exps: -coef for exps, coef in a})
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -183,6 +192,15 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return _ZERO
+        if len(a) == 1 == len(b) and not a[0][0] and not b[0][0]:
+            return _constant(a[0][1] * b[0][1])
         if self.is_one():
             return other
         if other.is_one():
@@ -286,10 +304,18 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _constant(c: Fraction) -> Scalar:
+    """The constant scalar c, built without the term-map canonicalisation."""
+    if not c:
+        return _ZERO
+    s = Scalar.__new__(Scalar)
+    object.__setattr__(s, "_terms", (((), c),))
+    return s
+
+
 _ZERO = Scalar.__new__(Scalar)
 object.__setattr__(_ZERO, "_terms", ())
-_ONE = Scalar.__new__(Scalar)
-object.__setattr__(_ONE, "_terms", (((), Fraction(1)),))
+_ONE = _constant(Fraction(1))
 
 
 def _coerce(x) -> Scalar:
@@ -298,10 +324,6 @@ def _coerce(x) -> Scalar:
     if isinstance(x, (int, Fraction)):
         return Scalar.rational(x)
     return NotImplemented
-
-
-def monomial_inverse(x: Scalar) -> Scalar:
-    return x.inverse()
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -326,11 +348,11 @@ def parse_scalar(text: str) -> Scalar:
                 pass
             if i == 0 and tok and (tok[0].isdigit() or tok[0] in "+-"):
                 raise ScalarParseError(f"bad coefficient {tok!r}")
-            name, _, exp = tok.partition("^")
+            name, caret, exp = tok.partition("^")
             if not name.isidentifier():
                 raise ScalarParseError(f"bad factor {tok!r} in {text!r}")
             try:
-                e = int(exp) if exp else 1
+                e = int(exp) if caret else 1
             except ValueError:
                 raise ScalarParseError(f"bad exponent in {tok!r}") from None
             pairs.append((name, e))

@@ -104,10 +104,13 @@ Column = tuple[tuple[int, Scalar], ...]
 
 
 def _canonical_column(entries: Iterable[tuple[int, Scalar]]) -> Column:
-    acc: dict[int, Scalar] = {}
-    for row, s in entries:
-        acc[row] = acc.get(row, Scalar.zero()) + s
-    return tuple(sorted((r, s) for r, s in acc.items() if not s.is_zero()))
+    entries = tuple(entries)
+    if len({r for r, _ in entries}) < len(entries):
+        acc: dict[int, Scalar] = {}
+        for row, s in entries:
+            acc[row] = acc.get(row, Scalar.zero()) + s
+        entries = acc.items()
+    return tuple(sorted((r, s) for r, s in entries if not s.is_zero()))
 
 
 class TensorOp:

@@ -9,8 +9,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hombrax.braid import tensor_power_solution
 from hombrax.homlie import (
     HomLieAlgebra,
+    braiding_inverse_on_extension,
+    braiding_on_extension,
     heisenberg,
     heisenberg_morphism,
     sl2,
@@ -20,7 +23,14 @@ from hombrax.homlie import (
     yau_twist,
 )
 from hombrax.hybe import twist
-from hombrax.quantum import PHI_SPACE, phi
+from hombrax.quantum import (
+    PHI_SPACE,
+    CompatibleAlpha,
+    bql,
+    induced_solution,
+    maximal_patterns,
+    phi,
+)
 from hombrax.scalars import Scalar
 from hombrax.tensor import BasedSpace, LinearMap, TensorOp
 
@@ -49,6 +59,23 @@ def dense_kron(a, b):
                 for l in range(nb):
                     out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
     return out
+
+
+def fraction_matrix(op: TensorOp) -> list[list[Fraction]]:
+    """Dense Fraction matrix of an operator whose entries are all rational."""
+    n = op.total_dim
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for j, col in enumerate(op.columns):
+        for r, s in col:
+            out[r][j] = s.constant_value()
+    return out
+
+
+def fraction_matmul(a, b):
+    """Plain triple-loop Fraction matrix product (oracle for rational compose)."""
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
 
 
 def dense_of_map(m: LinearMap):
@@ -127,3 +154,24 @@ def extension_instances(rng: random.Random, count: int) -> list[HomLieAlgebra]:
     """Invertible twisted instances cycling through the three algebra families."""
     makers = [random_heisenberg_twist, random_sl2_star_twist, random_sl2_twist]
     return [makers[i % 3](rng) for i in range(count)]
+
+
+def rational_gallery() -> dict[str, TensorOp]:
+    """Every rational family at fixed seeded points, by name.
+
+    phi and bql(3) at GALLERY_POINT, the bql(3) solutions induced by the
+    maximal N=3 patterns, three extension braidings with their closed-form
+    inverses, and the n=2 tensor-power braiding of phi.
+    """
+    rng = random.Random(2)
+    b, alpha = phi_alpha_rational()
+    gallery = {"phi": b, "bql3": bql(3).instantiate(GALLERY_POINT)}
+    for k, pattern in enumerate(maximal_patterns(3)):
+        values = {c: rand_fraction(rng, nonzero=True) for c in pattern.support}
+        gallery[f"induced{k}"] = induced_solution(
+            CompatibleAlpha(pattern, values)).instantiate(GALLERY_POINT)
+    for k, twisted in enumerate(extension_instances(rng, 3)):
+        gallery[f"extension{k}"] = braiding_on_extension(twisted)
+        gallery[f"extension{k}_inverse"] = braiding_inverse_on_extension(twisted)
+    gallery["phi_power2"] = tensor_power_solution(b, alpha, 2)[0]
+    return gallery

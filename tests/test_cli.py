@@ -128,6 +128,15 @@ def test_classify_compatible_with_field(capsys):
     assert "PASS field-agreement" in lines
 
 
+def test_classify_compatible_refuses_degenerate_field(capsys):
+    # The default q = 2 is -1 mod 3, where bql degenerates: not a FAIL.
+    code, out, err = run(capsys, ["classify", "compatible", "--dim", "2",
+                                  "--field", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "degenerate" in err
+
+
 def test_classify_sl2_small_field(capsys):
     code, out, _ = run(capsys, ["classify", "sl2", "--field", "3"])
     assert code == 0

@@ -187,6 +187,12 @@ def test_lambda_irrelevance_of_accept_set():
     assert one == three == pattern_accept_set_field(2, 5)
 
 
+@pytest.mark.parametrize("q_res, lam_res", [(4, 1), (1, 1), (2, 5), (2, 0)])
+def test_brute_force_refuses_degenerate_residues(q_res, lam_res):
+    with pytest.raises(ValueError, match="degenerate"):
+        brute_force_compatible_field(2, 5, q_res=q_res, lam_res=lam_res)
+
+
 def test_scan_is_stable_under_thread_cap(monkeypatch):
     serial = brute_force_compatible_field(2, 5)
     monkeypatch.setenv("HOMBRAX_THREADS", "4")

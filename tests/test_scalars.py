@@ -12,8 +12,8 @@ from hombrax.scalars import (
     NotAMonomial,
     PrimeFieldElement,
     Scalar,
+    ScalarParseError,
     ZeroAtNegativeExponent,
-    monomial_inverse,
     parse_scalar,
     reduce_mod_p,
 )
@@ -37,11 +37,11 @@ def test_exponent_cancellation():
 
 
 def test_monomial_inverse():
-    assert monomial_inverse(Q * L ** 2) == Q ** -1 * L ** -2
-    assert monomial_inverse(Scalar.rational(Fraction(3, 2)) * Q) == \
+    assert (Q * L ** 2).inverse() == Q ** -1 * L ** -2
+    assert (Scalar.rational(Fraction(3, 2)) * Q).inverse() == \
         Scalar.rational(Fraction(2, 3)) * Q ** -1
     with pytest.raises(NotAMonomial):
-        monomial_inverse(Q + 1)
+        (Q + 1).inverse()
 
 
 def test_eval_examples():
@@ -85,6 +85,21 @@ def test_text_format_examples():
     assert parse_scalar("3/2*q") == Scalar.rational(Fraction(3, 2)) * Q
     assert parse_scalar("a") == Scalar.param("a")
     assert parse_scalar("0").is_zero()
+
+
+@pytest.mark.parametrize("text", ["q^", "1*q^", "q^ + 1", "2*q*l^"])
+def test_parse_rejects_empty_exponent(text):
+    with pytest.raises(ScalarParseError):
+        parse_scalar(text)
+
+
+def test_constant_results_are_canonical():
+    half = Scalar.rational(Fraction(1, 2))
+    assert Scalar.rational(0) is Scalar.zero()
+    assert (half - half) is Scalar.zero()
+    assert (half * 0) is Scalar.zero()
+    assert (half * 2).terms == Scalar.one().terms
+    assert (-half).terms == (((), Fraction(-1, 2)),)
 
 
 # -- randomized properties ---------------------------------------------------
@@ -132,10 +147,49 @@ def test_eval_is_ring_homomorphism(x, y, qv, lv, av):
        st.dictionaries(names, st.integers(min_value=-4, max_value=4), max_size=3))
 def test_monomial_inverse_property(coef, exps):
     m = Scalar.monomial(coef, exps.items())
-    assert (m * monomial_inverse(m)).is_one()
+    assert (m * m.inverse()).is_one()
 
 
 @settings(deadline=None)
 @given(scalars)
 def test_text_round_trip(x):
     assert parse_scalar(str(x)) == x
+
+
+# The general term-map path: every result goes through Scalar(term_map).
+def _term_map_mul(x, y):
+    out = {}
+    for e1, c1 in x.terms:
+        for e2, c2 in y.terms:
+            e = Scalar.monomial(1, e1 + e2).terms[0][0]
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return Scalar(out)
+
+
+def _term_map_add(x, y):
+    out = dict(x.terms)
+    for e, c in y.terms:
+        out[e] = out.get(e, Fraction(0)) + c
+    return Scalar(out)
+
+
+def _term_map_neg(x):
+    return Scalar({e: -c for e, c in x.terms})
+
+
+constants = fractions.map(Scalar.rational)
+mixed = st.one_of(constants, scalars)
+
+
+def _same_terms(got, want):
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction for _, c in got.terms)
+
+
+@settings(deadline=None)
+@given(mixed, mixed)
+def test_fast_path_matches_term_map_path(x, y):
+    _same_terms(x * y, _term_map_mul(x, y))
+    _same_terms(x + y, _term_map_add(x, y))
+    _same_terms(x - y, _term_map_add(x, _term_map_neg(y)))
+    _same_terms(-x, _term_map_neg(x))

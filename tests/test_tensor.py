@@ -1,6 +1,8 @@
 """Sparse operators: composition, tensor products, inversion, JSON."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,10 @@ from helpers import (
     dense_kron,
     dense_matmul,
     dense_of_map,
+    fraction_matmul,
+    fraction_matrix,
     random_op,
+    rational_gallery,
 )
 from hombrax.quantum import bql
 from hombrax.scalars import Scalar
@@ -132,6 +137,44 @@ def test_compose_matches_dense_oracle():
     f = random_op(rng, V2, 2)
     g = random_op(rng, V2, 2)
     assert dense_equal(compose(f, g).dense(), dense_matmul(f.dense(), g.dense()))
+
+
+# sha256 of op_dumps(compose(op, op)) for each rational gallery operator, as
+# computed by the general term-map Scalar arithmetic: the constant fast path
+# must reproduce the same text byte for byte.
+GALLERY_SQUARE_SHA256 = {
+    "phi": "6da85b90ed9303225f29044299627c9debb8d1ac1f51695c67f4925643888883",
+    "bql3": "b1c102ae15f469a1bc019ff4422b62d35753e05b1d16eb8ecf67cef0aa9339ef",
+    "induced0": "d09e74c32ad420bab5f73e21f8d5ad35f671e95e749ac20fbda83087c7feeffd",
+    "induced1": "d09e74c32ad420bab5f73e21f8d5ad35f671e95e749ac20fbda83087c7feeffd",
+    "induced2": "043744939b81250e30977be3f6374f5df290203eb923d270d7f6e441252192a5",
+    "induced3": "7826c21f913466500a158bf6290efde82b5a7fcbe8dafc57bf73eeeca49f94ef",
+    "induced4": "5e5a1a6cdca67c7c352ca07904ed3d8343d88afd06a432a5ad4e1a255dde41d4",
+    "induced5": "e6ed6ca698d6d7dd8003843cd55aaa914bd060fa6d7445ecc6bc4fd9927b192b",
+    "induced6": "fea5723f424d960f23c1fb26f72e979b923c22b470772f763f92262a988ed4ba",
+    "induced7": "26b018633477b25e45e8d5cc8fbb3440caa9731ce2f6ea1c490a090e1ea97c0e",
+    "induced8": "87560a84e0c03e08f8e91d859a5dea2892e311c4c25b701c8237c8665c685a69",
+    "extension0": "e768e2da319b69466fcb2ab88c1acba0404cafddebba69dd3f9f96c1347f575a",
+    "extension0_inverse": "20ef34e163b62c0bfdd281b33985b7ec94f63d3c39b41491247b74cb40bcb51f",
+    "extension1": "dca7e3670914391357c7cfdcb86ca595e9d4f7a600643bc78bea006240083c35",
+    "extension1_inverse": "4fa1f753818d83681629ad0caae7699e99f01fc925ac16f7b69ed5dd3b669c54",
+    "extension2": "1dd032ad52789166b015decaa512c1923b7034d0c234d8ba56077dbae10815cd",
+    "extension2_inverse": "16ffcd9cc131b2c94c9f5d31acc9ebae73888abc2a618aff290f7fa54e09126c",
+    "phi_power2": "05eeca28a9e828d4ead3a7f3ebe4002c34e314a9790ef44d1e887c437252eec1",
+}
+
+
+def test_compose_on_rational_gallery_matches_fraction_oracle():
+    gallery = rational_gallery()
+    assert gallery.keys() == GALLERY_SQUARE_SHA256.keys()
+    for name, op in gallery.items():
+        square = compose(op, op)
+        dense = fraction_matrix(op)
+        assert fraction_matrix(square) == fraction_matmul(dense, dense), name
+        assert all(type(c) is Fraction for col in square.columns
+                   for _, s in col for _, c in s.terms), name
+        digest = hashlib.sha256(op_dumps(square).encode()).hexdigest()
+        assert digest == GALLERY_SQUARE_SHA256[name], name
 
 
 def test_compose_associative_and_interchange():
