@@ -1,7 +1,6 @@
 """Exact constructions and verification of twisted Yang-Baxter braidings."""
 
 from hombrax.scalars import (
-    PrimeFieldElement,
     Scalar,
     parse_scalar,
     reduce_mod_p,
@@ -15,7 +14,6 @@ from hombrax.tensor import (
     invert,
     lift,
     power,
-    residual,
     swap_op,
     tensor_product,
 )

@@ -221,7 +221,6 @@ def _check_invertible(B: TensorOp, alpha: LinearMap) -> None:
 
 
 def theta_operator(gamma: Permutation, B: TensorOp, alpha: LinearMap,
-                   n: int | None = None,
                    word: BraidWord | Sequence[int] | None = None) -> TensorOp:
     """B^gamma: the strand operators composed along a reduced word of gamma.
 
@@ -229,17 +228,14 @@ def theta_operator(gamma: Permutation, B: TensorOp, alpha: LinearMap,
     one explicitly to exercise that.  Requires (B, alpha) to be an
     invertible solution of the twisted braid identity.
     """
-    n = gamma.n if n is None else n
-    if n != gamma.n:
-        raise ValueError(f"gamma has degree {gamma.n}, expected {n}")
     _check_solution(B, alpha)
     _check_invertible(B, alpha)
     if word is None:
         word = reduced_word(gamma)
     letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    out = identity_op(B.space, n)
+    out = identity_op(B.space, gamma.n)
     for i in reversed(letters):
-        out = compose(build_Bi(B, alpha, n, i), out)
+        out = compose(build_Bi(B, alpha, gamma.n, i), out)
     return out
 
 
@@ -256,11 +252,10 @@ def tensor_power_solution(B: TensorOp, alpha: LinearMap,
 
     Both come back regrouped over the product space (dimension N^n), so the
     first is an arity-2 operator and the second arity-1, ready for the
-    residual checkers.  Both are invertible when B and alpha are.
+    residual checkers.  Both are invertible when B and alpha are, which
+    ``theta_operator`` checks together with the twisted braid identity.
     """
-    _check_solution(B, alpha)
-    _check_invertible(B, alpha)
-    big = theta_operator(chi(n, n), B, alpha, 2 * n)
+    big = theta_operator(chi(n, n), B, alpha)
     an = alpha_n(alpha, n)
     vn = product_space(B.space, n)
     return rebase(big, vn, 2), rebase(an, vn, 1)

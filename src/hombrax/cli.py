@@ -21,8 +21,12 @@ from hombrax.tensor import BasedSpace, LinearMap, TensorOp
 def _read_input(args) -> dict:
     if getattr(args, "infile", None):
         with open(args.infile) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
+    if not isinstance(data, dict):
+        raise ValueError(f"input JSON must be an object, not {type(data).__name__}")
+    return data
 
 
 def _write_output(args, text: str) -> None:
@@ -68,6 +72,32 @@ def _fail_line(name: str, res: TensorOp) -> str:
 
 def _pass_or_fail(name: str, res: TensorOp) -> str:
     return f"PASS {name}" if res.is_zero() else _fail_line(name, res)
+
+
+def _yd_line(module: yd.YDModule) -> str:
+    try:
+        residuals = yd.yd_condition_residual(module)
+    except yd.AxiomViolation as exc:
+        return f"FAIL yd ({exc})"
+    bad = [pair for pair, mat in residuals
+           if any(not s.is_zero() for row in mat for s in row)]
+    return f"FAIL yd at (x, v) = {bad[0]}" if bad else "PASS yd"
+
+
+def _yd_module_from_args(args) -> yd.YDModule:
+    if not getattr(args, "gallery", None):
+        return yd.module_from_json_dict(_read_input(args))
+    module = yd.z2_sign_module()
+    if args.gallery == "z2":
+        return module
+    return yd.comodule_from_qt(module.labels, module.action, yd.trivial_qt(module.host))
+
+
+def _tensor_power_doc(B: TensorOp, alpha: LinearMap, n: int) -> dict:
+    bn, an = braid.tensor_power_solution(B, alpha, n)
+    return {"operator": tensor.op_to_json_dict(bn),
+            "alpha": [[str(e) for e in row]
+                      for row in tensor.linear_map_from_op(an).rows]}
 
 
 # -- construct ---------------------------------------------------------------
@@ -122,19 +152,9 @@ def cmd_construct(args) -> int:
     elif args.target == "homlie":
         doc = _construct_homlie(args)
     elif args.target == "yd-braiding":
-        if args.gallery == "z2":
-            op = yd.yd_braiding(yd.z2_sign_module())
-        else:
-            module = yd.z2_sign_module()
-            qt = yd.trivial_qt(module.host)
-            op = yd.yd_braiding(yd.comodule_from_qt(module.labels, module.action, qt))
-        doc = tensor.op_to_json_dict(op)
+        doc = tensor.op_to_json_dict(yd.yd_braiding(_yd_module_from_args(args)))
     elif args.target == "tensor-power":
-        B, alpha = _gallery_phi_alpha()
-        bn, an = braid.tensor_power_solution(B, alpha, args.n)
-        doc = {"operator": tensor.op_to_json_dict(bn),
-               "alpha": [[str(e) for e in row]
-                         for row in tensor.linear_map_from_op(an).rows]}
+        doc = _tensor_power_doc(*_gallery_phi_alpha(), args.n)
     else:
         raise ValueError(f"unknown construct target {args.target}")
     _write_output(args, json.dumps(doc, sort_keys=True))
@@ -171,6 +191,8 @@ def cmd_verify(args) -> int:
         else:
             lines.append("FAIL hybe (pair is incompatible)")
     elif args.identity == "braid":
+        if args.n < 3:
+            raise ValueError(f"--n {args.n}: braid relations need at least 3 strands")
         op, alpha = _load_operator_and_alpha(args, need_alpha=True)
         residuals = hybe.braid_relation_residuals(op, alpha, args.n)
         bad = [(k, r) for k, r in enumerate(residuals) if not r.is_zero()]
@@ -190,19 +212,7 @@ def cmd_verify(args) -> int:
         else:
             lines.append("PASS hom-jacobi")
     elif args.identity == "yd":
-        module = yd.module_from_json_dict(_read_input(args))
-        try:
-            residuals = yd.yd_condition_residual(module)
-        except yd.AxiomViolation as exc:
-            lines.append(f"FAIL yd ({exc})")
-        else:
-            bad = [(pair, mat) for pair, mat in residuals
-                   if any(not s.is_zero() for row in mat for s in row)]
-            if bad:
-                pair, _ = bad[0]
-                lines.append(f"FAIL yd at (x, v) = {pair}")
-            else:
-                lines.append("PASS yd")
+        lines.append(_yd_line(_yd_module_from_args(args)))
     else:
         raise ValueError(f"unknown identity {args.identity}")
     return _report(lines, args)
@@ -246,14 +256,10 @@ def cmd_classify(args) -> int:
 # -- braid -------------------------------------------------------------------
 
 def cmd_braid(args) -> int:
+    op, alpha = _load_operator_and_alpha(args, need_alpha=True)
     if args.action == "power":
-        op, alpha = _load_operator_and_alpha(args, need_alpha=True)
-        bn, an = braid.tensor_power_solution(op, alpha, args.n)
-        doc = {"operator": tensor.op_to_json_dict(bn),
-               "alpha": [[str(e) for e in row]
-                         for row in tensor.linear_map_from_op(an).rows]}
+        doc = _tensor_power_doc(op, alpha, args.n)
     else:
-        op, alpha = _load_operator_and_alpha(args, need_alpha=True)
         images = tuple(int(x) for x in args.perm.split(","))
         gamma = braid.Permutation(images)
         doc = tensor.op_to_json_dict(braid.theta_operator(gamma, op, alpha))
@@ -263,28 +269,12 @@ def cmd_braid(args) -> int:
 
 # -- yd ----------------------------------------------------------------------
 
-def _yd_module_from_args(args) -> yd.YDModule:
-    if args.gallery:
-        if args.gallery == "z2":
-            return yd.z2_sign_module()
-        module = yd.z2_sign_module()
-        qt = yd.trivial_qt(module.host)
-        return yd.comodule_from_qt(module.labels, module.action, qt)
-    return yd.module_from_json_dict(_read_input(args))
-
-
 def cmd_yd(args) -> int:
     module = _yd_module_from_args(args)
     if args.action == "verify":
-        try:
-            residuals = yd.yd_condition_residual(module)
-        except yd.AxiomViolation as exc:
-            return _report([f"FAIL yd ({exc})"], args)
-        bad = [pair for pair, mat in residuals
-               if any(not s.is_zero() for row in mat for s in row)]
-        return _report([f"FAIL yd at (x, v) = {bad[0]}" if bad else "PASS yd"], args)
-    op = yd.yd_braiding(module)
-    _write_output(args, json.dumps(tensor.op_to_json_dict(op), sort_keys=True))
+        return _report([_yd_line(module)], args)
+    doc = tensor.op_to_json_dict(yd.yd_braiding(module))
+    _write_output(args, json.dumps(doc, sort_keys=True))
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from hombrax.runtime import map_chunks
+from hombrax.runtime import digit_matrices, map_chunks
 from hombrax.scalars import RationalLike, Scalar, reduce_mod_p, is_odd_prime
 from hombrax.tensor import (
     BasedSpace,
@@ -363,15 +363,8 @@ def _constants_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                c[i, j, k] = reduce_mod_p(L.brackets[i][j][k].constant_value(), p).value
+                c[i, j, k] = reduce_mod_p(L.brackets[i][j][k].constant_value(), p)
     return c
-
-
-def _digits(idx: np.ndarray, n2: int, p: int) -> np.ndarray:
-    A = np.empty((idx.shape[0], n2), dtype=np.int64)
-    for e in range(n2):
-        A[:, e] = (idx // p ** (n2 - 1 - e)) % p
-    return A
 
 
 def morphism_matrices_mod_p(L: HomLieAlgebra, p: int,
@@ -386,7 +379,7 @@ def morphism_matrices_mod_p(L: HomLieAlgebra, p: int,
 
     def scan(start: int) -> np.ndarray:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        A = _digits(idx, n * n, p).reshape(-1, n, n)
+        A = digit_matrices(idx, n, p)
         ok = np.ones(idx.shape[0], dtype=bool)
         for i, j in pairs:
             lhs = np.einsum("crm,m->cr", A, c[i, j])
@@ -405,7 +398,7 @@ def _sl2_equation_solutions_mod_p(p: int, chunk: int = 400_000) -> np.ndarray:
 
     def scan(start: int) -> np.ndarray:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        E = _digits(idx, 9, p).reshape(-1, 3, 3)
+        E = digit_matrices(idx, 3, p)
         a11, a12, a13 = E[:, 0, 0], E[:, 0, 1], E[:, 0, 2]
         a21, a22, a23 = E[:, 1, 0], E[:, 1, 1], E[:, 1, 2]
         a31, a32, a33 = E[:, 2, 0], E[:, 2, 1], E[:, 2, 2]
@@ -430,51 +423,31 @@ def _sl2_equation_solutions_mod_p(p: int, chunk: int = 400_000) -> np.ndarray:
                           or [np.zeros((0, 3, 3), dtype=np.int64)])
 
 
-def _sl2_kind1_mod_p(a: int, b: int, c: int, p: int) -> tuple:
-    binv = pow(b, -1, p)
-    rows = [[1, c, a],
-            [-2 * a * b, b, -a * a * b],
-            [-2 * binv * c, -binv * c * c, binv]]
-    return tuple(x % p for row in rows for x in row)
-
-
-def _sl2_kind2_mod_p(a: int, b: int, c: int, p: int) -> tuple:
-    binv = pow(b, -1, p)
-    rows = [[-1, c, a],
-            [2 * binv * c, -binv * c * c, binv],
-            [2 * a * b, b, -a * a * b]]
-    return tuple(x % p for row in rows for x in row)
-
-
-def _sl2_kind3_mod_p(a: int, b: int, c: int, p: int) -> tuple:
-    binv = pow(b, -1, p)
-    inv4a = pow(4 * a, -1, p)
-    cm1inv = pow(c - 1, -1, p)
-    one_m_c2 = 1 - c * c
-    rows = [[c, a, one_m_c2 * inv4a],
-            [b, a * b * cm1inv, b * (1 - c) * inv4a],
-            [one_m_c2 * binv, a * (1 - c) * binv,
-             (c - 1) * (c + 1) ** 2 * inv4a * binv]]
-    return tuple(x % p for row in rows for x in row)
-
-
 def _sl2_family_kinds(flat: tuple[int, ...], p: int) -> list[str]:
-    kinds = []
-    if not any(flat):
-        kinds.append("zero")
-    a11, c1, a1 = flat[0], flat[1], flat[2]
-    if a11 == 1 % p:
-        b1 = flat[4]
-        if b1 and (a1 * c1) % p == 0 and _sl2_kind1_mod_p(a1, b1, c1, p) == flat:
-            kinds.append("kind1")
-    if a11 == (p - 1) % p:
-        b2 = flat[7]
-        if b2 and (a1 * c1) % p == 0 and _sl2_kind2_mod_p(a1, b2, c1, p) == flat:
-            kinds.append("kind2")
-    a3, b3, c3 = flat[1], flat[3], flat[0]
-    if a3 and b3 and c3 not in (1 % p, (p - 1) % p):
-        if _sl2_kind3_mod_p(a3, b3, c3, p) == flat:
-            kinds.append("kind3")
+    """The families containing a solution over F_p.
+
+    a11 is 1 in kind 1, -1 in kind 2 and c in kind 3, so it picks the one
+    nonzero family to try.  That family's parameters are read off the
+    entries where ``sl2_morphism`` places them, and the solution is in the
+    family when the formula at those integer residues, reduced mod p,
+    reproduces it.  Residues lie in 0..p-1, so b != 0, ac = 0, ab != 0 and
+    c != 1 hold over Q exactly when they hold mod p; c = -1 mod p is p - 1,
+    which goes to kind 2.
+    """
+    kinds = [] if any(flat) else ["zero"]
+    if flat[0] == 1:
+        kind, a, b, c = 1, flat[2], flat[4], flat[1]
+    elif flat[0] == p - 1:
+        kind, a, b, c = 2, flat[2], flat[7], flat[1]
+    else:
+        kind, a, b, c = 3, flat[1], flat[3], flat[0]
+    try:
+        alpha = sl2_morphism(kind, a, b, c)
+    except ConstraintViolated:
+        return kinds
+    if tuple(reduce_mod_p(s.constant_value(), p)
+             for row in alpha.rows for s in row) == flat:
+        kinds.append(f"kind{kind}")
     return kinds
 
 
@@ -501,21 +474,19 @@ def _make_report(algebra: str, p: int, solutions: np.ndarray,
     return report
 
 
-def classify_sl2_finite_field(p: int, strict: bool = False,
-                              chunk: int = 400_000) -> ClassificationReport:
+def classify_sl2_finite_field(p: int, strict: bool = False) -> ClassificationReport:
     """Scan all 3x3 matrices over F_p against the nine equations, then cover
     every solution by the four sl(2) families."""
     if not is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    solutions = _sl2_equation_solutions_mod_p(p, chunk)
+    solutions = _sl2_equation_solutions_mod_p(p)
     return _make_report("sl2", p, solutions,
                         lambda flat: _sl2_family_kinds(flat, p), strict)
 
 
-def classify_heisenberg_finite_field(p: int, strict: bool = False,
-                                     chunk: int = 400_000) -> ClassificationReport:
+def classify_heisenberg_finite_field(p: int, strict: bool = False) -> ClassificationReport:
     """Brute-force Heisenberg morphisms over F_p; they all lie in one family."""
-    solutions = morphism_matrices_mod_p(heisenberg(), p, chunk)
+    solutions = morphism_matrices_mod_p(heisenberg(), p)
 
     def member(flat: tuple[int, ...]) -> list[str]:
         a11, a12, a13, a21, a22, a23, a31, a32, a33 = flat
@@ -526,10 +497,9 @@ def classify_heisenberg_finite_field(p: int, strict: bool = False,
     return _make_report("heisenberg", p, solutions, member, strict)
 
 
-def classify_sl2_star_finite_field(p: int, strict: bool = False,
-                                   chunk: int = 400_000) -> ClassificationReport:
+def classify_sl2_star_finite_field(p: int, strict: bool = False) -> ClassificationReport:
     """Brute-force Poincare-algebra morphisms over F_p against the two families."""
-    solutions = morphism_matrices_mod_p(sl2_star(), p, chunk)
+    solutions = morphism_matrices_mod_p(sl2_star(), p)
 
     def member(flat: tuple[int, ...]) -> list[str]:
         a11, a12, a13, a21, a22, a23, a31, a32, a33 = flat
@@ -561,38 +531,44 @@ def extended_alpha(L: HomLieAlgebra) -> LinearMap:
     return LinearMap(extension_space(L), rows)
 
 
+def _extension_braiding(L: HomLieAlgebra, flip: LinearMap,
+                        correction: LinearMap | None, stride: int) -> TensorOp:
+    """(a, x) (x) (b, y) -> (b, flip y) (x) (a, flip x) plus the bracket term.
+
+    The bracket term correction[x, y] (or [x, y] when correction is None)
+    lands in the tensor factor of the given stride, with (1, 0) in the
+    other: stride 1 is the right factor, stride d = dim + 1 the left one.
+    """
+    n = L.dim
+    d = n + 1
+    F = flip.rows
+    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    for pi in range(d):
+        for qi in range(d):
+            if pi == 0 and qi == 0:
+                entries = [(0, Scalar.one())]
+            elif pi == 0:
+                entries = [((k + 1) * d, F[k][qi - 1]) for k in range(n)]
+            elif qi == 0:
+                entries = [(k + 1, F[k][pi - 1]) for k in range(n)]
+            else:
+                entries = [((k + 1) * d + (m + 1), F[k][qi - 1] * F[m][pi - 1])
+                           for k in range(n) for m in range(n)]
+                corr = L.bracket_vec(pi - 1, qi - 1)
+                if correction is not None:
+                    corr = correction.apply(corr)
+                entries += [((m + 1) * stride, coef) for m, coef in enumerate(corr)]
+            cols[pi * d + qi] = entries
+    return TensorOp(extension_space(L), 2, cols)
+
+
 def braiding_on_extension(L: HomLieAlgebra) -> TensorOp:
     """The twisted flip plus bracket correction on (C (+) L) tensor itself:
 
         (a, x) (x) (b, y) -> (b, alpha y) (x) (a, alpha x) + (1, 0) (x) (0, [x, y])
     """
     L.validate()
-    n = L.dim
-    d = n + 1
-    space = extension_space(L)
-    A = L.alpha.rows
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for pi in range(d):
-        for qi in range(d):
-            col = pi * d + qi
-            entries: list[tuple[int, Scalar]] = []
-            if pi == 0 and qi == 0:
-                entries.append((0, Scalar.one()))
-            elif pi == 0:
-                for k in range(n):
-                    entries.append(((k + 1) * d, A[k][qi - 1]))
-            elif qi == 0:
-                for k in range(n):
-                    entries.append((k + 1, A[k][pi - 1]))
-            else:
-                for k in range(n):
-                    for m in range(n):
-                        entries.append(((k + 1) * d + (m + 1),
-                                        A[k][qi - 1] * A[m][pi - 1]))
-                for m, coef in enumerate(L.bracket_vec(pi - 1, qi - 1)):
-                    entries.append((m + 1, coef))
-            cols[col] = entries
-    return TensorOp(space, 2, cols)
+    return _extension_braiding(L, L.alpha, None, 1)
 
 
 def braiding_inverse_on_extension(L: HomLieAlgebra) -> TensorOp:
@@ -605,33 +581,7 @@ def braiding_inverse_on_extension(L: HomLieAlgebra) -> TensorOp:
         inv = L.alpha.inverse()
     except (Singular, SymbolicNotMonomialInvertible) as exc:
         raise AlphaSingular("alpha is not invertible") from exc
-    inv2 = inv.compose(inv)
-    n = L.dim
-    d = n + 1
-    space = extension_space(L)
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for pi in range(d):
-        for qi in range(d):
-            col = pi * d + qi
-            entries: list[tuple[int, Scalar]] = []
-            if pi == 0 and qi == 0:
-                entries.append((0, Scalar.one()))
-            elif pi == 0:
-                for k in range(n):
-                    entries.append(((k + 1) * d, inv.rows[k][qi - 1]))
-            elif qi == 0:
-                for k in range(n):
-                    entries.append((k + 1, inv.rows[k][pi - 1]))
-            else:
-                for k in range(n):
-                    for m in range(n):
-                        entries.append(((k + 1) * d + (m + 1),
-                                        inv.rows[k][qi - 1] * inv.rows[m][pi - 1]))
-                corr = inv2.apply(L.bracket_vec(pi - 1, qi - 1))
-                for m, coef in enumerate(corr):
-                    entries.append(((m + 1) * d, coef))
-            cols[col] = entries
-    return TensorOp(space, 2, cols)
+    return _extension_braiding(L, inv, inv.compose(inv), L.dim + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from hombrax.runtime import map_chunks
+from hombrax.runtime import digit_matrices, map_chunks
 from hombrax.scalars import Scalar, reduce_mod_p
 from hombrax.tensor import BasedSpace, LinearMap, TensorOp, compose, lift
 
@@ -281,17 +281,8 @@ def _bql_dense_mod_p(N: int, p: int, q_res: int, lam_res: int) -> np.ndarray:
     dense = np.zeros((N * N, N * N), dtype=np.int64)
     for j, col in enumerate(op.columns):
         for r, s in col:
-            dense[r, j] = reduce_mod_p(s.constant_value(), p).value
+            dense[r, j] = reduce_mod_p(s.constant_value(), p)
     return dense
-
-
-def _digit_matrices(idx: np.ndarray, N: int, p: int) -> np.ndarray:
-    """Row-major base-p digits of candidate indices as (count, N, N) matrices."""
-    n2 = N * N
-    A = np.empty((idx.shape[0], n2), dtype=np.int64)
-    for e in range(n2):
-        A[:, e] = (idx // p ** (n2 - 1 - e)) % p
-    return A.reshape(-1, N, N)
 
 
 def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
@@ -317,7 +308,7 @@ def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
 
     def scan(start: int) -> np.ndarray:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        A = _digit_matrices(idx, N, p)
+        A = digit_matrices(idx, N, p)
         # X[c, u, v, i] = A[c,u,i] A[c,v,i]: the kron column of input (i, i).
         X = np.einsum("cui,cvi->cuvi", A, A) % p
         # t2[c, r, i] = (B after A (x) A)(e_i (x) e_i) at output row r = (ru, rv).

@@ -328,6 +328,8 @@ def _coerce(x) -> Scalar:
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text format; inverse of ``str(scalar)``."""
+    if not isinstance(text, str):
+        raise ScalarParseError(f"scalar text must be a string, not {text!r}")
     text = text.strip()
     if not text:
         raise ScalarParseError("empty scalar text")
@@ -363,7 +365,7 @@ def parse_scalar(text: str) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Prime-field arithmetic for the exhaustive finite-field oracles.
+# Reduction mod p for the exhaustive finite-field oracles.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -378,96 +380,12 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-def _check_modulus(p: int) -> None:
+def reduce_mod_p(x: RationalLike, p: int) -> int:
+    """Reduce an exact rational mod p via the modular inverse of its denominator."""
     # The classified families divide by 2 and 4, so p = 2 is excluded.
     if not is_odd_prime(p):
         raise ValueError(f"modulus {p} is not an odd prime")
-
-
-class PrimeFieldElement:
-    """Residue in F_p for an odd prime p."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _check_modulus(modulus)
-        object.__setattr__(self, "value", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("PrimeFieldElement is immutable")
-
-    def _match(self, other) -> "PrimeFieldElement":
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.modulus)
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return self._match(other) - self
-
-    def __mul__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.modulus}")
-        return PrimeFieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._match(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return PrimeFieldElement(pow(self.value, n, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        if isinstance(other, PrimeFieldElement):
-            return self.modulus == other.modulus and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __repr__(self):
-        return f"PrimeFieldElement({self.value}, {self.modulus})"
-
-
-def reduce_mod_p(x: RationalLike, p: int) -> PrimeFieldElement:
-    """Reduce an exact rational mod p via the modular inverse of its denominator."""
-    _check_modulus(p)
     x = Fraction(x)
     if x.denominator % p == 0:
         raise DenominatorDivisibleByP(f"{x} has denominator divisible by {p}")
-    return PrimeFieldElement(x.numerator * pow(x.denominator, -1, p), p)
+    return x.numerator * pow(x.denominator, -1, p) % p

@@ -395,14 +395,6 @@ def power(f: TensorOp, k: int) -> TensorOp:
     return out
 
 
-def residual(f: TensorOp, g: TensorOp) -> TensorOp:
-    return f - g
-
-
-def is_zero(f: TensorOp) -> bool:
-    return f.is_zero()
-
-
 def invert(f: TensorOp) -> TensorOp:
     """Exact inverse by Gauss-Jordan elimination.
 

@@ -1,6 +1,9 @@
 """Command-line surface: pipelines, exit codes, deterministic output."""
 
+import hashlib
 import json
+
+import pytest
 
 from hombrax.cli import main
 
@@ -200,3 +203,174 @@ def test_braid_eval_bad_perm_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, ["braid", "eval", "--perm", "1,1"],
                        stdin=pair_json, monkeypatch=monkeypatch)
     assert code == 2 and "error:" in err
+
+
+# -- golden output -----------------------------------------------------------
+#
+# Exit code and sha256 of stdout for a fixed list of fast commands.  Any
+# refactor of the CLI or of the constructions behind it must keep these
+# byte-identical.
+
+def _z2_module_doc(action_g1):
+    return {
+        "bialgebra": {"dim": 2, "labels": ["g0", "g1"],
+                      "mult": {"0,0": {"0": "1"}, "0,1": {"1": "1"},
+                               "1,0": {"1": "1"}, "1,1": {"0": "1"}},
+                      "unit": ["1", "0"],
+                      "comult": {"0": {"0,0": "1"}, "1": {"1,1": "1"}},
+                      "counit": ["1", "1"]},
+        "dim": 2, "labels": ["v0", "v1"],
+        "action": {"0,0": {"0": "1"}, "0,1": {"1": "1"},
+                   "1,0": action_g1[0], "1,1": action_g1[1]},
+        "coaction": {"0": {"0,0": "1"}, "1": {"1,1": "1"}},
+    }
+
+
+_GOLDEN_INPUTS = {
+    "phi": ["construct", "phi"],
+    "pair1": ["construct", "tensor-power", "--n", "1"],
+    "heis": ["construct", "homlie", "--algebra", "heisenberg",
+             "--params", "1,2,3,4,5,6"],
+    # Not a Yang-Baxter solution: the identity plus one off-diagonal entry.
+    "not-ybe": json.dumps({"dim": 2, "arity": 2, "columns": {
+        "0": [["0", "1"]], "1": [["1", "1"], ["2", "1"]],
+        "2": [["2", "1"]], "3": [["3", "1"]]}}),
+    # The sl(2) bracket with a diagonal alpha that is not a morphism.
+    "bad-jacobi": json.dumps({
+        "dim": 3, "labels": ["X", "Y", "Z"],
+        "c": {"0,1": {"1": "2"}, "1,0": {"1": "-2"}, "0,2": {"2": "-2"},
+              "2,0": {"2": "2"}, "1,2": {"0": "1"}, "2,1": {"0": "-1"}},
+        "alpha": [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]}),
+    "yd-z2": json.dumps(_z2_module_doc(({"0": "1"}, {"1": "-1"}))),
+    # g1 swaps the two graded lines: a module and a comodule, not YD.
+    "yd-swap": json.dumps(_z2_module_doc(({"1": "1"}, {"0": "1"}))),
+    # g1 acts by diag(2, -1): not even a module.
+    "yd-not-module": json.dumps(_z2_module_doc(({"0": "2"}, {"1": "-1"}))),
+}
+
+_GOLDEN = [
+    # (argv, stdin input name, exit code, sha256 of stdout)
+    (["construct", "phi"], None, 0,
+     "75f02aa5bac88a483a8cf55d52f85fab90d8579208c22c561dc54fcbe480696e"),
+    (["construct", "bql", "--dim", "3"], None, 0,
+     "8fded68cfb90ee2aeea8277564eca6b53d813a93768a5630d184bb8912d7c72a"),
+    (["construct", "homlie", "--algebra", "heisenberg", "--params", "1,2,3,4,5,6"],
+     None, 0,
+     "a813d896de95a35088c3c8f4a23df7003a9bb7dfe30f3f67b5925fb06a1807cc"),
+    (["construct", "homlie", "--algebra", "sl2star", "--kind", "1",
+      "--params", "1,2,3,4,5,6"], None, 0,
+     "b9a0af7b1488dbabfdf987b3e5a8be03c3bd6c29b422187b1e87d9f563e95ce9"),
+    (["construct", "homlie", "--algebra", "sl2star", "--kind", "2",
+      "--params", "2,3,5"], None, 0,
+     "f9e867b4dee325aef8355bfb29115de3e3b4fc3e762ee83a3066b4b63e3d3309"),
+    (["construct", "homlie", "--algebra", "sl2", "--kind", "0"], None, 0,
+     "1f77302bae489f20d483397c1ef18fec6c40c78efe6563c71dffa02e491767a7"),
+    (["construct", "homlie", "--algebra", "sl2", "--kind", "1", "--params", "0,2,3"],
+     None, 0,
+     "be9568782f72375025bdb1196a07ec77dc1a9c8d312ab4f86b0c1404fcbf1cb6"),
+    (["construct", "homlie", "--algebra", "sl2", "--kind", "3", "--params", "1,2,3"],
+     None, 0,
+     "57efcb188c8f462a9779494240d47583adc1e60b67d1faeb3f78d47a7fc8ff12"),
+    (["construct", "yd-braiding", "--gallery", "z2"], None, 0,
+     "e6b0b0f908e6e3ba95e4300ccdb280bf84a1069ce5da12aa980d8367b383ede1"),
+    (["construct", "yd-braiding", "--gallery", "trivial"], None, 0,
+     "039791c2ff6ac098c9d77de9b7ee35381d4438c12bf6b25551d96f0eb92c1b74"),
+    (["construct", "tensor-power", "--n", "1"], None, 0,
+     "fa51dcd51b67d3a1d5619fdec70702bc43a41a1c4bb5339f0c99fe07490ed378"),
+    (["construct", "tensor-power", "--n", "2"], None, 0,
+     "63811c911fd3a2d82584a55a24979382b2e76ec3e7023c2751005987006c598b"),
+    (["verify", "ybe"], "phi", 0,
+     "ae973bd4881814b847e121ff915223628b2c9a6a78c0e904ac2d4db6ed5dadc6"),
+    (["verify", "ybe"], "not-ybe", 1,
+     "8786413b6046464e5604ddb9c604b4623cbdce28ef44e5db784fdad091e18d57"),
+    (["verify", "hybe", "--alpha", "a,0;0,d"], "phi", 0,
+     "b450e136481a20c05b5d2e288b2b304503f4a0b417e00a60a27f57f292359462"),
+    (["verify", "hybe"], "pair1", 0,
+     "42d3a6cab8bf176eac7c73f331a4ea039c15ffa49e607198ec2198046cf5bf8c"),
+    (["verify", "hybe", "--alpha", "1,1;0,1"], "phi", 1,
+     "acb93be67742c22539b374026899eb3fae0afd9a138f10c5624d99c008cc8345"),
+    (["verify", "compat", "--alpha", "a,0;0,d"], "phi", 0,
+     "9c103d765bdf694da398f75e05d35853910b889fa895eea814936ecf43c4c715"),
+    (["verify", "compat", "--alpha", "1,1;0,1"], "phi", 1,
+     "4d6220ab486d54b0e659d453b9c6a47fcf4624442ec6c552c5e2a214086887c5"),
+    (["verify", "hom-jacobi"], "heis", 0,
+     "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (["verify", "hom-jacobi"], "bad-jacobi", 1,
+     "7a2516a9aab8d5ff863276ec6f73873ef79c7900eecad65a7acdfef4165471a4"),
+    (["verify", "yd"], "yd-z2", 0,
+     "546e94ebbe27e6a1189995fd2a03a8cf6cd5092c04e8447c5082f2dbdfee9b21"),
+    (["verify", "yd"], "yd-swap", 1,
+     "10b0f4a091a31ce4bad68f8da46a9d1a5030444b6143072da920105b3dc1e2a0"),
+    (["verify", "yd"], "yd-not-module", 1,
+     "9422d425c59b95d7b23733cfb22c1b568f4c3cacc73acad0f0700bcba268b327"),
+    (["verify", "braid", "--n", "3"], "pair1", 0,
+     "1156e2cdb2a1e3614dacd0ad961ce2d538cd7437aabdf8a05eeac157f7f11e99"),
+    (["verify", "braid", "--n", "3", "--alpha=2,0;0,3"], "phi", 1,
+     "b1cb8b8a3d8c7c59774e09eb7209748fbaa2fb523ecd74a329759ce95ba2260c"),
+    (["yd", "verify", "--gallery", "z2"], None, 0,
+     "546e94ebbe27e6a1189995fd2a03a8cf6cd5092c04e8447c5082f2dbdfee9b21"),
+    (["yd", "verify", "--gallery", "trivial"], None, 0,
+     "546e94ebbe27e6a1189995fd2a03a8cf6cd5092c04e8447c5082f2dbdfee9b21"),
+    (["yd", "verify"], "yd-swap", 1,
+     "10b0f4a091a31ce4bad68f8da46a9d1a5030444b6143072da920105b3dc1e2a0"),
+    (["yd", "verify"], "yd-not-module", 1,
+     "9422d425c59b95d7b23733cfb22c1b568f4c3cacc73acad0f0700bcba268b327"),
+    (["braid", "eval", "--perm", "3,4,1,2"], "pair1", 0,
+     "f982059c14e90f67182a280695a08d9ddcbfdecc779085bf90d3955e3a278708"),
+    (["braid", "power", "--n", "2"], "pair1", 0,
+     "63811c911fd3a2d82584a55a24979382b2e76ec3e7023c2751005987006c598b"),
+    (["classify", "compatible", "--dim", "2", "--field", "5"], None, 0,
+     "7a1782b8b92375b8eccf83be16966917537a3af45f4c90cc260c77394be83db8"),
+    (["classify", "sl2", "--field", "3"], None, 0,
+     "97a618ce2f550bd283b0b501d7eab57833f56559e8325c9bdbff3999db4c4c35"),
+    (["classify", "heisenberg", "--field", "3"], None, 0,
+     "f978c7d2aeff67da414a22f8aa3c0a976e2cdc3c986f41f49c7d88c9dbeaa1ee"),
+    (["classify", "sl2star", "--field", "3"], None, 0,
+     "497fa8455c4845cc28433760ca72648333b20bb19187d9f8145f0099b1de3561"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, source, code, digest", _GOLDEN,
+    ids=[" ".join(argv) + (f" <{src}" if src else "") for argv, src, _, _ in _GOLDEN])
+def test_golden_output(capsys, monkeypatch, argv, source, code, digest):
+    stdin = None
+    if source is not None:
+        stdin = _GOLDEN_INPUTS[source]
+        if isinstance(stdin, list):
+            stdin = run(capsys, stdin)[1]
+    got_code, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# -- hostile input ------------------------------------------------------------
+
+_NON_STRING_SCALAR = {
+    "verify ybe": json.dumps({"dim": 2, "arity": 2, "columns": {"0": [["0", 5]]}}),
+    "verify hom-jacobi": json.dumps({"dim": 1, "c": {}, "alpha": [[5]]}),
+    "verify yd": json.dumps(_z2_module_doc(({"0": "1"}, {"1": -1}))),
+    "braid eval": json.dumps({"operator": {"dim": 2, "arity": 2,
+                                           "columns": {"0": [["0", "1"]]}},
+                              "alpha": [["1", 0], ["0", "1"]]}),
+}
+
+
+@pytest.mark.parametrize("command", ["verify ybe", "verify hom-jacobi",
+                                     "verify yd", "braid eval"])
+@pytest.mark.parametrize("kind", ["top-level list", "non-string scalar"])
+def test_malformed_json_exits_2(capsys, monkeypatch, command, kind):
+    argv = command.split() + (["--perm", "2,1"] if command == "braid eval" else [])
+    text = "[1,2]" if kind == "top-level list" else _NON_STRING_SCALAR[command]
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("n", ["0", "1", "2"])
+def test_verify_braid_refuses_fewer_than_3_strands(capsys, monkeypatch, n):
+    _, pair_json, _ = run(capsys, ["construct", "tensor-power", "--n", "1"])
+    code, out, err = run(capsys, ["verify", "braid", "--n", n],
+                         stdin=pair_json, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "3 strands" in err
+

@@ -206,6 +206,15 @@ def test_classifications_complete_at_p3():
         assert report.overlap_count == 0
 
 
+def test_classify_sl2_report_at_p5():
+    report = classify_sl2_finite_field(5, strict=True)
+    assert report.total_solutions == 121
+    assert report.family_counts == {"zero": 1, "kind1": 36, "kind2": 36,
+                                    "kind3": 48}
+    assert report.overlap_count == 0
+    assert report.unclassified == []
+
+
 def test_classify_rejects_bad_prime():
     for bad in (2, 4, 9):
         with pytest.raises(ValueError):

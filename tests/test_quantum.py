@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hombrax import runtime
 from hombrax.hybe import compatibility_residual, hybe_residual, twist, ybe_residual
 from hombrax.quantum import (
     BadDimension,
@@ -168,7 +169,7 @@ def test_check_compatible_matches_residual_over_small_field_sample():
     B = np.zeros((9, 9), dtype=np.int64)
     for j, col in enumerate(b.columns):
         for r, s in col:
-            B[r, j] = reduce_mod_p(s.constant_value(), 5).value
+            B[r, j] = reduce_mod_p(s.constant_value(), 5)
     cand = np.array(list(itertools.product(range(3), repeat=9)),
                     dtype=np.int64).reshape(-1, 3, 3)
     accepted = _dense_accept_mod5(cand, B)
@@ -198,6 +199,14 @@ def test_scan_is_stable_under_thread_cap(monkeypatch):
     monkeypatch.setenv("HOMBRAX_THREADS", "4")
     threaded = brute_force_compatible_field(2, 5, chunk=100)
     assert threaded == serial
+
+
+def test_thread_cap_is_at_most_cpu_count(monkeypatch):
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HOMBRAX_THREADS", "64")
+    assert runtime.worker_count() == 2
+    monkeypatch.setenv("HOMBRAX_THREADS", "many")
+    assert runtime.worker_count() == 1
 
 
 def test_induced_solution_closed_form_cases():

@@ -42,7 +42,6 @@ from hombrax.tensor import (
     power,
     product_space,
     rebase,
-    residual,
     swap_op,
     tensor_product,
 )
@@ -127,9 +126,9 @@ def test_power():
 
 def test_residual_and_is_zero():
     b = bql(2)
-    assert residual(b, b).is_zero()
+    assert (b - b).is_zero()
     assert not identity_op(V2, 1).is_zero()
-    assert residual(compose(swap_op(V2), swap_op(V2)), identity_op(V2, 2)).is_zero()
+    assert (compose(swap_op(V2), swap_op(V2)) - identity_op(V2, 2)).is_zero()
 
 
 def test_compose_matches_dense_oracle():
