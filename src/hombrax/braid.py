@@ -13,6 +13,11 @@ turns a braiding on V into one on V^(tensor n): ``tensor_power_solution``
 returns that operator together with its twisting map (the n^2-th power of
 alpha^(tensor n)), regrouped so the pair is again an arity-2 braiding over
 the product space.
+
+A pair (B, alpha) is validated once per object identity: ``theta_operator``
+checks the twisted braid identity and invertibility the first time it sees
+a pair and then reuses the pair's strand operators until it is passed a
+different pair.
 """
 
 from __future__ import annotations
@@ -220,6 +225,29 @@ def _check_invertible(B: TensorOp, alpha: LinearMap) -> None:
         raise NotInvertible(str(exc)) from exc
 
 
+# The last validated pair and its strand operators: (B, alpha, {n: {i: B_i}}).
+# The strong references keep both ids from being reused while the entry
+# lives, and TensorOp and LinearMap are immutable, so an identity hit is sound.
+_validated: tuple[TensorOp, LinearMap, dict[int, dict[int, TensorOp]]] | None = None
+
+
+def _strands(B: TensorOp, alpha: LinearMap, n: int) -> dict[int, TensorOp]:
+    """The strand operators of a validated pair on V^(x)n, built on first use.
+
+    The pair is checked when it is not the very objects checked last;
+    strands are cached per n, so mixing strand counts does not re-check.
+    The entry is read once, so a concurrent call that replaces it cannot
+    hand this pair another pair's strands.
+    """
+    global _validated
+    entry = _validated
+    if entry is None or entry[0] is not B or entry[1] is not alpha:
+        _check_solution(B, alpha)
+        _check_invertible(B, alpha)
+        entry = _validated = (B, alpha, {})
+    return entry[2].setdefault(n, {})
+
+
 def theta_operator(gamma: Permutation, B: TensorOp, alpha: LinearMap,
                    word: BraidWord | Sequence[int] | None = None) -> TensorOp:
     """B^gamma: the strand operators composed along a reduced word of gamma.
@@ -228,15 +256,16 @@ def theta_operator(gamma: Permutation, B: TensorOp, alpha: LinearMap,
     one explicitly to exercise that.  Requires (B, alpha) to be an
     invertible solution of the twisted braid identity.
     """
-    _check_solution(B, alpha)
-    _check_invertible(B, alpha)
+    strands = _strands(B, alpha, gamma.n)
     if word is None:
         word = reduced_word(gamma)
     letters = word.letters if isinstance(word, BraidWord) else tuple(word)
-    out = identity_op(B.space, gamma.n)
+    out = None
     for i in reversed(letters):
-        out = compose(build_Bi(B, alpha, gamma.n, i), out)
-    return out
+        if i not in strands:
+            strands[i] = build_Bi(B, alpha, gamma.n, i)
+        out = strands[i] if out is None else compose(strands[i], out)
+    return identity_op(B.space, gamma.n) if out is None else out
 
 
 def alpha_n(alpha: LinearMap, n: int) -> TensorOp:

@@ -50,8 +50,10 @@ def _load_operator_and_alpha(args, need_alpha: bool) -> tuple[TensorOp, LinearMa
     if getattr(args, "alpha", None):
         alpha = _parse_alpha_text(args.alpha, op.space)
     elif "alpha" in data:
-        alpha = LinearMap(op.space, [[parse_scalar(e) for e in row]
-                                     for row in data["alpha"]])
+        rows = data["alpha"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("\"alpha\" must be a list of rows")
+        alpha = LinearMap(op.space, [[parse_scalar(e) for e in row] for row in rows])
     if need_alpha and alpha is None:
         raise ValueError("this check needs a twisting map: pass --alpha or "
                          "an \"alpha\" field in the input JSON")
@@ -94,6 +96,7 @@ def _yd_module_from_args(args) -> yd.YDModule:
 
 
 def _tensor_power_doc(B: TensorOp, alpha: LinearMap, n: int) -> dict:
+    tensor._check_size(B.space.dim, 2 * n)
     bn, an = braid.tensor_power_solution(B, alpha, n)
     return {"operator": tensor.op_to_json_dict(bn),
             "alpha": [[str(e) for e in row]
@@ -148,6 +151,7 @@ def cmd_construct(args) -> int:
     if args.target == "phi":
         doc = tensor.op_to_json_dict(quantum.phi())
     elif args.target == "bql":
+        tensor._check_size(args.dim, 2)
         doc = tensor.op_to_json_dict(quantum.bql(args.dim))
     elif args.target == "homlie":
         doc = _construct_homlie(args)
@@ -167,12 +171,14 @@ def cmd_verify(args) -> int:
     lines = []
     if args.identity == "ybe":
         op, _ = _load_operator_and_alpha(args, need_alpha=False)
+        tensor._check_size(op.space.dim, 3)
         lines.append(_pass_or_fail("ybe", hybe.ybe_residual(op)))
     elif args.identity == "compat":
         op, alpha = _load_operator_and_alpha(args, need_alpha=True)
         lines.append(_pass_or_fail("compat", hybe.compatibility_residual(op, alpha)))
     elif args.identity == "hybe":
         op, alpha = _load_operator_and_alpha(args, need_alpha=True)
+        tensor._check_size(op.space.dim, 3)
         compat = hybe.compatibility_residual(op, alpha)
         lines.append(_pass_or_fail("compat", compat))
         if compat.is_zero():
@@ -194,6 +200,7 @@ def cmd_verify(args) -> int:
         if args.n < 3:
             raise ValueError(f"--n {args.n}: braid relations need at least 3 strands")
         op, alpha = _load_operator_and_alpha(args, need_alpha=True)
+        tensor._check_size(op.space.dim, args.n)
         residuals = hybe.braid_relation_residuals(op, alpha, args.n)
         bad = [(k, r) for k, r in enumerate(residuals) if not r.is_zero()]
         if bad:
@@ -261,6 +268,7 @@ def cmd_braid(args) -> int:
         doc = _tensor_power_doc(op, alpha, args.n)
     else:
         images = tuple(int(x) for x in args.perm.split(","))
+        tensor._check_size(op.space.dim, len(images))
         gamma = braid.Permutation(images)
         doc = tensor.op_to_json_dict(braid.theta_operator(gamma, op, alpha))
     _write_output(args, json.dumps(doc, sort_keys=True))

@@ -348,6 +348,8 @@ def parse_scalar(text: str) -> Scalar:
                 continue
             except ValueError:
                 pass
+            except ZeroDivisionError:
+                raise ScalarParseError(f"zero denominator in {tok!r}") from None
             if i == 0 and tok and (tok[0].isdigit() or tok[0] in "+-"):
                 raise ScalarParseError(f"bad coefficient {tok!r}")
             name, caret, exp = tok.partition("^")

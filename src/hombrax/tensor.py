@@ -10,6 +10,14 @@ Multi-indices are encoded 0-based and row-major with the leftmost tensor
 factor most significant: index(i_1, ..., i_m) = sum i_k * N^(m-k).  This is
 the conventional Kronecker-product layout, so a printed matrix maps
 directly onto columns.
+
+Columns are canonical: rows strictly increase, no entry is zero and every
+row is in range.  ``TensorOp(...)`` is the one validating entry: it
+canonicalises and range-checks whatever columns it is given (JSON, user
+code, sums, scaling, ``map_scalars``).  The kernels below whose output is
+canonical by construction (``compose``, ``tensor_product``, ``lift``,
+``invert``, ``rebase``, ``with_space``, ``identity_op``, ``swap_op``) build
+their result with ``TensorOp._trusted`` and skip that pass.
 """
 
 from __future__ import annotations
@@ -18,6 +26,11 @@ import json
 from typing import Callable, Iterable, Mapping, Sequence
 
 from hombrax.scalars import RationalLike, Scalar, parse_scalar
+
+# The most columns (dim ** arity) an operator read from input or requested
+# on the command line may have.  The largest operators the gallery, the tests
+# and the benchmark build have 1,024 columns (4-dim bql at n = 5).
+_MAX_COLUMNS = 1 << 14
 
 
 class ArityMismatch(ValueError):
@@ -100,6 +113,18 @@ def decode_index(dim: int, arity: int, flat: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_size(dim: int, arity: int) -> None:
+    """Refuse an operator on V^(tensor arity) with more than _MAX_COLUMNS columns.
+
+    dim >= 2^(bit_length - 1), so a large arity is refused from the bit
+    lengths alone, before dim ** arity is formed.
+    """
+    if dim > 1 and (arity * (dim.bit_length() - 1) >= _MAX_COLUMNS.bit_length()
+                    or dim ** arity > _MAX_COLUMNS):
+        raise ValueError(f"dim {dim} to the power {arity} exceeds the limit of "
+                         f"{_MAX_COLUMNS} columns")
+
+
 Column = tuple[tuple[int, Scalar], ...]
 
 
@@ -139,6 +164,15 @@ class TensorOp:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "columns", cols)
+
+    @classmethod
+    def _trusted(cls, space: BasedSpace, arity: int, cols: tuple[Column, ...]) -> "TensorOp":
+        """An operator from columns that are canonical and in range by construction."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "space", space)
+        object.__setattr__(op, "arity", arity)
+        object.__setattr__(op, "columns", cols)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorOp is immutable")
@@ -230,48 +264,52 @@ class TensorOp:
         """Relabel the underlying space (same dimension)."""
         if space.dim != self.space.dim:
             raise DimMismatch(f"dim {space.dim} vs {self.space.dim}")
-        return TensorOp(space, self.arity, self.columns)
+        return TensorOp._trusted(space, self.arity, self.columns)
 
 
 def identity_op(space: BasedSpace, m: int) -> TensorOp:
-    n = space.dim ** m
-    return TensorOp(space, m, [((j, Scalar.one()),) for j in range(n)])
+    if m < 1:
+        raise ValueError("arity must be >= 1")
+    one = Scalar.one()
+    return TensorOp._trusted(space, m, tuple(((j, one),) for j in range(space.dim ** m)))
 
 
 def swap_op(space: BasedSpace) -> TensorOp:
     """The twist isomorphism on V tensor V: e_i (x) e_j -> e_j (x) e_i."""
     n = space.dim
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            cols.append(((j * n + i, Scalar.one()),))
-    return TensorOp(space, 2, cols)
+    one = Scalar.one()
+    return TensorOp._trusted(space, 2, tuple(((j * n + i, one),)
+                                             for i in range(n) for j in range(n)))
 
 
 def compose(f: TensorOp, g: TensorOp) -> TensorOp:
     """f after g, exactly."""
     f._check_same_shape(g)
+    fcols = f.columns
     cols = []
     for gcol in g.columns:
         acc: dict[int, Scalar] = {}
         for i, s in gcol:
-            for r, t in f.columns[i]:
-                acc[r] = acc.get(r, Scalar.zero()) + s * t
-        cols.append(tuple(acc.items()))
-    return TensorOp(f.space, f.arity, cols)
+            for r, t in fcols[i]:
+                p = s * t
+                acc[r] = acc[r] + p if r in acc else p
+        # Rows are distinct dict keys, so sorting never compares scalars.
+        cols.append(tuple(sorted(e for e in acc.items() if not e[1].is_zero())))
+    return TensorOp._trusted(f.space, f.arity, tuple(cols))
 
 
 def tensor_product(f: TensorOp, g: TensorOp) -> TensorOp:
-    """(f (x) g)(x (x) y) = f(x) (x) g(y), bilinearly extended."""
+    """(f (x) g)(x (x) y) = f(x) (x) g(y), bilinearly extended.
+
+    Rows rf * ng + rg increase with (rf, rg), and a product of nonzero
+    entries is nonzero, so the columns come out canonical.
+    """
     if f.space != g.space:
         raise SpaceMismatch(f"{f.space} vs {g.space}")
     ng = g.space.dim ** g.arity
-    cols = []
-    for fcol in f.columns:
-        for gcol in g.columns:
-            cols.append(tuple((rf * ng + rg, sf * sg)
-                              for rf, sf in fcol for rg, sg in gcol))
-    return TensorOp(f.space, f.arity + g.arity, cols)
+    cols = tuple(tuple((rf * ng + rg, sf * sg) for rf, sf in fcol for rg, sg in gcol)
+                 for fcol in f.columns for gcol in g.columns)
+    return TensorOp._trusted(f.space, f.arity + g.arity, cols)
 
 
 class LinearMap:
@@ -367,14 +405,14 @@ def linear_map_from_op(op: TensorOp) -> LinearMap:
 
 
 def lift(alpha: LinearMap, m: int) -> TensorOp:
-    """alpha^(tensor m), built directly from alpha's columns."""
+    """alpha^(tensor m), built directly from alpha's columns (canonical, as in
+    ``tensor_product``)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     n = alpha.dim
     sparse_cols = [tuple((k, alpha.rows[k][i]) for k in range(n)
                          if not alpha.rows[k][i].is_zero()) for i in range(n)]
     cols: list[list[tuple[int, Scalar]]] = [[(0, Scalar.one())]]
-    width = 1
     for _ in range(m):
         nxt = []
         for partial in cols:
@@ -382,8 +420,7 @@ def lift(alpha: LinearMap, m: int) -> TensorOp:
                 nxt.append([(r * n + k, s * t) for r, s in partial
                             for k, t in sparse_cols[i]])
         cols = nxt
-        width *= n
-    return TensorOp(alpha.space, m, [tuple(c) for c in cols])
+    return TensorOp._trusted(alpha.space, m, tuple(tuple(c) for c in cols))
 
 
 def power(f: TensorOp, k: int) -> TensorOp:
@@ -434,9 +471,9 @@ def invert(f: TensorOp) -> TensorOp:
             factor = m[r][col]
             m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
             aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    cols = [[(r, aug[r][j]) for r in range(n) if not aug[r][j].is_zero()]
-            for j in range(n)]
-    return TensorOp(f.space, f.arity, cols)
+    cols = tuple(tuple((r, aug[r][j]) for r in range(n) if not aug[r][j].is_zero())
+                 for j in range(n))
+    return TensorOp._trusted(f.space, f.arity, cols)
 
 
 def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
@@ -445,10 +482,10 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
     Row-major encoding makes the flat indices of V^(tensor km) and
     (V^(tensor k))^(tensor m) coincide, so regrouping is a relabeling.
     """
-    if space.dim ** arity != op.total_dim:
+    if arity < 1 or space.dim ** arity != op.total_dim:
         raise DimMismatch(
             f"cannot regroup dim {op.space.dim}^{op.arity} as {space.dim}^{arity}")
-    return TensorOp(space, arity, op.columns)
+    return TensorOp._trusted(space, arity, op.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +501,37 @@ def op_to_json_dict(op: TensorOp) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorOp:
-    dim = int(data["dim"])
-    arity = int(data["arity"])
+    """Read an operator, refusing wrong JSON types and oversized shapes
+    (ValueError) before anything is allocated."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"operator must be a JSON object, not {type(data).__name__}")
+    dim = _json_int(data["dim"], "dim")
+    arity = _json_int(data["arity"], "arity")
+    _check_size(dim, arity)
+    columns = data["columns"]
+    if not isinstance(columns, Mapping):
+        raise ValueError(f"columns must be a JSON object, not {type(columns).__name__}")
     if space is None:
         space = BasedSpace.of_dim(dim)
     elif space.dim != dim:
         raise DimMismatch(f"space dim {space.dim} != json dim {dim}")
     total = dim ** arity
     cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for key, entries in data["columns"].items():
+    for key, entries in columns.items():
         j = int(key)
         if not 0 <= j < total:
             raise IndexError(f"column {j} out of range")
-        cols[j] = [(int(r), parse_scalar(text)) for r, text in entries]
+        if not isinstance(entries, (list, tuple)) or any(
+                not isinstance(e, (list, tuple)) or len(e) != 2 for e in entries):
+            raise ValueError(f"column {key}: entries must be [row, scalar] pairs")
+        cols[j] = [(_json_int(r, "row"), parse_scalar(text)) for r, text in entries]
     return TensorOp(space, arity, cols)
 
 

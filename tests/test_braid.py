@@ -207,3 +207,69 @@ def test_theta_is_multiplicative_on_reduced_products():
     assert theta_operator(triple, b, alpha) == compose(
         theta_operator(g, b, alpha),
         compose(theta_operator(d, b, alpha), theta_operator(g, b, alpha)))
+
+
+# -- validate once per pair ------------------------------------------------------
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Count hybe_residual calls made by theta_operator, starting from an empty memo."""
+    from hombrax import braid
+    calls = []
+    real = braid.hybe_residual
+
+    def counting(B, alpha):
+        calls.append((B, alpha))
+        return real(B, alpha)
+
+    monkeypatch.setattr(braid, "hybe_residual", counting)
+    monkeypatch.setattr(braid, "_validated", None)
+    return calls
+
+
+def test_theta_validates_a_pair_once_across_strand_counts(validations):
+    b, alpha = phi_alpha_rational()
+    for gamma in (chi(1, 2), chi(2, 1), chi(2, 2), Permutation((4, 3, 2, 1)), chi(1, 2)):
+        theta_operator(gamma, b, alpha)
+    tensor_power_solution(b, alpha, 2)
+    assert len(validations) == 1
+
+
+def test_theta_revalidates_an_equal_copy(validations):
+    from hombrax.tensor import TensorOp
+    b, alpha = phi_alpha_rational()
+    copy_b = TensorOp(b.space, b.arity, b.columns)
+    copy_alpha = LinearMap(alpha.space, alpha.rows)
+    theta_operator(chi(1, 2), b, alpha)
+    assert theta_operator(chi(1, 2), copy_b, alpha) == theta_operator(chi(1, 2), b, alpha)
+    theta_operator(chi(1, 2), b, copy_alpha)
+    assert len(validations) == 4
+
+
+def test_theta_rejects_bad_pairs_after_a_valid_one(validations):
+    from hombrax.hybe import twist
+    b, alpha = phi_alpha_rational()
+    not_a_solution = phi().instantiate({"q": 2, "l": 1})
+    singular = LinearMap.diagonal(PHI_SPACE, [0, 1])
+    flat = twist(phi(), singular).instantiate({"q": 2, "l": 1})
+    for _ in range(2):
+        theta_operator(chi(1, 1), b, alpha)
+        with pytest.raises(NotASolution):
+            theta_operator(chi(1, 1), not_a_solution, alpha)
+        with pytest.raises(NotInvertible):
+            theta_operator(chi(1, 1), flat, singular)
+    # A rejected pair is checked again every time and leaves the memo alone.
+    assert len(validations) == 5
+
+
+def test_theta_equals_letter_by_letter_product_on_sigma4():
+    import itertools
+    b, alpha = phi_alpha_rational()
+    for images in itertools.permutations(range(1, 5)):
+        gamma = Permutation(images)
+        for strategy in ("smallest", "largest"):
+            word = reduced_word(gamma, strategy)
+            want = identity_op(b.space, 4)
+            for i in reversed(word.letters):
+                want = compose(build_Bi(b, alpha, 4, i), want)
+            assert theta_operator(gamma, b, alpha, word=word) == want

@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hombrax.cli import main
 
@@ -374,3 +376,118 @@ def test_verify_braid_refuses_fewer_than_3_strands(capsys, monkeypatch, n):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "3 strands" in err
 
+
+_PAIR = {"operator": {"dim": 2, "arity": 2,
+                      "columns": {"0": [["0", "2"]], "1": [["2", "3"]],
+                                  "2": [["1", "1"], ["2", "-1"]], "3": [["3", "2"]]}},
+         "alpha": [["1", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("command", ["verify ybe", "verify hybe"])
+@pytest.mark.parametrize("doc", [
+    {"operator": [1]},
+    {"operator": {"dim": 2, "arity": 2, "columns": []}, "alpha": _PAIR["alpha"]},
+    {"operator": {"dim": 2, "arity": 2, "columns": {"0": 5}}, "alpha": _PAIR["alpha"]},
+    {"operator": _PAIR["operator"], "alpha": 5},
+    {"operator": _PAIR["operator"], "alpha": [5, 6]},
+], ids=["operator list", "columns list", "column int", "alpha int", "alpha row int"])
+def test_nested_wrong_type_json_exits_2(capsys, monkeypatch, command, doc):
+    code, out, err = run(capsys, command.split(), stdin=json.dumps(doc),
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def _bounded_init(real_init):
+    """TensorOp.__init__ that fails at once, instead of allocating, on more
+    than 2^14 columns: a missing size check then fails a test, not the host."""
+    def init(self, space, arity, columns):
+        dim = space.dim
+        if dim > 1 and (arity * (dim.bit_length() - 1) >= 15 or dim ** arity > 1 << 14):
+            raise AssertionError("an oversized operator reached TensorOp")
+        real_init(self, space, arity, columns)
+    return init
+
+
+def _json_values():
+    # Integers stay small: oversized shapes are tested one by one below, with
+    # every allocation blocked.
+    scalars = (st.none() | st.booleans() | st.integers(-3, 40)
+               | st.floats() | st.text(max_size=6) | st.sampled_from(["0", "1", "q", "1/0"]))
+    keys = st.sampled_from(["dim", "arity", "columns", "0", "1"]) | st.text(max_size=3)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(keys, inner, max_size=4), max_leaves=12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["operator", "columns", "alpha"]), _json_values(),
+       st.sampled_from(["verify ybe", "verify hybe"]))
+def test_random_nested_json_keeps_exit_code_contract(position, value, command):
+    import contextlib
+    import io
+    from unittest import mock
+
+    from hombrax.tensor import TensorOp
+    doc = json.loads(json.dumps(_PAIR))
+    if position == "columns":
+        doc["operator"]["columns"] = value
+    else:
+        doc[position] = value
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            mock.patch.object(TensorOp, "__init__", _bounded_init(TensorOp.__init__)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.split())
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("oversized request reached a builder")
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["verify", "ybe"], {"dim": 10, "arity": 9, "columns": {}}),
+    (["verify", "ybe"], {"dim": 2, "arity": 10 ** 30, "columns": {}}),
+    (["verify", "hybe", "--alpha", "1,0;0,1"], {"operator": {"dim": 2, "arity": 2 ** 40,
+                                                             "columns": {}}}),
+    (["braid", "eval", "--perm", "2,1"], {"operator": {"dim": 10 ** 30, "arity": 1,
+                                                       "columns": {}}}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_oversized_json_exits_2_before_building(capsys, monkeypatch, argv, stdin):
+    from hombrax.tensor import BasedSpace, TensorOp
+    monkeypatch.setattr(TensorOp, "__init__", _refuse)
+    monkeypatch.setattr(BasedSpace, "of_dim", _refuse)
+    code, out, err = run(capsys, argv, stdin=json.dumps(stdin), monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
+@pytest.fixture
+def no_large_work(monkeypatch):
+    """Make every builder an oversized request could reach fail at once, so a
+    missing size check fails the test instead of allocating."""
+    from hombrax import braid, hybe, quantum
+    from hombrax.tensor import TensorOp
+
+    for module, name in ((braid, "tensor_power_solution"), (braid, "theta_operator"),
+                         (hybe, "braid_relation_residuals"), (quantum, "bql")):
+        monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(TensorOp, "__init__", _bounded_init(TensorOp.__init__))
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["verify", "ybe"], {"dim": 26, "arity": 2, "columns": {}}),
+    (["construct", "bql", "--dim", "129"], None),
+    (["construct", "tensor-power", "--n", "8"], None),
+    (["braid", "power", "--n", "8"], _PAIR),
+    (["braid", "eval", "--perm", ",".join(str(k) for k in range(15, 0, -1))], _PAIR),
+    (["verify", "braid", "--n", "15"], _PAIR),
+    (["verify", "braid", "--n", str(10 ** 20)], _PAIR),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_oversized_requests_exit_2_before_building(capsys, monkeypatch, no_large_work,
+                                                    argv, stdin):
+    text = None if stdin is None else json.dumps(stdin)
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the limit" in err

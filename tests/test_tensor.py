@@ -275,3 +275,112 @@ def test_linear_map_round_trip_through_op():
     rows = [[Scalar.rational(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
     m = LinearMap(V3, rows)
     assert linear_map_from_op(m.to_op()) == m
+
+
+# -- canonical kernel output ---------------------------------------------------
+#
+# The kernels build their results without the canonicalising pass of
+# TensorOp(...); each result must already be what that pass would produce.
+
+def assert_canonical(op: TensorOp) -> None:
+    n = op.total_dim
+    assert len(op.columns) == n
+    for col in op.columns:
+        rows = [r for r, _ in col]
+        assert all(a < b for a, b in zip(rows, rows[1:])), rows
+        assert all(0 <= r < n for r in rows), rows
+        assert not any(s.is_zero() for _, s in col)
+    assert op == TensorOp(op.space, op.arity, op.columns)
+
+
+def kernel_results(f: TensorOp, g: TensorOp, alpha: LinearMap) -> list[TensorOp]:
+    """Every kernel whose output skips canonicalisation, on f, g (same shape) and alpha."""
+    out = [compose(f, g), compose(g, f), tensor_product(f, g), power(f, 2),
+           lift(alpha, 1), lift(alpha, 2), identity_op(f.space, f.arity),
+           swap_op(f.space), rebase(f, product_space(f.space, f.arity), 1),
+           f.with_space(BasedSpace.of_dim(f.space.dim, prefix="f"))]
+    for op in (f, alpha.to_op()):
+        try:
+            out.append(invert(op))
+        except Singular:
+            pass
+    return out
+
+
+def test_kernels_keep_rational_gallery_canonical():
+    for name, op in rational_gallery().items():
+        alpha = LinearMap(op.space, [[(i + 2 * j) % 3 for j in range(op.space.dim)]
+                                     for i in range(op.space.dim)])
+        for result in kernel_results(op, op, alpha):
+            assert_canonical(result)
+
+
+_SMALL = st.integers(min_value=-2, max_value=2).map(Scalar.rational)
+
+
+@st.composite
+def sparse_rational_ops(draw, space, arity):
+    """Sparse columns with repeated rows, zero entries and entries that cancel."""
+    n = space.dim ** arity
+    cols = {}
+    for j in range(n):
+        entries = draw(st.lists(st.tuples(st.integers(0, n - 1), _SMALL), max_size=4))
+        cancel = draw(st.lists(st.integers(0, n - 1), max_size=2))
+        cols[j] = entries + [(r, s) for r in cancel for s in (Scalar.one(), -Scalar.one())]
+    return TensorOp(space, arity, cols)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2))
+def test_kernels_keep_random_sparse_ops_canonical(data, dim, arity):
+    space = BasedSpace.of_dim(dim)
+    f = data.draw(sparse_rational_ops(space, arity))
+    g = data.draw(sparse_rational_ops(space, arity))
+    alpha = LinearMap(space, data.draw(st.lists(st.lists(_SMALL, min_size=dim, max_size=dim),
+                                                min_size=dim, max_size=dim)))
+    assert_canonical(f)
+    for result in kernel_results(f, g, alpha):
+        assert_canonical(result)
+
+
+# -- hostile JSON and the size limit -------------------------------------------
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"dim": None, "arity": 2, "columns": {}},
+    {"dim": 2, "arity": 2.0, "columns": {}},
+    {"dim": 2, "arity": 2, "columns": []},
+    {"dim": 2, "arity": 2, "columns": {"0": 5}},
+    {"dim": 2, "arity": 2, "columns": {"0": [["0"]]}},
+    {"dim": 2, "arity": 2, "columns": {"0": [[None, "1"]]}},
+    {"dim": 2, "arity": 2, "columns": {"0": [["0", "1/0"]]}},
+], ids=repr)
+def test_json_rejects_wrong_types_with_value_error(doc):
+    with pytest.raises(ValueError):
+        op_from_json_dict(doc)
+
+
+class _NoPower(int):
+    """An int that must never be raised to a power."""
+
+    def __pow__(self, other):
+        raise AssertionError("dim ** arity formed for a huge arity")
+
+
+def test_size_limit_refuses_before_allocating(monkeypatch):
+    from hombrax import tensor
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated an oversized operator")
+
+    monkeypatch.setattr(TensorOp, "__init__", no_alloc)
+    monkeypatch.setattr(BasedSpace, "of_dim", no_alloc)
+    for dim, arity in ((10, 9), (2, 15), (3, 10 ** 18), (10 ** 30, 1)):
+        # BasedSpace.of_dim refuses, so an unchecked huge arity fails here
+        # instead of reaching dim ** arity.
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            op_from_json_dict({"dim": dim, "arity": arity, "columns": {}})
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        tensor._check_size(_NoPower(3), 10 ** 18)
+    tensor._check_size(2, 14)  # exactly at the limit
+    tensor._check_size(1, 10 ** 18)  # one column
