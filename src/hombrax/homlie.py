@@ -28,16 +28,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from hombrax.runtime import digit_matrices, map_chunks
-from hombrax.scalars import RationalLike, Scalar, reduce_mod_p, is_odd_prime
-from hombrax.tensor import (
-    BasedSpace,
-    DimMismatch,
-    LinearMap,
-    Singular,
-    SymbolicNotMonomialInvertible,
-    TensorOp,
-)
+# map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
+from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
+from hombrax.scalars import RationalLike, Scalar, reduce_mod_p
+from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
+                            SymbolicNotMonomialInvertible, TensorOp, _json_dense,
+                            _json_dim, _json_labels, _json_sparse, _sparse_json)
 
 
 class NotAMorphism(ValueError):
@@ -312,23 +308,27 @@ def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
     raise ConstraintViolated(f"kind must be 0..3, got {kind}")
 
 
-def sl2_morphism_equations(alpha: LinearMap) -> tuple[Scalar, ...]:
-    """The nine residuals that vanish exactly when alpha preserves the sl(2) bracket."""
-    if alpha.dim != 3:
-        raise DimMismatch("need a 3x3 matrix")
-    e = alpha.rows
-    one = Scalar.one()
+def _sl2_residuals(e) -> tuple:
+    """The nine sl(2) morphism residuals of a 3x3 grid e[i][j]: Scalars for
+    ``sl2_morphism_equations``, numpy columns of candidates for the scan."""
     return (
         e[1][0] * e[2][1] - e[1][1] * e[2][0] - 2 * e[0][1],
-        e[0][1] * e[1][0] - e[1][1] * (e[0][0] - one),
-        e[0][1] * e[2][0] - e[2][1] * (one + e[0][0]),
+        e[0][1] * e[1][0] - e[1][1] * (e[0][0] - 1),
+        e[0][1] * e[2][0] - e[2][1] * (1 + e[0][0]),
         e[1][0] * e[2][2] - e[1][2] * e[2][0] + 2 * e[0][2],
-        e[0][2] * e[1][0] - e[1][2] * (one + e[0][0]),
-        e[0][2] * e[2][0] - e[2][2] * (e[0][0] - one),
+        e[0][2] * e[1][0] - e[1][2] * (1 + e[0][0]),
+        e[0][2] * e[2][0] - e[2][2] * (e[0][0] - 1),
         e[0][0] - e[1][1] * e[2][2] + e[1][2] * e[2][1],
         e[1][0] - 2 * (e[0][1] * e[1][2] - e[0][2] * e[1][1]),
         e[2][0] - 2 * (e[0][2] * e[2][1] - e[0][1] * e[2][2]),
     )
+
+
+def sl2_morphism_equations(alpha: LinearMap) -> tuple[Scalar, ...]:
+    """The nine residuals that vanish exactly when alpha preserves the sl(2) bracket."""
+    if alpha.dim != 3:
+        raise DimMismatch("need a 3x3 matrix")
+    return _sl2_residuals(alpha.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -358,69 +358,35 @@ class ClassificationReport:
 
 
 def _constants_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
-    n = L.dim
-    c = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i, j, k] = reduce_mod_p(L.brackets[i][j][k].constant_value(), p)
-    return c
+    return np.array([[[reduce_mod_p(s.constant_value(), p) for s in vec] for vec in row]
+                     for row in L.brackets], dtype=np.int64)
 
 
-def morphism_matrices_mod_p(L: HomLieAlgebra, p: int,
-                            chunk: int = 400_000) -> np.ndarray:
+def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     """Every A over F_p with A[x_i, x_j] = [A x_i, A x_j]: the brute-force oracle."""
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
     n = L.dim
+    scan_size(n, p)
     c = _constants_mod_p(L, p)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = p ** (n * n)
 
-    def scan(start: int) -> np.ndarray:
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        A = digit_matrices(idx, n, p)
-        ok = np.ones(idx.shape[0], dtype=bool)
+    def preserves_brackets(A: np.ndarray) -> np.ndarray:
+        ok = np.ones(A.shape[0], dtype=bool)
         for i, j in pairs:
             lhs = np.einsum("crm,m->cr", A, c[i, j])
             rhs = np.einsum("ck,cl,klr->cr", A[:, :, i], A[:, :, j], c)
             ok &= ~((lhs - rhs) % p).any(axis=1)
-        return A[ok]
+        return ok
 
-    found = map_chunks(scan, range(0, total, chunk))
-    return np.concatenate([f for f in found if f.size]
-                          or [np.zeros((0, n, n), dtype=np.int64)])
+    return scan_matrices(n, p, preserves_brackets)
 
 
-def _sl2_equation_solutions_mod_p(p: int, chunk: int = 400_000) -> np.ndarray:
+def _sl2_equation_solutions_mod_p(p: int) -> np.ndarray:
     """Every 3x3 matrix over F_p satisfying the nine morphism equations."""
-    total = p ** 9
+    def solves_equations(A: np.ndarray) -> np.ndarray:
+        residuals = _sl2_residuals(A.transpose(1, 2, 0))
+        return np.logical_and.reduce([r % p == 0 for r in residuals])
 
-    def scan(start: int) -> np.ndarray:
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        E = digit_matrices(idx, 3, p)
-        a11, a12, a13 = E[:, 0, 0], E[:, 0, 1], E[:, 0, 2]
-        a21, a22, a23 = E[:, 1, 0], E[:, 1, 1], E[:, 1, 2]
-        a31, a32, a33 = E[:, 2, 0], E[:, 2, 1], E[:, 2, 2]
-        eqs = (
-            a21 * a32 - a22 * a31 - 2 * a12,
-            a12 * a21 - a22 * (a11 - 1),
-            a12 * a31 - a32 * (1 + a11),
-            a21 * a33 - a23 * a31 + 2 * a13,
-            a13 * a21 - a23 * (1 + a11),
-            a13 * a31 - a33 * (a11 - 1),
-            a11 - a22 * a33 + a23 * a32,
-            a21 - 2 * (a12 * a23 - a13 * a22),
-            a31 - 2 * (a13 * a32 - a12 * a33),
-        )
-        ok = np.ones(idx.shape[0], dtype=bool)
-        for r in eqs:
-            ok &= (r % p) == 0
-        return E[ok]
-
-    found = map_chunks(scan, range(0, total, chunk))
-    return np.concatenate([f for f in found if f.size]
-                          or [np.zeros((0, 3, 3), dtype=np.int64)])
+    return scan_matrices(3, p, solves_equations)
 
 
 def _sl2_family_kinds(flat: tuple[int, ...], p: int) -> list[str]:
@@ -477,8 +443,6 @@ def _make_report(algebra: str, p: int, solutions: np.ndarray,
 def classify_sl2_finite_field(p: int, strict: bool = False) -> ClassificationReport:
     """Scan all 3x3 matrices over F_p against the nine equations, then cover
     every solution by the four sl(2) families."""
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
     solutions = _sl2_equation_solutions_mod_p(p)
     return _make_report("sl2", p, solutions,
                         lambda flat: _sl2_family_kinds(flat, p), strict)
@@ -639,31 +603,16 @@ def conjugacy_obstruction(alpha: LinearMap, beta: LinearMap) -> bool:
 # ---------------------------------------------------------------------------
 
 def algebra_to_json_dict(L: HomLieAlgebra) -> dict:
-    c = {}
-    for i in range(L.dim):
-        for j in range(L.dim):
-            inner = {str(k): str(s) for k, s in enumerate(L.brackets[i][j])
-                     if not s.is_zero()}
-            if inner:
-                c[f"{i},{j}"] = inner
     return {
         "dim": L.dim,
         "labels": list(L.labels),
-        "c": c,
+        "c": _sparse_json(L.brackets, 2),
         "alpha": [[str(e) for e in row] for row in L.alpha.rows],
     }
 
 
 def algebra_from_json_dict(data: Mapping) -> HomLieAlgebra:
-    from hombrax.scalars import parse_scalar
-    n = int(data["dim"])
-    labels = tuple(data.get("labels") or (f"x{i}" for i in range(n)))
-    zero = Scalar.zero()
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for key, inner in data["c"].items():
-        i, j = (int(x) for x in key.split(","))
-        for k, text in inner.items():
-            c[i][j][int(k)] = parse_scalar(text)
-    alpha = LinearMap(BasedSpace(labels),
-                      [[parse_scalar(t) for t in row] for row in data["alpha"]])
-    return HomLieAlgebra(labels, c, alpha)
+    n = _json_dim(data, 3)
+    labels = _json_labels(data, n, "x")
+    alpha = LinearMap(BasedSpace(labels), _json_dense(data["alpha"], (n, n), "alpha"))
+    return HomLieAlgebra(labels, _json_sparse(data["c"], (n, n, n), 2, "c"), alpha)

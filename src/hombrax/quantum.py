@@ -25,7 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from hombrax.runtime import digit_matrices, map_chunks
+# map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
+from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import Scalar, reduce_mod_p
 from hombrax.tensor import BasedSpace, LinearMap, TensorOp, compose, lift
 
@@ -286,8 +287,7 @@ def _bql_dense_mod_p(N: int, p: int, q_res: int, lam_res: int) -> np.ndarray:
 
 
 def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
-                                 lam_res: int = 1,
-                                 chunk: int = 200_000) -> set[tuple[int, ...]]:
+                                 lam_res: int = 1) -> set[tuple[int, ...]]:
     """All matrices over F_p whose compatibility residual with bql(N) vanishes.
 
     Works directly from the dense residual, in two stages: candidates are
@@ -295,44 +295,25 @@ def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
     e_i (x) e_i (a necessary condition computed generically from B's dense
     matrix, not from the pattern conditions), then survivors get the full
     p-modular check (A (x) A) B = B (A (x) A) on every column.  Raises
-    ValueError at degenerate residues (q^2 = 1 or l = 0 mod p), where bql(N)
-    leaves the family the accept set describes.
+    ValueError before bql(N) is built for a scan the engine refuses, and at
+    degenerate residues (q^2 = 1 or l = 0 mod p).
     """
-    B = _bql_dense_mod_p(N, p, q_res, lam_res)
+    scan_size(N, p)
     if (q_res * q_res - 1) % p == 0 or lam_res % p == 0:
         raise ValueError(f"q = {q_res}, l = {lam_res} is degenerate mod {p}: "
                          "need q^2 != 1 and l != 0")
-    nnz = [(r, s, int(B[r, s])) for r in range(N * N) for s in range(N * N)
-           if B[r, s]]
-    total = p ** (N * N)
+    B = _bql_dense_mod_p(N, p, q_res, lam_res)
+    # M[u, v, i] = B[(u, v), (i, i)]: column (i, i) of B as an N x N matrix.
+    M = B[:, [i * N + i for i in range(N)]].reshape(N, N, N)
 
-    def scan(start: int) -> np.ndarray:
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        A = digit_matrices(idx, N, p)
-        # X[c, u, v, i] = A[c,u,i] A[c,v,i]: the kron column of input (i, i).
-        X = np.einsum("cui,cvi->cuvi", A, A) % p
-        # t2[c, r, i] = (B after A (x) A)(e_i (x) e_i) at output row r = (ru, rv).
-        t1 = np.zeros((idx.shape[0], N, N, N), dtype=np.int64)
-        t2 = np.zeros_like(t1)
-        for r, s, val in nnz:
-            u, v = divmod(s, N)
-            ru, rv = divmod(r, N)
-            t2[:, ru, rv, :] += val * X[:, u, v, :]
-        # t1[c, (k, l), i] = (A (x) A after B)(e_i (x) e_i) at output (k, l).
-        for i in range(N):
-            for s in range(N * N):
-                val = int(B[s, i * N + i])
-                if not val:
-                    continue
-                u, v = divmod(s, N)
-                t1[:, :, :, i] += val * np.einsum("ck,cl->ckl", A[:, :, u], A[:, :, v])
-        ok = ~((t1 - t2) % p).any(axis=(1, 2, 3))
-        return A[ok]
+    def diagonal_columns_vanish(A: np.ndarray) -> np.ndarray:
+        # On e_i (x) e_i, (A (x) A) B gives A M_i A^T and B (A (x) A) gives
+        # B (a_i (x) a_i), with a_i column i of A.
+        X = np.einsum("cui,cvi->cuvi", A, A).reshape(-1, N * N, N)
+        AMA = np.einsum("cku,uvi,clv->ckli", A, M, A, optimize=True).reshape(-1, N * N, N)
+        return ~((AMA - B @ X) % p).any(axis=(1, 2))
 
-    survivors = map_chunks(scan, range(0, total, chunk))
-    A = np.concatenate([s for s in survivors if s.size] or [np.zeros((0, N, N), dtype=np.int64)])
-    if not A.shape[0]:
-        return set()
+    A = scan_matrices(N, p, diagonal_columns_vanish)
     # Full residual on the survivors.
     K = np.einsum("cki,clj->cklij", A, A).reshape(A.shape[0], N * N, N * N) % p
     R = (K @ B - B @ K) % p

@@ -507,6 +507,82 @@ def _json_int(value, what: str) -> int:
     return int(value)
 
 
+# The structure-constant formats (Hom-Lie algebras, bialgebras and YD
+# modules).  The readers raise ValueError for a wrong JSON type, an index out
+# of range (a negative one included) or an oversized dim, before any grid is
+# allocated.
+
+def _sparse_json(grid, split: int) -> dict:
+    """The nonzero entries of a nested grid of scalars as _json_sparse reads
+    them: {"i,j": {"k": "<scalar>"}}, with the first ``split`` indices outside."""
+    out: dict = {}
+
+    def walk(cell, idx: tuple) -> None:
+        if isinstance(cell, Scalar):
+            if not cell.is_zero():
+                inner = out.setdefault(",".join(map(str, idx[:split])), {})
+                inner[",".join(map(str, idx[split:]))] = str(cell)
+        else:
+            for i, sub in enumerate(cell):
+                walk(sub, idx + (i,))
+
+    walk(grid, ())
+    return out
+
+
+def _json_dim(data, arity: int) -> int:
+    """data["dim"] of an object whose grids have dim ** arity entries."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, not {type(data).__name__}")
+    dim = _json_int(data["dim"], "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be positive, not {dim}")
+    _check_size(dim, arity)
+    return dim
+
+
+def _json_labels(data: Mapping, dim: int, prefix: str) -> tuple[str, ...]:
+    labels = data.get("labels") or [f"{prefix}{i}" for i in range(dim)]
+    if not (isinstance(labels, list) and len(labels) == dim
+            and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f"labels must be a list of {dim} strings")
+    return tuple(labels)
+
+
+def _json_dense(data, dims: Sequence[int], what: str):
+    """Nested lists of scalars of shape dims, such as the rows of alpha."""
+    if not dims:
+        return parse_scalar(data)
+    if not isinstance(data, list) or len(data) != dims[0]:
+        raise ValueError(f"{what} must be a list of length {dims[0]}")
+    return [_json_dense(x, dims[1:], what) for x in data]
+
+
+def _zeros(dims: Sequence[int]):
+    return [_zeros(dims[1:]) for _ in range(dims[0])] if dims else Scalar.zero()
+
+
+def _json_sparse(data, dims: Sequence[int], split: int, what: str) -> list:
+    """A dims-shaped grid of scalars, zero except where data sets an entry:
+    {"i,j": {"k": "<scalar>"}}, with the first ``split`` indices outside."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    grid = _zeros(dims)
+    for key, inner in data.items():
+        if not isinstance(inner, Mapping) or key.count(",") != split - 1:
+            raise ValueError(f"{what}: {key!r} must be {split} indices mapped to an object")
+        for rest, text in inner.items():
+            idx = [_json_int(x, f"{what} index") for x in f"{key},{rest}".split(",")]
+            if len(idx) != len(dims) or not all(0 <= i < d for i, d in zip(idx, dims)):
+                raise ValueError(f"{what} index {key},{rest} is outside the shape {dims}")
+            *path, last = idx
+            cell = grid
+            for i in path:
+                cell = cell[i]
+            cell[last] = parse_scalar(text)
+    return grid
+
+
 def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorOp:
     """Read an operator, refusing wrong JSON types and oversized shapes
     (ValueError) before anything is allocated."""

@@ -24,7 +24,8 @@ import itertools
 from typing import Mapping, Sequence
 
 from hombrax.scalars import Scalar
-from hombrax.tensor import BasedSpace, LinearMap, TensorOp
+from hombrax.tensor import (BasedSpace, LinearMap, TensorOp, _json_dense, _json_dim,
+                            _json_labels, _json_sparse, _sparse_json)
 
 
 class AxiomViolation(ValueError):
@@ -608,48 +609,24 @@ def z2_bicharacter_dqt() -> DualQuasiTriangularStructure:
 # JSON formats.
 # ---------------------------------------------------------------------------
 
-def _sparse_map_to_json(grid) -> dict:
-    out = {}
-    for i, block in enumerate(grid):
-        for j, row in enumerate(block):
-            inner = {str(k): str(s) for k, s in enumerate(row) if not s.is_zero()}
-            if inner:
-                out[f"{i},{j}"] = inner
-    return out
-
-
 def bialgebra_to_json_dict(H: Bialgebra) -> dict:
     return {
         "dim": H.dim,
         "labels": list(H.labels),
-        "mult": _sparse_map_to_json(H.mult),
+        "mult": _sparse_json(H.mult, 2),
         "unit": [str(s) for s in H.unit],
-        "comult": {str(i): {f"{a},{b}": str(H.comult[i][a][b])
-                            for a in range(H.dim) for b in range(H.dim)
-                            if not H.comult[i][a][b].is_zero()}
-                   for i in range(H.dim)},
+        "comult": _sparse_json(H.comult, 1),
         "counit": [str(s) for s in H.counit],
     }
 
 
 def bialgebra_from_json_dict(data: Mapping) -> Bialgebra:
-    from hombrax.scalars import parse_scalar
-    d = int(data["dim"])
-    labels = tuple(data.get("labels") or (f"h{i}" for i in range(d)))
-    zero = Scalar.zero()
-    mult = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for key, inner in data["mult"].items():
-        i, j = (int(x) for x in key.split(","))
-        for k, text in inner.items():
-            mult[i][j][int(k)] = parse_scalar(text)
-    comult = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for i, inner in data["comult"].items():
-        for key, text in inner.items():
-            a, b = (int(x) for x in key.split(","))
-            comult[int(i)][a][b] = parse_scalar(text)
-    unit = [parse_scalar(t) for t in data["unit"]]
-    counit = [parse_scalar(t) for t in data["counit"]]
-    return Bialgebra(labels, mult, unit, comult, counit)
+    d = _json_dim(data, 3)
+    return Bialgebra(_json_labels(data, d, "h"),
+                     _json_sparse(data["mult"], (d, d, d), 2, "mult"),
+                     _json_dense(data["unit"], (d,), "unit"),
+                     _json_sparse(data["comult"], (d, d, d), 1, "comult"),
+                     _json_dense(data["counit"], (d,), "counit"))
 
 
 def module_to_json_dict(V: YDModule) -> dict:
@@ -657,31 +634,14 @@ def module_to_json_dict(V: YDModule) -> dict:
         "bialgebra": bialgebra_to_json_dict(V.host),
         "dim": V.dim,
         "labels": list(V.labels),
-        "action": {f"{h},{i}": {str(k): str(s) for k, s in enumerate(V.action[h][i])
-                                if not s.is_zero()}
-                   for h in range(V.host.dim) for i in range(V.dim)
-                   if any(not s.is_zero() for s in V.action[h][i])},
-        "coaction": {str(i): {f"{h},{k}": str(V.coaction[i][h][k])
-                              for h in range(V.host.dim) for k in range(V.dim)
-                              if not V.coaction[i][h][k].is_zero()}
-                     for i in range(V.dim)},
+        "action": _sparse_json(V.action, 2),
+        "coaction": _sparse_json(V.coaction, 1),
     }
 
 
 def module_from_json_dict(data: Mapping) -> YDModule:
-    from hombrax.scalars import parse_scalar
+    n = _json_dim(data, 3)
     H = bialgebra_from_json_dict(data["bialgebra"])
-    n = int(data["dim"])
-    labels = tuple(data.get("labels") or (f"v{i}" for i in range(n)))
-    zero = Scalar.zero()
-    action = [[[zero] * n for _ in range(n)] for _ in range(H.dim)]
-    for key, inner in data["action"].items():
-        h, i = (int(x) for x in key.split(","))
-        for k, text in inner.items():
-            action[h][i][int(k)] = parse_scalar(text)
-    coaction = [[[zero] * n for _ in range(H.dim)] for _ in range(n)]
-    for i, inner in data["coaction"].items():
-        for key, text in inner.items():
-            h, k = (int(x) for x in key.split(","))
-            coaction[int(i)][h][k] = parse_scalar(text)
-    return YDModule(H, labels, action, coaction)
+    return YDModule(H, _json_labels(data, n, "v"),
+                    _json_sparse(data["action"], (H.dim, n, n), 2, "action"),
+                    _json_sparse(data["coaction"], (n, H.dim, n), 1, "coaction"))

@@ -491,3 +491,148 @@ def test_oversized_requests_exit_2_before_building(capsys, monkeypatch, no_large
     code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "exceeds the limit" in err
+
+
+# -- oversized scans and structure-constant JSON ------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "compatible", "--dim", "5", "--field", "7"],
+    ["classify", "compatible", "--dim", "40", "--field", "3"],
+    ["classify", "heisenberg", "--field", "11"],
+    ["classify", "sl2", "--field", "131"],
+    ["classify", "sl2star", "--field", str(10 ** 40 + 1)],
+], ids=" ".join)
+def test_oversized_scans_exit_2_before_scanning(capsys, monkeypatch, argv):
+    from hombrax import homlie, quantum, runtime
+    monkeypatch.setattr(runtime, "_decode", _refuse)
+    monkeypatch.setattr(quantum, "_bql_dense_mod_p", _refuse)
+    monkeypatch.setattr(homlie, "_constants_mod_p", _refuse)
+    monkeypatch.setattr(quantum, "enumerate_patterns", _refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "sl2", "--field", "2"],
+    ["classify", "heisenberg", "--field", "4"],
+    ["classify", "compatible", "--dim", "2", "--field", "2"],
+], ids=" ".join)
+def test_classify_non_prime_field_exits_2_before_scanning(capsys, monkeypatch, argv):
+    from hombrax import quantum, runtime
+    monkeypatch.setattr(runtime, "_decode", _refuse)
+    monkeypatch.setattr(quantum, "_bql_dense_mod_p", _refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "odd prime" in err
+
+
+_IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the entry at path replaced by value."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+def _yd_doc_with(path, value):
+    return _with(_z2_module_doc(({"0": "1"}, {"1": "-1"})), path, value)
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("verify hom-jacobi", {"dim": 1, "c": [], "alpha": [["1"]]},
+                 id="c list"),
+    pytest.param("verify hom-jacobi", {"dim": 1, "c": {}, "alpha": 5}, id="alpha int"),
+    pytest.param("verify hom-jacobi", {"dim": 1, "c": {"0,0": 5}, "alpha": [["1"]]},
+                 id="c entry int"),
+    pytest.param("verify hom-jacobi", {"dim": 3, "c": {"0,-1": {"-2": "1"}},
+                                       "alpha": _IDENTITY3}, id="c negative index"),
+    pytest.param("verify hom-jacobi", {"dim": 3, "c": {"0,1,2": {"0": "1"}},
+                                       "alpha": _IDENTITY3}, id="c three-index key"),
+    pytest.param("verify hom-jacobi", {"dim": 3, "c": {"0,3": {"0": "1"}},
+                                       "alpha": _IDENTITY3}, id="c index past dim"),
+    pytest.param("verify hom-jacobi", {"dim": -2, "c": {}, "alpha": []},
+                 id="negative dim"),
+    pytest.param("verify hom-jacobi", {"dim": 2, "labels": ["X"], "c": {},
+                                       "alpha": [["1", "0"], ["0", "1"]]},
+                 id="too few labels"),
+    pytest.param("verify hom-jacobi", {"dim": 1, "labels": 5, "c": {}, "alpha": [["1"]]},
+                 id="labels int"),
+    pytest.param("verify yd", _yd_doc_with(["coaction"], {"0": {"-1,0": "1"}}),
+                 id="coaction negative index"),
+    pytest.param("verify yd", _yd_doc_with(["action"], {"0,2": {"0": "1"}}),
+                 id="action index past dim"),
+    pytest.param("verify yd", _yd_doc_with(["coaction"], []), id="coaction list"),
+    pytest.param("verify yd", _yd_doc_with(["bialgebra", "unit"], 5), id="unit int"),
+    pytest.param("verify yd", _yd_doc_with(["bialgebra", "counit"], ["1"]),
+                 id="counit too short"),
+    pytest.param("verify yd", _yd_doc_with(["bialgebra", "mult"], {"0,0": {"-1": "1"}}),
+                 id="mult negative index"),
+    pytest.param("verify yd", _yd_doc_with(["bialgebra", "comult"], {"0": {"0": "1"}}),
+                 id="comult one-index key"),
+    pytest.param("verify yd", _yd_doc_with(["bialgebra"], [1, 2]), id="bialgebra list"),
+    pytest.param("yd verify", _yd_doc_with(["bialgebra", "dim"], "two"),
+                 id="bialgebra dim text"),
+])
+def test_structure_constant_json_exits_2(capsys, monkeypatch, command, doc):
+    code, out, err = run(capsys, command.split(), stdin=json.dumps(doc),
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("verify hom-jacobi", {"dim": 10 ** 7, "c": {}, "alpha": []}),
+    ("verify hom-jacobi", {"dim": 26, "c": {}, "alpha": []}),
+    ("verify yd", _yd_doc_with(["dim"], 10 ** 7)),
+    ("verify yd", _yd_doc_with(["bialgebra", "dim"], 10 ** 7)),
+], ids=["hom-jacobi 10^7", "hom-jacobi 26", "yd module 10^7", "yd bialgebra 10^7"])
+def test_oversized_structure_constant_json_exits_2_before_building(
+        capsys, monkeypatch, command, doc):
+    from hombrax import tensor
+    monkeypatch.setattr(tensor, "_zeros", _refuse)
+    monkeypatch.setattr(tensor, "_json_labels", _refuse)
+    code, out, err = run(capsys, command.split(), stdin=json.dumps(doc),
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
+_STRUCTURE_DOCS = {
+    "verify hom-jacobi": json.loads(_GOLDEN_INPUTS["bad-jacobi"]),
+    "verify yd": _z2_module_doc(({"0": "1"}, {"1": "-1"})),
+}
+
+_STRUCTURE_POSITIONS = [
+    ("verify hom-jacobi", path) for path in
+    (["dim"], ["labels"], ["c"], ["c", "0,1"], ["c", "1,2"], ["alpha"], ["alpha", 0])
+] + [
+    ("verify yd", path) for path in
+    (["dim"], ["labels"], ["action"], ["action", "1,1"], ["coaction"], ["coaction", "1"],
+     ["bialgebra"], ["bialgebra", "dim"], ["bialgebra", "labels"], ["bialgebra", "mult"],
+     ["bialgebra", "mult", "1,1"], ["bialgebra", "unit"], ["bialgebra", "comult"],
+     ["bialgebra", "comult", "1"], ["bialgebra", "counit"])
+]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_STRUCTURE_POSITIONS), _json_values())
+def test_random_structure_constant_json_keeps_exit_code_contract(position, value):
+    import contextlib
+    import io
+    from unittest import mock
+
+    command, path = position
+    doc = _with(_STRUCTURE_DOCS[command], path, value)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.split())
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")

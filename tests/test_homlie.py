@@ -221,6 +221,15 @@ def test_classify_rejects_bad_prime():
             classify_sl2_finite_field(bad)
 
 
+def test_sl2_equation_scan_matches_generic_morphism_scan():
+    # The nine equations against the bracket-by-bracket scan of sl(2).
+    from hombrax.homlie import _sl2_equation_solutions_mod_p, morphism_matrices_mod_p
+    by_equations = _sl2_equation_solutions_mod_p(3)
+    generic = morphism_matrices_mod_p(sl2(), 3)
+    assert by_equations.shape == generic.shape == (25, 3, 3)
+    assert (by_equations == generic).all()
+
+
 def test_classify_sl2_complete_at_p7():
     # 7^9 ~ 40M matrices; still a bounded one-shot scan
     report = classify_sl2_finite_field(7, strict=True)

@@ -195,10 +195,70 @@ def test_brute_force_refuses_degenerate_residues(q_res, lam_res):
 
 
 def test_scan_is_stable_under_thread_cap(monkeypatch):
-    serial = brute_force_compatible_field(2, 5)
+    # With 100-candidate chunks both scans span many chunks (7 and 197), so
+    # the threaded path must reassemble them in the serial order.
+    from hombrax.homlie import heisenberg, morphism_matrices_mod_p
+    serial_accept = brute_force_compatible_field(2, 5)
+    serial_morphisms = morphism_matrices_mod_p(heisenberg(), 3)
+    chunk_counts = []
+    real_map_chunks = runtime.map_chunks
+
+    def counting_map_chunks(fn, items):
+        chunk_counts.append(len(items))
+        return real_map_chunks(fn, items)
+
+    monkeypatch.setattr(runtime, "map_chunks", counting_map_chunks)
+    monkeypatch.setattr(runtime, "_CHUNK", 100)
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("HOMBRAX_THREADS", "4")
-    threaded = brute_force_compatible_field(2, 5, chunk=100)
-    assert threaded == serial
+    assert runtime.worker_count() == 4
+    assert brute_force_compatible_field(2, 5) == serial_accept
+    threaded = morphism_matrices_mod_p(heisenberg(), 3)
+    assert threaded.shape == serial_morphisms.shape
+    assert (threaded == serial_morphisms).all()
+    assert chunk_counts == [7, 197]
+
+
+class _NoPower(int):
+    """An int that must never be raised to a power."""
+
+    def __pow__(self, other):
+        raise AssertionError("p ** (n*n) formed for an oversized scan")
+
+
+def test_scan_size_guard():
+    assert runtime.scan_size(3, 7) == 7 ** 9 < runtime._MAX_CANDIDATES
+    for n, p in ((3, _NoPower(131)), (3, _NoPower(10 ** 40 + 1)), (10 ** 6, _NoPower(3)),
+                 (5, 7), (3, 11)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            runtime.scan_size(n, p)
+    for p in (-7, 0, 1, 2, 9):
+        with pytest.raises(ValueError, match="odd prime"):
+            runtime.scan_size(2, p)
+    with pytest.raises(ValueError, match="n >= 1"):
+        runtime.scan_size(0, 5)
+
+
+def test_scan_matrices_in_index_order():
+    got = runtime.scan_matrices(2, 3, lambda A: A[:, 0, 0] == A[:, 1, 1])
+    want = [m for m in itertools.product(range(3), repeat=4) if m[0] == m[3]]
+    assert [tuple(int(x) for x in m.reshape(-1)) for m in got] == want
+    empty = runtime.scan_matrices(2, 3, lambda A: A[:, 0, 0] > 5)
+    assert empty.shape == (0, 2, 2)
+
+
+def test_brute_force_refuses_before_building_bql(monkeypatch):
+    from hombrax import quantum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized scan reached its setup")
+
+    monkeypatch.setattr(quantum, "_bql_dense_mod_p", refuse)
+    monkeypatch.setattr(quantum, "bql", refuse)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        brute_force_compatible_field(10 ** 6, 5)
+    with pytest.raises(ValueError, match="odd prime"):
+        brute_force_compatible_field(2, 9)
 
 
 def test_thread_cap_is_at_most_cpu_count(monkeypatch):
