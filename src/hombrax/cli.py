@@ -208,13 +208,12 @@ def cmd_verify(args) -> int:
         else:
             lines.append(f"PASS braid (n={args.n}, {len(residuals)} relations)")
     elif args.identity == "hom-jacobi":
-        L = homlie.algebra_from_json_dict(_read_input(args))
-        bad = [(t, vec) for t, vec in homlie.hom_jacobi_residual(L)
-               if any(not s.is_zero() for s in vec)]
-        if bad:
-            t, vec = bad[0]
-            lines.append(f"FAIL hom-jacobi triple {t} -> "
-                         + ", ".join(str(s) for s in vec))
+        res = homlie.hom_jacobi_residual(homlie.algebra_from_json_dict(_read_input(args)))
+        hit = res.first_nonzero_column()
+        if hit:
+            j = hit[0]
+            lines.append(f"FAIL hom-jacobi triple {tensor.decode_word(res.dom, j)} -> "
+                         + ", ".join(str(row[j]) for row in res.dense()))
         else:
             lines.append("PASS hom-jacobi")
     elif args.identity == "yd":
@@ -228,6 +227,7 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.target == "compatible":
+        quantum.pattern_count(args.dim)
         field_lines = []
         if args.field:
             # Scan before listing the patterns: a --field the scan engine

@@ -1,11 +1,14 @@
 """Hom-Lie algebras by structure constants and their braidings.
 
-A Hom-Lie algebra is a based space with a skew bracket, given by structure
-constants c[i][j][k] (the x_k coefficient of [x_i, x_j]), and a twisting
-self-map alpha that is multiplicative for the bracket and satisfies the
-twisted Jacobi identity
+A Hom-Lie algebra is a based space L with a skew bracket, held as one
+operator L (x) L -> L built from structure constants c[i][j][k] (the x_k
+coefficient of [x_i, x_j]), and a twisting self-map alpha that is
+multiplicative for the bracket and satisfies the twisted Jacobi identity
 
     [[x, y], alpha(z)] + [[z, x], alpha(y)] + [[y, z], alpha(x)] = 0.
+
+Each axiom is one operator expression whose residual must vanish
+(``skew_residual``, ``multiplicativity_residual``, ``hom_jacobi_residual``).
 
 Three classical 3-dimensional algebras are built in (the Heisenberg
 algebra, the dual of sl(2) alias the 1+1 Poincare algebra, and sl(2)),
@@ -21,7 +24,6 @@ that the families cover all morphism solutions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -33,7 +35,8 @@ from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import RationalLike, Scalar, reduce_mod_p
 from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
                             SymbolicNotMonomialInvertible, TensorOp, _json_dense,
-                            _json_dim, _json_labels, _json_sparse, _sparse_json)
+                            _json_dim, _json_labels, _json_sparse, _OnSpace, _sparse_json,
+                            as_op, compose, identity_op, swap_op, tensor_product)
 
 
 class NotAMorphism(ValueError):
@@ -56,82 +59,46 @@ class AlphaSingular(ValueError):
     """The twisting map is not invertible."""
 
 
-Vector = tuple[Scalar, ...]
-
-
 def _coerce_scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar.rational(x)
 
 
-class HomLieAlgebra:
-    """Based space + skew structure constants + twisting map."""
+class HomLieAlgebra(_OnSpace):
+    """Based space + skew bracket L (x) L -> L (a c[i][j][k] grid or operator) + alpha."""
 
-    __slots__ = ("labels", "brackets", "alpha")
+    __slots__ = ("space", "bracket", "alpha")
 
-    def __init__(self, labels: Sequence[str],
-                 brackets: Sequence[Sequence[Sequence[Scalar | RationalLike]]],
-                 alpha: LinearMap):
-        labels = tuple(labels)
-        n = len(labels)
-        if alpha.dim != n:
-            raise DimMismatch(f"alpha is {alpha.dim}-dim, algebra is {n}-dim")
-        c = tuple(tuple(tuple(_coerce_scalar(brackets[i][j][k]) for k in range(n))
-                        for j in range(n)) for i in range(n))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "brackets", c)
+    def __init__(self, labels: Sequence[str], brackets, alpha: LinearMap):
+        space = BasedSpace(labels)
+        if alpha.dim != space.dim:
+            raise DimMismatch(f"alpha is {alpha.dim}-dim, algebra is {space.dim}-dim")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "bracket", as_op(brackets, (space, space), (space,)))
         object.__setattr__(self, "alpha", alpha)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HomLieAlgebra is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    @property
-    def space(self) -> BasedSpace:
-        return BasedSpace(self.labels)
-
-    def bracket_vec(self, i: int, j: int) -> Vector:
-        return self.brackets[i][j]
-
-    def bracket_of(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        n = self.dim
-        out = [Scalar.zero()] * n
-        for i in range(n):
-            if u[i].is_zero():
-                continue
-            for j in range(n):
-                if v[j].is_zero():
-                    continue
-                coef = u[i] * v[j]
-                for k in range(n):
-                    ck = self.brackets[i][j][k]
-                    if not ck.is_zero():
-                        out[k] = out[k] + coef * ck
-        return tuple(out)
+    def bracket_vec(self, i: int, j: int) -> tuple[Scalar, ...]:
+        """[x_i, x_j] as a coordinate vector."""
+        return tuple(row[i * self.dim + j] for row in self.bracket.dense())
 
     def is_skew(self) -> bool:
-        n = self.dim
-        return all(self.brackets[i][j][k] == -self.brackets[j][i][k]
-                   for i in range(n) for j in range(n) for k in range(n))
+        return skew_residual(self).is_zero()
 
     def validate(self) -> None:
         if not self.is_skew():
             raise InvariantViolated("bracket is not skew-symmetric")
-        for (i, j), res in multiplicativity_residuals(self):
-            if any(not s.is_zero() for s in res):
-                raise InvariantViolated(
-                    f"alpha is not multiplicative at ({self.labels[i]}, {self.labels[j]})")
-        for triple, res in hom_jacobi_residual(self):
-            if any(not s.is_zero() for s in res):
-                raise InvariantViolated(f"twisted Jacobi fails at {triple}")
+        hit = multiplicativity_residual(self).first_nonzero()
+        if hit:
+            i, j = hit[0]
+            raise InvariantViolated(
+                f"alpha is not multiplicative at ({self.labels[i]}, {self.labels[j]})")
+        hit = hom_jacobi_residual(self).first_nonzero()
+        if hit:
+            raise InvariantViolated(f"twisted Jacobi fails at {hit[0]}")
 
     def __eq__(self, other):
         if not isinstance(other, HomLieAlgebra):
             return NotImplemented
-        return (self.labels == other.labels and self.brackets == other.brackets
-                and self.alpha == other.alpha)
+        return (self.space, self.bracket, self.alpha) == (other.space, other.bracket, other.alpha)
 
     def __repr__(self):
         return f"HomLieAlgebra(labels={self.labels})"
@@ -171,46 +138,42 @@ def sl2() -> HomLieAlgebra:
                        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
 
 
-def multiplicativity_residuals(L: HomLieAlgebra,
-                               alpha: LinearMap | None = None
-                               ) -> list[tuple[tuple[int, int], Vector]]:
-    """alpha[x_i, x_j] - [alpha x_i, alpha x_j] for every basis pair."""
-    alpha = alpha or L.alpha
-    out = []
-    cols = [alpha.column(i) for i in range(L.dim)]
-    for i in range(L.dim):
-        for j in range(L.dim):
-            lhs = alpha.apply(L.bracket_vec(i, j))
-            rhs = L.bracket_of(cols[i], cols[j])
-            out.append(((i, j), tuple(a - b for a, b in zip(lhs, rhs))))
-    return out
+def _on(alpha: LinearMap, space: BasedSpace) -> TensorOp:
+    """alpha as an operator on the algebra's space."""
+    return alpha.to_op().with_space(space)
 
 
-def hom_jacobi_residual(L: HomLieAlgebra) -> list[tuple[tuple[int, int, int], Vector]]:
-    """[[x,y],a(z)] + [[z,x],a(y)] + [[y,z],a(x)] for every basis triple."""
-    cols = [L.alpha.column(i) for i in range(L.dim)]
-    out = []
-    for i, j, k in itertools.product(range(L.dim), repeat=3):
-        t1 = L.bracket_of(L.bracket_vec(i, j), cols[k])
-        t2 = L.bracket_of(L.bracket_vec(k, i), cols[j])
-        t3 = L.bracket_of(L.bracket_vec(j, k), cols[i])
-        out.append(((i, j, k), tuple(a + b + c for a, b, c in zip(t1, t2, t3))))
-    return out
+def skew_residual(L: HomLieAlgebra) -> TensorOp:
+    """[x, y] + [y, x] on L (x) L."""
+    return L.bracket + compose(L.bracket, swap_op(L.space))
 
 
-def residuals_are_zero(residuals) -> bool:
-    return all(s.is_zero() for _, vec in residuals for s in vec)
+def multiplicativity_residual(L: HomLieAlgebra, alpha: LinearMap | None = None) -> TensorOp:
+    """alpha [x, y] - [alpha x, alpha y] on L (x) L."""
+    a = _on(alpha or L.alpha, L.space)
+    return compose(a, L.bracket) - compose(L.bracket, tensor_product(a, a))
 
 
-def twisted_constants(L: HomLieAlgebra, alpha: LinearMap) -> list[list[Vector]]:
-    """Structure constants of alpha o [-,-]; no morphism validation."""
-    return [[alpha.apply(L.bracket_vec(i, j)) for j in range(L.dim)]
-            for i in range(L.dim)]
+def hom_jacobi_residual(L: HomLieAlgebra) -> TensorOp:
+    """[[x, y], alpha z] + [[z, x], alpha y] + [[y, z], alpha x] on L^(x)3.
+
+    With t = [[x, y], alpha z], the cyclic terms are t after the shifts
+    x (x) y (x) z -> z (x) x (x) y and -> y (x) z (x) x, which are swaps of
+    the words (L, L) and (L,).
+    """
+    V = L.space
+    t = compose(L.bracket, tensor_product(L.bracket, _on(L.alpha, V)))
+    return t + compose(t, swap_op((V, V), V)) + compose(t, swap_op(V, (V, V)))
+
+
+def twisted_constants(L: HomLieAlgebra, alpha: LinearMap) -> TensorOp:
+    """The bracket alpha o [-,-]; no morphism validation."""
+    return compose(_on(alpha, L.space), L.bracket)
 
 
 def yau_twist(g: HomLieAlgebra, alpha: LinearMap) -> HomLieAlgebra:
     """The Hom-Lie algebra (g, alpha o [-,-], alpha) for a morphism alpha."""
-    if not residuals_are_zero(multiplicativity_residuals(g, alpha)):
+    if not multiplicativity_residual(g, alpha).is_zero():
         raise NotAMorphism("alpha does not preserve the bracket")
     return HomLieAlgebra(g.labels, twisted_constants(g, alpha), alpha)
 
@@ -219,8 +182,7 @@ def yau_twist(g: HomLieAlgebra, alpha: LinearMap) -> HomLieAlgebra:
 # The classified morphism families.
 # ---------------------------------------------------------------------------
 
-def _space3() -> BasedSpace:
-    return BasedSpace(("X", "Y", "Z"))
+_SPACE3 = BasedSpace(("X", "Y", "Z"))
 
 
 def heisenberg_morphism(a12, a13, a22, a23, a32, a33) -> LinearMap:
@@ -228,7 +190,7 @@ def heisenberg_morphism(a12, a13, a22, a23, a32, a33) -> LinearMap:
     a12, a13, a22, a23, a32, a33 = map(_coerce_scalar, (a12, a13, a22, a23, a32, a33))
     delta = a22 * a33 - a23 * a32
     zero = Scalar.zero()
-    return LinearMap(_space3(), [[delta, a12, a13],
+    return LinearMap(_SPACE3, [[delta, a12, a13],
                                  [zero, a22, a23],
                                  [zero, a32, a33]])
 
@@ -242,22 +204,16 @@ def sl2_star_morphism(kind: int, **params) -> LinearMap:
     """
     zero = Scalar.zero()
     if kind == 1:
-        a21 = _coerce_scalar(params.get("a21", 0))
-        a31 = _coerce_scalar(params.get("a31", 0))
-        a22 = _coerce_scalar(params.get("a22", 0))
-        a23 = _coerce_scalar(params.get("a23", 0))
-        a32 = _coerce_scalar(params.get("a32", 0))
-        a33 = _coerce_scalar(params.get("a33", 0))
-        return LinearMap(_space3(), [[Scalar.one(), zero, zero],
+        a21, a31, a22, a23, a32, a33 = (_coerce_scalar(params.get(k, 0)) for k in
+                                        ("a21", "a31", "a22", "a23", "a32", "a33"))
+        return LinearMap(_SPACE3, [[Scalar.one(), zero, zero],
                                      [a21, a22, a23],
                                      [a31, a32, a33]])
     if kind == 2:
-        a11 = _coerce_scalar(params.get("a11", 0))
-        a21 = _coerce_scalar(params.get("a21", 0))
-        a31 = _coerce_scalar(params.get("a31", 0))
+        a11, a21, a31 = (_coerce_scalar(params.get(k, 0)) for k in ("a11", "a21", "a31"))
         if (a11 - Scalar.one()).is_zero():
             raise ConstraintViolated("kind 2 needs a11 != 1")
-        return LinearMap(_space3(), [[a11, zero, zero],
+        return LinearMap(_SPACE3, [[a11, zero, zero],
                                      [a21, zero, zero],
                                      [a31, zero, zero]])
     raise ConstraintViolated(f"kind must be 1 or 2, got {kind}")
@@ -272,7 +228,7 @@ def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
     a, b, c = map(_coerce_scalar, (a, b, c))
     zero, one = Scalar.zero(), Scalar.one()
     if kind == 0:
-        return LinearMap(_space3(), [[zero] * 3] * 3)
+        return LinearMap(_SPACE3, [[zero] * 3] * 3)
     if kind in (1, 2):
         if b.is_zero():
             raise ConstraintViolated(f"kind {kind} needs b != 0")
@@ -280,12 +236,12 @@ def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
             raise ConstraintViolated(f"kind {kind} needs ac = 0")
         binv = b.inverse()
         if kind == 1:
-            return LinearMap(_space3(), [
+            return LinearMap(_SPACE3, [
                 [one, c, a],
                 [-2 * a * b, b, -a * a * b],
                 [-2 * binv * c, -binv * c * c, binv],
             ])
-        return LinearMap(_space3(), [
+        return LinearMap(_SPACE3, [
             [-one, c, a],
             [2 * binv * c, -binv * c * c, binv],
             [2 * a * b, b, -a * a * b],
@@ -299,7 +255,7 @@ def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
         cm1_inv = (c - one).inverse()
         inv4a = (4 * a).inverse()
         one_m_c2 = one - c * c
-        return LinearMap(_space3(), [
+        return LinearMap(_SPACE3, [
             [c, a, one_m_c2 * inv4a],
             [b, a * b * cm1_inv, b * (one - c) * inv4a],
             [one_m_c2 * binv, a * (one - c) * binv,
@@ -358,8 +314,10 @@ class ClassificationReport:
 
 
 def _constants_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
-    return np.array([[[reduce_mod_p(s.constant_value(), p) for s in vec] for vec in row]
-                     for row in L.brackets], dtype=np.int64)
+    """c[i, j, k] mod p; the dense bracket has rows k and columns (i, j)."""
+    n = L.dim
+    return np.array([[reduce_mod_p(s.constant_value(), p) for s in row]
+                     for row in L.bracket.dense()], dtype=np.int64).T.reshape(n, n, n)
 
 
 def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
@@ -367,13 +325,14 @@ def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     n = L.dim
     scan_size(n, p)
     c = _constants_mod_p(L, p)
+    cc = c.reshape(n * n, n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def preserves_brackets(A: np.ndarray) -> np.ndarray:
         ok = np.ones(A.shape[0], dtype=bool)
         for i, j in pairs:
             lhs = np.einsum("crm,m->cr", A, c[i, j])
-            rhs = np.einsum("ck,cl,klr->cr", A[:, :, i], A[:, :, j], c)
+            rhs = (A[:, :, i, None] * A[:, None, :, j]).reshape(-1, n * n) @ cc
             ok &= ~((lhs - rhs) % p).any(axis=1)
         return ok
 
@@ -506,6 +465,8 @@ def _extension_braiding(L: HomLieAlgebra, flip: LinearMap,
     n = L.dim
     d = n + 1
     F = flip.rows
+    bracket = L.bracket if correction is None else compose(_on(correction, L.space),
+                                                            L.bracket)
     cols: dict[int, list[tuple[int, Scalar]]] = {}
     for pi in range(d):
         for qi in range(d):
@@ -518,10 +479,8 @@ def _extension_braiding(L: HomLieAlgebra, flip: LinearMap,
             else:
                 entries = [((k + 1) * d + (m + 1), F[k][qi - 1] * F[m][pi - 1])
                            for k in range(n) for m in range(n)]
-                corr = L.bracket_vec(pi - 1, qi - 1)
-                if correction is not None:
-                    corr = correction.apply(corr)
-                entries += [((m + 1) * stride, coef) for m, coef in enumerate(corr)]
+                entries += [((m + 1) * stride, coef)
+                            for m, coef in bracket.columns[(pi - 1) * n + qi - 1]]
             cols[pi * d + qi] = entries
     return TensorOp(extension_space(L), 2, cols)
 
@@ -563,12 +522,8 @@ def is_hom_lie_isomorphism(gamma: LinearMap, L1: HomLieAlgebra,
         return False
     if gamma.compose(L1.alpha) != L2.alpha.compose(gamma):
         return False
-    cols = [gamma.column(i) for i in range(L1.dim)]
-    for i in range(L1.dim):
-        for j in range(L1.dim):
-            if gamma.apply(L1.bracket_vec(i, j)) != L2.bracket_of(cols[i], cols[j]):
-                return False
-    return True
+    g = as_op(tuple(zip(*gamma.rows)), (L1.space,), (L2.space,))
+    return (compose(g, L1.bracket) - compose(L2.bracket, tensor_product(g, g))).is_zero()
 
 
 def char_poly(m: LinearMap) -> tuple[Scalar, ...]:
@@ -576,19 +531,14 @@ def char_poly(m: LinearMap) -> tuple[Scalar, ...]:
 
     Faddeev-LeVerrier: only divisions by integers, so it works symbolically.
     """
-    n = m.dim
-    coeffs = [Scalar.one()]
-    M = m
-    c = Scalar.zero()
-    for k in range(1, n + 1):
+    a, ident = m.to_op(), identity_op(m.space)
+    coeffs, M = [Scalar.one()], m.to_op()
+    for k in range(1, m.dim + 1):
         if k > 1:
-            shifted = LinearMap(m.space,
-                                [[M.rows[i][j] + (c if i == j else Scalar.zero())
-                                  for j in range(n)] for i in range(n)])
-            M = m.compose(shifted)
-        trace = sum((M.rows[i][i] for i in range(n)), Scalar.zero())
-        c = trace * Fraction(-1, k)
-        coeffs.append(c)
+            M = compose(a, M + ident.scale(coeffs[-1]))
+        trace = sum((s for j, col in enumerate(M.columns) for r, s in col if r == j),
+                    Scalar.zero())
+        coeffs.append(trace * Fraction(-1, k))
     return tuple(coeffs)
 
 
@@ -606,7 +556,7 @@ def algebra_to_json_dict(L: HomLieAlgebra) -> dict:
     return {
         "dim": L.dim,
         "labels": list(L.labels),
-        "c": _sparse_json(L.brackets, 2),
+        "c": _sparse_json(L.bracket),
         "alpha": [[str(e) for e in row] for row in L.alpha.rows],
     }
 

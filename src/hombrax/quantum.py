@@ -21,6 +21,7 @@ conditions.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Mapping
 
 import numpy as np
@@ -147,10 +148,26 @@ class SupportPattern:
                               {int(c): int(r) for c, r in data["k"].items()})
 
 
-def enumerate_patterns(N: int) -> list[SupportPattern]:
-    """All (support, strictly increasing row map) pairs, duplicate-free."""
+# The most patterns, C(2N, N), a dimension may have: N <= 8.
+_MAX_PATTERNS = 1 << 14
+
+
+def pattern_count(N: int) -> int:
+    """C(2N, N), the number of patterns of dimension N; ValueError above
+    _MAX_PATTERNS.  C(2N, N) >= 2^N, so a large N is refused before the
+    binomial is formed."""
     if N < 1:
         raise BadDimension(f"need N >= 1, got {N}")
+    count = math.comb(2 * N, N) if N < _MAX_PATTERNS.bit_length() else _MAX_PATTERNS + 1
+    if count > _MAX_PATTERNS:
+        raise ValueError(f"the pattern count C({2 * N}, {N}) of dimension {N} exceeds "
+                         f"the limit of {_MAX_PATTERNS}")
+    return count
+
+
+def enumerate_patterns(N: int) -> list[SupportPattern]:
+    """All (support, strictly increasing row map) pairs, duplicate-free."""
+    pattern_count(N)
     out = []
     for size in range(N + 1):
         for cols in itertools.combinations(range(1, N + 1), size):
@@ -159,18 +176,28 @@ def enumerate_patterns(N: int) -> list[SupportPattern]:
     return out
 
 
+def _is_maximal(p: SupportPattern) -> bool:
+    """No (column, row) can be added.  Rows increase along the support, so a
+    free column between two support entries (or the ends) takes a new row
+    exactly when both their columns and their rows leave a gap; and a larger
+    pattern would contain such a one-entry extension."""
+    edges = ((0, 0),) + p.column_rows + ((p.N + 1, p.N + 1),)
+    return all(c2 - c1 == 1 or r2 - r1 == 1
+               for (c1, r1), (c2, r2) in zip(edges, edges[1:]))
+
+
 def maximal_patterns(N: int) -> list[SupportPattern]:
     """Patterns not contained in any larger one: the maximal shape list."""
-    pats = enumerate_patterns(N)
-    return [p for p in pats
-            if not any(q is not p and q.contains(p) for q in pats)]
+    return [p for p in enumerate_patterns(N) if _is_maximal(p)]
 
 
 def group_patterns_by_shape(N: int) -> dict[SupportPattern, list[SupportPattern]]:
-    """Assign every pattern to the maximal shapes containing it."""
-    pats = enumerate_patterns(N)
-    shapes = maximal_patterns(N)
-    return {shape: [p for p in pats if shape.contains(p)] for shape in shapes}
+    """Assign every pattern to the maximal shapes containing it: a shape's
+    members are its restrictions to the subsets of its support, in
+    ``enumerate_patterns`` order (by size, then by columns)."""
+    return {shape: [SupportPattern(N, dict(sub)) for k in range(len(shape.column_rows) + 1)
+                    for sub in itertools.combinations(shape.column_rows, k)]
+            for shape in maximal_patterns(N)}
 
 
 class CompatibleAlpha:

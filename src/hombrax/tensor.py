@@ -1,28 +1,35 @@
-"""Sparse linear operators on tensor powers of a based vector space.
+"""Sparse linear maps between tensor words of based vector spaces.
 
-A ``TensorOp`` acts on V^(tensor m) for a based space V of dimension N and
-is stored column-by-column: for each basis multi-index of the domain, the
-list of (row multi-index, scalar) pairs of its image.  Operators are total
-(every basis column is present; zero columns are empty), so zero-testing
-and equality are purely structural.
+A *word* is an ordered tuple of ``BasedSpace``s, read as their tensor
+product; the empty word is the ground field, of dimension 1.  A ``TensorOp``
+maps the word ``dom`` to the word ``cod`` (H (x) V -> V, say, or () -> H (x) H
+for an element of H (x) H) and is stored column-by-column: for each basis
+multi-index of the domain, the list of (row multi-index, scalar) pairs of
+its image.  Operators are total (every basis column is present; zero
+columns are empty), so zero-testing and equality are purely structural.
+The square case, an operator on V^(tensor m), has ``dom == cod == (V,) * m``
+and exposes ``.space`` (V) and ``.arity`` (m).
 
 Multi-indices are encoded 0-based and row-major with the leftmost tensor
-factor most significant: index(i_1, ..., i_m) = sum i_k * N^(m-k).  This is
-the conventional Kronecker-product layout, so a printed matrix maps
-directly onto columns.
+factor most significant: index(i_1, ..., i_m) = sum i_k * N^(m-k) over a
+power of one space, and the mixed-radix analogue over a word.  This is the
+conventional Kronecker-product layout, so a printed matrix maps directly
+onto columns.
 
 Columns are canonical: rows strictly increase, no entry is zero and every
-row is in range.  ``TensorOp(...)`` is the one validating entry: it
-canonicalises and range-checks whatever columns it is given (JSON, user
-code, sums, scaling, ``map_scalars``).  The kernels below whose output is
-canonical by construction (``compose``, ``tensor_product``, ``lift``,
-``invert``, ``rebase``, ``with_space``, ``identity_op``, ``swap_op``) build
-their result with ``TensorOp._trusted`` and skip that pass.
+row is in range.  ``TensorOp(space, arity, columns)`` is the one validating
+entry for columns of an operator on V^(tensor m) (JSON, user code) and
+``as_op`` the one for structure constants given as a grid.  Everything
+else (``compose``, ``tensor_product``, sums, scaling, ``lift``, ``invert``,
+``rebase``, ``with_space``, ``identity_op``, ``swap_op``) builds its result
+with ``TensorOp._trusted``: the columns are canonical and in range by
+construction or canonicalised in place.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from hombrax.scalars import RationalLike, Scalar, parse_scalar
@@ -85,6 +92,29 @@ class BasedSpace:
         return f"BasedSpace({list(self.labels)})"
 
 
+class _Frozen:
+    """Base of the immutable structures built from structure constants."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _OnSpace(_Frozen):
+    """A structure (algebra, module) on the based space in its ``space`` slot."""
+
+    __slots__ = ()
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.space.labels
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+
 def product_space(space: BasedSpace, n: int) -> BasedSpace:
     """The space V^(tensor n) with dot-joined basis labels, in index order."""
     if n < 1:
@@ -104,15 +134,6 @@ def encode_index(dim: int, multi: Sequence[int]) -> int:
     return flat
 
 
-def decode_index(dim: int, arity: int, flat: int) -> tuple[int, ...]:
-    out = [0] * arity
-    for k in range(arity - 1, -1, -1):
-        flat, out[k] = divmod(flat, dim)
-    if flat:
-        raise IndexError("flat index out of range")
-    return tuple(out)
-
-
 def _check_size(dim: int, arity: int) -> None:
     """Refuse an operator on V^(tensor arity) with more than _MAX_COLUMNS columns.
 
@@ -126,6 +147,35 @@ def _check_size(dim: int, arity: int) -> None:
 
 
 Column = tuple[tuple[int, Scalar], ...]
+Word = tuple[BasedSpace, ...]
+
+
+def _word(x: BasedSpace | Word, m: int = 1) -> Word:
+    """A word as given, or the m-th tensor power of a space."""
+    if isinstance(x, tuple):
+        return x
+    if m < 1:
+        raise ValueError("arity must be >= 1")
+    return (x,) * m
+
+
+def _size(word: Word) -> int:
+    return math.prod(s.dim for s in word)
+
+
+def decode_word(word: Word, flat: int) -> tuple[int, ...]:
+    """The multi-index of a flat basis index of a word."""
+    out = []
+    for s in reversed(word):
+        flat, i = divmod(flat, s.dim)
+        out.append(i)
+    return tuple(reversed(out))
+
+
+def _check_words(a: Word, b: Word) -> None:
+    if a != b:
+        cls = ArityMismatch if len(a) != len(b) and set(a) == set(b) else SpaceMismatch
+        raise cls(f"{list(a)} vs {list(b)}")
 
 
 def _canonical_column(entries: Iterable[tuple[int, Scalar]]) -> Column:
@@ -139,14 +189,16 @@ def _canonical_column(entries: Iterable[tuple[int, Scalar]]) -> Column:
 
 
 class TensorOp:
-    """Total sparse operator on V^(tensor arity), columns indexed flat."""
+    """Total sparse map from the word dom to the word cod, columns indexed flat.
 
-    __slots__ = ("space", "arity", "columns")
+    ``TensorOp(space, arity, columns)`` builds an operator on V^(tensor arity).
+    """
+
+    __slots__ = ("dom", "cod", "columns")
 
     def __init__(self, space: BasedSpace, arity: int,
                  columns: Mapping[int, Iterable[tuple[int, Scalar]]] | Sequence):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
+        word = _word(space, arity)
         n = space.dim ** arity
         if isinstance(columns, Mapping):
             stray = [j for j in columns if not 0 <= j < n]
@@ -161,16 +213,16 @@ class TensorOp:
             for row, _ in col:
                 if not 0 <= row < n:
                     raise IndexError(f"row {row} out of range")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "dom", word)
+        object.__setattr__(self, "cod", word)
         object.__setattr__(self, "columns", cols)
 
     @classmethod
-    def _trusted(cls, space: BasedSpace, arity: int, cols: tuple[Column, ...]) -> "TensorOp":
-        """An operator from columns that are canonical and in range by construction."""
+    def _trusted(cls, dom: Word, cod: Word, cols: tuple[Column, ...]) -> "TensorOp":
+        """A map from columns that are canonical and in range by construction."""
         op = object.__new__(cls)
-        object.__setattr__(op, "space", space)
-        object.__setattr__(op, "arity", arity)
+        object.__setattr__(op, "dom", dom)
+        object.__setattr__(op, "cod", cod)
         object.__setattr__(op, "columns", cols)
         return op
 
@@ -179,9 +231,26 @@ class TensorOp:
 
     # -- basic queries -----------------------------------------------------
 
+    def _is_power(self) -> bool:
+        word = self.dom
+        return bool(word) and word == self.cod and word.count(word[0]) == len(word)
+
+    @property
+    def space(self) -> BasedSpace:
+        """V, for an operator on V^(tensor arity)."""
+        if not self._is_power():
+            raise SpaceMismatch(f"{self!r} is not an operator on a power of one space")
+        return self.dom[0]
+
+    @property
+    def arity(self) -> int:
+        """m, for an operator on V^(tensor m)."""
+        self.space  # raises SpaceMismatch for a map between other words
+        return len(self.dom)
+
     @property
     def total_dim(self) -> int:
-        return self.space.dim ** self.arity
+        return len(self.columns)
 
     def column(self, j: int) -> Column:
         return self.columns[j]
@@ -201,60 +270,68 @@ class TensorOp:
                 return j, col
         return None
 
+    def first_nonzero(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The (column, row) multi-indices of the first nonzero entry in
+        column-major order, or None for the zero map."""
+        hit = self.first_nonzero_column()
+        if hit is None:
+            return None
+        j, col = hit
+        return decode_word(self.dom, j), decode_word(self.cod, col[0][0])
+
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
-        return (self.space == other.space and self.arity == other.arity
+        return (self.dom == other.dom and self.cod == other.cod
                 and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.space, self.arity, self.columns))
+        return hash((self.dom, self.cod, self.columns))
 
     def __repr__(self):
         nnz = sum(len(c) for c in self.columns)
-        return f"TensorOp(dim={self.space.dim}, arity={self.arity}, nnz={nnz})"
+        if self._is_power():
+            return f"TensorOp(dim={self.dom[0].dim}, arity={len(self.dom)}, nnz={nnz})"
+        dims = [[s.dim for s in w] for w in (self.dom, self.cod)]
+        return f"TensorOp(dom={dims[0]}, cod={dims[1]}, nnz={nnz})"
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check_same_shape(self, other: "TensorOp") -> None:
-        if self.space != other.space:
-            raise SpaceMismatch(f"{self.space} vs {other.space}")
-        if self.arity != other.arity:
-            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
+    def _like(self, cols: Iterable) -> "TensorOp":
+        """Same words, with the given columns canonicalised."""
+        return TensorOp._trusted(self.dom, self.cod,
+                                 tuple(_canonical_column(c) for c in cols))
 
     def __add__(self, other: "TensorOp") -> "TensorOp":
-        self._check_same_shape(other)
-        return TensorOp(self.space, self.arity,
-                        [a + b for a, b in zip(self.columns, other.columns)])
+        _check_words(self.dom, other.dom)
+        _check_words(self.cod, other.cod)
+        return self._like(a + b for a, b in zip(self.columns, other.columns))
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        self._check_same_shape(other)
-        return TensorOp(self.space, self.arity,
-                        [a + tuple((r, -s) for r, s in b)
-                         for a, b in zip(self.columns, other.columns)])
+        _check_words(self.dom, other.dom)
+        _check_words(self.cod, other.cod)
+        return self._like(a + tuple((r, -s) for r, s in b)
+                          for a, b in zip(self.columns, other.columns))
 
     def __neg__(self) -> "TensorOp":
         return self.scale(Scalar.rational(-1))
 
     def scale(self, s: Scalar | RationalLike) -> "TensorOp":
         s = s if isinstance(s, Scalar) else Scalar.rational(s)
-        return TensorOp(self.space, self.arity,
-                        [tuple((r, s * v) for r, v in col) for col in self.columns])
+        return self.map_scalars(lambda v: s * v)
 
     def __matmul__(self, other: "TensorOp") -> "TensorOp":
         return compose(self, other)
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "TensorOp":
-        return TensorOp(self.space, self.arity,
-                        [tuple((r, fn(s)) for r, s in col) for col in self.columns])
+        return self._like(tuple((r, fn(s)) for r, s in col) for col in self.columns)
 
     def instantiate(self, assignment: Mapping[str, RationalLike]) -> "TensorOp":
         """Evaluate every entry at a rational parameter point."""
         return self.map_scalars(lambda s: Scalar.rational(s.evaluate(assignment)))
 
     def dense(self) -> list[list[Scalar]]:
-        n = self.total_dim
-        rows = [[Scalar.zero()] * n for _ in range(n)]
+        rows = [[Scalar.zero()] * len(self.columns) for _ in range(_size(self.cod))]
         for j, col in enumerate(self.columns):
             for r, s in col:
                 rows[r][j] = s
@@ -264,27 +341,59 @@ class TensorOp:
         """Relabel the underlying space (same dimension)."""
         if space.dim != self.space.dim:
             raise DimMismatch(f"dim {space.dim} vs {self.space.dim}")
-        return TensorOp._trusted(space, self.arity, self.columns)
+        word = (space,) * self.arity
+        return TensorOp._trusted(word, word, self.columns)
 
 
-def identity_op(space: BasedSpace, m: int) -> TensorOp:
-    if m < 1:
-        raise ValueError("arity must be >= 1")
+def as_op(data, dom: Word, cod: Word) -> TensorOp:
+    """The map dom -> cod given by data: a TensorOp between those words, or a
+    nested grid of scalars indexed by the domain's indices, then the
+    codomain's (c[i][j][k] is the e_k coefficient of the image of e_i (x) e_j)."""
+    if isinstance(data, TensorOp):
+        _check_words(data.dom, dom)
+        _check_words(data.cod, cod)
+        return data
+    flat: list[Scalar] = []
+
+    def walk(cell, dims) -> None:
+        if not dims:
+            flat.append(cell if isinstance(cell, Scalar) else Scalar.rational(cell))
+            return
+        if len(cell) != dims[0]:
+            raise ValueError(f"expected length {dims[0]}, got {len(cell)}")
+        for sub in cell:
+            walk(sub, dims[1:])
+
+    walk(data, [s.dim for s in dom + cod])
+    n = _size(cod)
+    return TensorOp._trusted(dom, cod, tuple(
+        tuple((r, s) for r, s in enumerate(flat[j:j + n]) if not s.is_zero())
+        for j in range(0, len(flat), n)))
+
+
+def identity_op(space: BasedSpace | Word, m: int = 1) -> TensorOp:
+    """The identity of V^(tensor m), or of a word of spaces."""
+    word = _word(space, m)
     one = Scalar.one()
-    return TensorOp._trusted(space, m, tuple(((j, one),) for j in range(space.dim ** m)))
+    return TensorOp._trusted(word, word, tuple(((j, one),) for j in range(_size(word))))
 
 
-def swap_op(space: BasedSpace) -> TensorOp:
-    """The twist isomorphism on V tensor V: e_i (x) e_j -> e_j (x) e_i."""
-    n = space.dim
+def swap_op(A: BasedSpace | Word, B: BasedSpace | Word | None = None) -> TensorOp:
+    """The twist A (x) B -> B (x) A, a (x) b -> b (x) a, for spaces or words
+    A and B; B defaults to A."""
+    A = _word(A)
+    B = A if B is None else _word(B)
+    na, nb = _size(A), _size(B)
     one = Scalar.one()
-    return TensorOp._trusted(space, 2, tuple(((j * n + i, one),)
-                                             for i in range(n) for j in range(n)))
+    return TensorOp._trusted(A + B, B + A, tuple(((j * na + i, one),)
+                                                 for i in range(na) for j in range(nb)))
 
 
-def compose(f: TensorOp, g: TensorOp) -> TensorOp:
-    """f after g, exactly."""
-    f._check_same_shape(g)
+def compose(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
+    """f after g (after each of ``more`` in turn), exactly; f.dom must be g.cod."""
+    if more:
+        g = compose(g, *more)
+    _check_words(f.dom, g.cod)
     fcols = f.columns
     cols = []
     for gcol in g.columns:
@@ -295,21 +404,22 @@ def compose(f: TensorOp, g: TensorOp) -> TensorOp:
                 acc[r] = acc[r] + p if r in acc else p
         # Rows are distinct dict keys, so sorting never compares scalars.
         cols.append(tuple(sorted(e for e in acc.items() if not e[1].is_zero())))
-    return TensorOp._trusted(f.space, f.arity, tuple(cols))
+    return TensorOp._trusted(g.dom, f.cod, tuple(cols))
 
 
-def tensor_product(f: TensorOp, g: TensorOp) -> TensorOp:
-    """(f (x) g)(x (x) y) = f(x) (x) g(y), bilinearly extended.
+def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
+    """(f (x) g)(x (x) y) = f(x) (x) g(y), bilinearly extended; then (x) each
+    of ``more``.
 
     Rows rf * ng + rg increase with (rf, rg), and a product of nonzero
     entries is nonzero, so the columns come out canonical.
     """
-    if f.space != g.space:
-        raise SpaceMismatch(f"{f.space} vs {g.space}")
-    ng = g.space.dim ** g.arity
+    if more:
+        return tensor_product(tensor_product(f, g), *more)
+    ng = _size(g.cod)
     cols = tuple(tuple((rf * ng + rg, sf * sg) for rf, sf in fcol for rg, sg in gcol)
                  for fcol in f.columns for gcol in g.columns)
-    return TensorOp._trusted(f.space, f.arity + g.arity, cols)
+    return TensorOp._trusted(f.dom + g.dom, f.cod + g.cod, cols)
 
 
 class LinearMap:
@@ -420,13 +530,14 @@ def lift(alpha: LinearMap, m: int) -> TensorOp:
                 nxt.append([(r * n + k, s * t) for r, s in partial
                             for k, t in sparse_cols[i]])
         cols = nxt
-    return TensorOp._trusted(alpha.space, m, tuple(tuple(c) for c in cols))
+    word = (alpha.space,) * m
+    return TensorOp._trusted(word, word, tuple(tuple(c) for c in cols))
 
 
 def power(f: TensorOp, k: int) -> TensorOp:
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = identity_op(f.space, f.arity)
+    out = identity_op(f.dom)
     for _ in range(k):
         out = compose(f, out)
     return out
@@ -473,7 +584,7 @@ def invert(f: TensorOp) -> TensorOp:
             aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     cols = tuple(tuple((r, aug[r][j]) for r in range(n) if not aug[r][j].is_zero())
                  for j in range(n))
-    return TensorOp._trusted(f.space, f.arity, cols)
+    return TensorOp._trusted(f.cod, f.dom, cols)
 
 
 def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
@@ -485,7 +596,7 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
     if arity < 1 or space.dim ** arity != op.total_dim:
         raise DimMismatch(
             f"cannot regroup dim {op.space.dim}^{op.arity} as {space.dim}^{arity}")
-    return TensorOp._trusted(space, arity, op.columns)
+    return TensorOp._trusted((space,) * arity, (space,) * arity, op.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +623,14 @@ def _json_int(value, what: str) -> int:
 # of range (a negative one included) or an oversized dim, before any grid is
 # allocated.
 
-def _sparse_json(grid, split: int) -> dict:
-    """The nonzero entries of a nested grid of scalars as _json_sparse reads
-    them: {"i,j": {"k": "<scalar>"}}, with the first ``split`` indices outside."""
-    out: dict = {}
+def _sparse_json(op: TensorOp) -> dict:
+    """The nonzero entries of a map between words as _json_sparse reads them:
+    {"i,j": {"k": "<scalar>"}}, column indices outside, row indices inside."""
+    def key(word: Word, flat: int) -> str:
+        return ",".join(map(str, decode_word(word, flat)))
 
-    def walk(cell, idx: tuple) -> None:
-        if isinstance(cell, Scalar):
-            if not cell.is_zero():
-                inner = out.setdefault(",".join(map(str, idx[:split])), {})
-                inner[",".join(map(str, idx[split:]))] = str(cell)
-        else:
-            for i, sub in enumerate(cell):
-                walk(sub, idx + (i,))
-
-    walk(grid, ())
-    return out
+    return {key(op.dom, j): {key(op.cod, r): str(s) for r, s in col}
+            for j, col in enumerate(op.columns) if col}
 
 
 def _json_dim(data, arity: int) -> int:

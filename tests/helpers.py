@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from hombrax.braid import tensor_power_solution
 from hombrax.homlie import (
     HomLieAlgebra,
@@ -76,6 +78,33 @@ def fraction_matmul(a, b):
     n = len(a)
     return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
              for j in range(n)] for i in range(n)]
+
+
+def fraction_grid(op: TensorOp) -> np.ndarray:
+    """The entries of a map between words as an object array of Fractions,
+    indexed by the domain's indices, then the codomain's.  The multi-indices
+    come from numpy's row-major reshape, not from the package's decoding."""
+    rows = int(np.prod([s.dim for s in op.cod]))
+    dense = np.full((rows, len(op.columns)), Fraction(0), dtype=object)
+    for j, col in enumerate(op.columns):
+        for r, s in col:
+            dense[r, j] = s.constant_value()
+    return dense.T.reshape([s.dim for s in op.dom + op.cod])
+
+
+def random_grid(rng: random.Random, *shape: int, density: float = 0.6) -> np.ndarray:
+    """Seeded random rational structure constants of the given shape."""
+    out = np.full(shape, Fraction(0), dtype=object)
+    for idx in np.ndindex(*shape):
+        if rng.random() < density:
+            out[idx] = rand_fraction(rng)
+    return out
+
+
+def contract(spec: str, *grids: np.ndarray) -> np.ndarray:
+    """Dense exact contraction of Fraction grids: the einsum oracle that every
+    structure-map residual is compared with, entry by entry."""
+    return np.einsum(spec, *grids)
 
 
 def dense_of_map(m: LinearMap):

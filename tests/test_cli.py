@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -636,3 +638,151 @@ def test_random_structure_constant_json_keeps_exit_code_contract(position, value
         code = main(command.split())
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error:")
+
+
+# -- seeded perturbations of valid structure constants -------------------------
+#
+# Exit code and stdout sha256 of `verify hom-jacobi` and `verify yd` on 40
+# seeded documents near a valid Hom-Lie algebra or Z/2 YD module: FAIL
+# lines with their index tuples, (co)module axiom messages and PASS.  The
+# Z/2 host stays valid.
+
+_SL2_C = json.loads(_GOLDEN_INPUTS["bad-jacobi"])["c"]
+_HEIS_C = {"1,2": {"0": "1"}, "2,1": {"0": "-1"}}
+_Z2 = _z2_module_doc(({"0": "1"}, {"1": "-1"}))
+
+
+def _perturbed_structure_docs():
+    rng = random.Random(2009)
+
+    def frac():
+        return str(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    docs = []
+    for k in range(20):
+        c = json.loads(json.dumps(_SL2_C if k % 2 else _HEIS_C))
+        alpha = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.5:
+                i, j, m = (rng.randrange(3) for _ in range(3))
+                c.setdefault(f"{i},{j}", {})[str(m)] = frac()
+            else:
+                alpha[rng.randrange(3)][rng.randrange(3)] = frac()
+        docs.append(("verify hom-jacobi", {"dim": 3, "labels": ["X", "Y", "Z"],
+                                           "c": c, "alpha": alpha}))
+    for k in range(20):
+        doc = json.loads(json.dumps(_Z2))
+        kind = k % 5
+        if kind == 0:
+            h, i, m = (rng.randrange(2) for _ in range(3))
+            doc["action"].setdefault(f"{h},{i}", {})[str(m)] = frac()
+        elif kind == 1:
+            i, h, m = (rng.randrange(2) for _ in range(3))
+            doc["coaction"].setdefault(str(i), {})[f"{h},{m}"] = frac()
+        elif kind == 2:
+            # g1 acts by an involution [[a, b], [(1 - a^2) / b, -a]]: still a module.
+            a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.choice([-2, -1, 1, 3]))
+            cc = (1 - a * a) / b
+            doc["action"]["1,0"] = {"0": str(a), "1": str(cc)}
+            doc["action"]["1,1"] = {"0": str(b), "1": str(-a)}
+        elif kind == 3:
+            # A grading by the projector P = [[1, t], [0, 0]]: still a comodule.
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            doc["coaction"] = {"0": {"0,0": "1"}, "1": {"0,0": str(t), "1,0": str(-t), "1,1": "1"}}
+        else:
+            # A zero action or coaction keeps one axiom and breaks the (co)unit law.
+            doc["action" if k % 2 else "coaction"] = {}
+        docs.append(("verify yd" if k % 3 else "yd verify", doc))
+    return docs
+
+
+_PERTURBED = _perturbed_structure_docs()
+_PERTURBED_PINS = [
+    (0, "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (1, "bd71cc1afa49f824745ca6057f7d001a2bad005a4fe626969d5b9d5f9f1db5fa"),
+    (1, "9c991b96ee91d01b1264a0761cacfc7d37d095bbf32350d2aa06e0272d8d3446"),
+    (1, "049d5b4dcbffdc03cb3756b3b63977a7569d6ebfc93d3a589d0d8402828ab5db"),
+    (0, "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (1, "81d2afdbcc913146db56ed9352cb35a39f14601897bb2df0a28dca55183a6631"),
+    (0, "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (1, "dbbdb1e6779e48671bae32166c227b5a130c73c5e74f8f565c6445cac65d88dc"),
+    (1, "8b4ba48157811942d5701e1f201d9ed58add4892ca5ff7d1083ef4aa4b984bbf"),
+    (0, "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (0, "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (1, "8ba13bb9025e58e1500a4bbc2331957d50641c2d9464cd757a977431f85c3817"),
+    (1, "5e17092575f37942a28733cae49e8a02d70a6e0d835f2f6bedc061cd85973ada"),
+    (0, "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (1, "05ede6028cbda36e4f74992218d65d204e4a570f9a66634c47259adf71777d02"),
+    (1, "490023bd0fdfac576347f623b32a357a0e88dfad636c9d272a5789e7e26989de"),
+    (0, "a80e8485099cb253dbdaec016141a8cc4fa147f668166d6b99806452c27958dd"),
+    (1, "7bbc8770d52c5b257c20ee6f6a7c64c91242176f683a81116f819de8058c7dce"),
+    (1, "25578ead02eb7161b25b175b615a4d09ad81865c16b9b237c0488a3f11d06940"),
+    (1, "fc69463536ec3692b32cf8c8161a06d8a9b145fcc88c7fcd2f1633eec1909c59"),
+    (0, "546e94ebbe27e6a1189995fd2a03a8cf6cd5092c04e8447c5082f2dbdfee9b21"),
+    (1, "d9e20de91f0b2ce6afdd8dcef42d5625283b7c760a62301d2e4867656ac87853"),
+    (1, "10b0f4a091a31ce4bad68f8da46a9d1a5030444b6143072da920105b3dc1e2a0"),
+    (0, "546e94ebbe27e6a1189995fd2a03a8cf6cd5092c04e8447c5082f2dbdfee9b21"),
+    (1, "9f6cf94d356b7f3bfe2963c020acccb9ec7d2a49d9bdaca6976427a132d70a4c"),
+    (1, "b125d2a38874a469f6771c2d176331e60896c2418d0cb46c1d7c765d1c2b23f2"),
+    (1, "bd229f0eaeb527e5dc714a818b8ac88d05c5aa6e9a412094b15e7f68283358df"),
+    (1, "10b0f4a091a31ce4bad68f8da46a9d1a5030444b6143072da920105b3dc1e2a0"),
+    (1, "b125d2a38874a469f6771c2d176331e60896c2418d0cb46c1d7c765d1c2b23f2"),
+    (1, "be9bafd59916d686f5adf41ef502d30d26017b3fed8ca7ea217d67e2b42e0677"),
+    (1, "be1343a60b0e8148cca21328bd2165fb1a0fa83deaf48b201455d81e64d844de"),
+    (1, "d80221d57f77979b42d9816150dae13babadf516f3f0d82ba62c97c4be4ed550"),
+    (1, "10b0f4a091a31ce4bad68f8da46a9d1a5030444b6143072da920105b3dc1e2a0"),
+    (1, "b125d2a38874a469f6771c2d176331e60896c2418d0cb46c1d7c765d1c2b23f2"),
+    (1, "9f6cf94d356b7f3bfe2963c020acccb9ec7d2a49d9bdaca6976427a132d70a4c"),
+    (0, "546e94ebbe27e6a1189995fd2a03a8cf6cd5092c04e8447c5082f2dbdfee9b21"),
+    (0, "546e94ebbe27e6a1189995fd2a03a8cf6cd5092c04e8447c5082f2dbdfee9b21"),
+    (1, "10b0f4a091a31ce4bad68f8da46a9d1a5030444b6143072da920105b3dc1e2a0"),
+    (1, "b125d2a38874a469f6771c2d176331e60896c2418d0cb46c1d7c765d1c2b23f2"),
+    (1, "be9bafd59916d686f5adf41ef502d30d26017b3fed8ca7ea217d67e2b42e0677"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(_PERTURBED_PINS)))
+def test_perturbed_structure_output(capsys, monkeypatch, k):
+    command, doc = _PERTURBED[k]
+    code, out, _ = run(capsys, command.split(), stdin=json.dumps(doc),
+                       monkeypatch=monkeypatch)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _PERTURBED_PINS[k]
+
+
+# g2 g2 = g2 instead of g1 breaks associativity of the Z/3 host; the module
+# and coaction are fine over it.
+_Z3_BAD_HOST = {
+    "bialgebra": {"dim": 3, "labels": ["g0", "g1", "g2"],
+                  "mult": {"0,0": {"0": "1"}, "0,1": {"1": "1"}, "0,2": {"2": "1"},
+                           "1,0": {"1": "1"}, "1,1": {"2": "1"}, "1,2": {"0": "1"},
+                           "2,0": {"2": "1"}, "2,1": {"0": "1"}, "2,2": {"2": "1"}},
+                  "unit": ["1", "0", "0"],
+                  "comult": {"0": {"0,0": "1"}, "1": {"1,1": "1"}, "2": {"2,2": "1"}},
+                  "counit": ["1", "1", "1"]},
+    "dim": 1, "labels": ["v"],
+    "action": {"0,0": {"0": "1"}, "1,0": {"0": "1"}, "2,0": {"0": "1"}},
+    "coaction": {"0": {"0,0": "1"}},
+}
+
+
+@pytest.mark.parametrize("command", ["verify yd", "yd verify"])
+def test_yd_verify_checks_the_host_bialgebra(capsys, monkeypatch, command):
+    code, out, _ = run(capsys, command.split(), stdin=json.dumps(_Z3_BAD_HOST),
+                       monkeypatch=monkeypatch)
+    assert (code, out) == (1, "FAIL yd (associativity fails at (1,1,2))\n")
+
+
+def test_yd_braiding_refuses_a_bad_host(capsys, monkeypatch):
+    code, out, err = run(capsys, ["yd", "braiding"], stdin=json.dumps(_Z3_BAD_HOST),
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: associativity fails at (1,1,2)\n"
+
+
+@pytest.mark.parametrize("dim", ["9", "15", str(10 ** 20)])
+def test_classify_compatible_refuses_too_many_patterns(capsys, monkeypatch, dim):
+    from hombrax import quantum
+    monkeypatch.setattr(quantum, "enumerate_patterns", _refuse)
+    code, out, err = run(capsys, ["classify", "compatible", "--dim", dim])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the limit of 16384" in err

@@ -124,6 +124,28 @@ def test_maximal_shapes():
         assert all(shape.contains(m) for m in members)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_maximal_shapes_and_members_match_containment_definition(N):
+    # The quadratic definitions by containment, in enumeration order.
+    pats = enumerate_patterns(N)
+    maximal = [p for p in pats if not any(q is not p and q.contains(p) for q in pats)]
+    assert maximal_patterns(N) == maximal
+    grouped = group_patterns_by_shape(N)
+    assert list(grouped) == maximal
+    for shape, members in grouped.items():
+        assert members == [p for p in pats if shape.contains(p)]
+
+
+def test_pattern_count_limit():
+    from hombrax.quantum import pattern_count
+    assert [pattern_count(N) for N in (1, 2, 3, 8)] == [2, 6, 20, 12870]
+    for N in (9, 14, 15, 10 ** 30):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            pattern_count(N)
+    with pytest.raises(ValueError):
+        enumerate_patterns(9)
+
+
 def test_check_compatible_examples():
     space = BasedSpace.of_dim(2)
     a, c, d = Scalar.param("a"), Scalar.param("c"), Scalar.param("d")

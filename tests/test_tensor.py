@@ -28,8 +28,9 @@ from hombrax.tensor import (
     SpaceMismatch,
     SymbolicNotMonomialInvertible,
     TensorOp,
+    as_op,
     compose,
-    decode_index,
+    decode_word,
     encode_index,
     identity_op,
     invert,
@@ -70,7 +71,32 @@ def test_arity_and_space_mismatch():
     with pytest.raises(ArityMismatch):
         compose(identity_op(V2, 1), identity_op(V2, 2))
     with pytest.raises(SpaceMismatch):
-        tensor_product(identity_op(V2, 1), identity_op(V3, 1))
+        compose(identity_op(V2, 1), identity_op(V3, 1))
+    # Different spaces make a word, not an error: V2 (x) V3 -> V2 (x) V3.
+    mixed = tensor_product(identity_op(V2, 1), identity_op(V3, 1))
+    assert mixed == identity_op((V2, V3))
+    with pytest.raises(SpaceMismatch):
+        mixed.space
+
+
+def test_maps_between_words():
+    H = BasedSpace.of_dim(2, prefix="h")
+    s = swap_op(H, (V3, V3))  # h (x) v (x) w -> v (x) w (x) h
+    assert (s.dom, s.cod) == ((H, V3, V3), (V3, V3, H))
+    assert decode_word(s.dom, 1 * 9 + 2 * 3 + 0) == (1, 2, 0)
+    assert s.column(1 * 9 + 2 * 3 + 0) == ((2 * 6 + 0 * 2 + 1, Scalar.one()),)
+    assert compose(swap_op((V3, V3), H), s) == identity_op((H, V3, V3))
+    # The empty word is the ground field: () -> H is a vector, H -> () a covector.
+    unit, counit = as_op([0, 1], (), (H,)), as_op([2, 3], (H,), ())
+    assert unit.first_nonzero() == ((), (1,)) and counit.first_nonzero() == ((0,), ())
+    assert compose(counit, unit) == identity_op(()).scale(3)
+    assert tensor_product(unit, counit).dense() == [[Scalar.zero()] * 2,
+                                                    [Scalar.rational(2), Scalar.rational(3)]]
+    assert as_op(s, s.dom, s.cod) is s
+    with pytest.raises(SpaceMismatch):
+        as_op(s, s.cod, s.dom)
+    with pytest.raises(ValueError):
+        as_op([[1, 0]], (H,), (H,))
 
 
 def test_tensor_product_of_identities():
@@ -235,7 +261,8 @@ def test_invert_matches_composition_oracle_dim9():
        st.data())
 def test_multi_index_round_trip(dim, arity, data):
     flat = data.draw(st.integers(min_value=0, max_value=dim ** arity - 1))
-    assert encode_index(dim, decode_index(dim, arity, flat)) == flat
+    word = (BasedSpace.of_dim(dim),) * arity
+    assert encode_index(dim, decode_word(word, flat)) == flat
 
 
 def test_rebase_regroups_flat_indices():
