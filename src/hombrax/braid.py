@@ -26,7 +26,6 @@ from typing import Sequence
 
 from hombrax.hybe import IncompatiblePair, build_Bi, hybe_residual
 from hombrax.tensor import (
-    LinearMap,
     Singular,
     SymbolicNotMonomialInvertible,
     TensorOp,
@@ -155,10 +154,10 @@ class BraidWord:
 def reduced_word(gamma: Permutation, strategy: str = "smallest") -> BraidWord:
     """A reduced word for gamma by bubble sort.
 
-    Repeatedly pick a descent position i of the one-line word (the smallest
-    by default, the largest under strategy='largest'), record it, and swap;
-    each swap removes exactly one inversion, and the reversed record is a
-    reduced word whose transposition product is gamma.
+    Repeatedly pick a descent position i of the one-line word (the smallest;
+    the largest under strategy='largest', kept for perfbench), record it,
+    and swap; each swap removes exactly one inversion, and the reversed
+    record is a reduced word whose transposition product is gamma.
     """
     w = list(gamma.images)
     recorded = []
@@ -209,7 +208,7 @@ def cross(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(p.images + tuple(v + p.n for v in q.images))
 
 
-def _check_solution(B: TensorOp, alpha: LinearMap) -> None:
+def _check_solution(B: TensorOp, alpha: TensorOp) -> None:
     try:
         if not hybe_residual(B, alpha).is_zero():
             raise NotASolution("twisted braid residual is nonzero")
@@ -217,21 +216,21 @@ def _check_solution(B: TensorOp, alpha: LinearMap) -> None:
         raise NotASolution(str(exc)) from exc
 
 
-def _check_invertible(B: TensorOp, alpha: LinearMap) -> None:
+def _check_invertible(B: TensorOp, alpha: TensorOp) -> None:
     try:
         invert(B)
-        alpha.inverse()
+        invert(alpha)
     except (Singular, SymbolicNotMonomialInvertible) as exc:
         raise NotInvertible(str(exc)) from exc
 
 
 # The last validated pair and its strand operators: (B, alpha, {n: {i: B_i}}).
 # The strong references keep both ids from being reused while the entry
-# lives, and TensorOp and LinearMap are immutable, so an identity hit is sound.
-_validated: tuple[TensorOp, LinearMap, dict[int, dict[int, TensorOp]]] | None = None
+# lives, and operators are immutable, so an identity hit is sound.
+_validated: tuple[TensorOp, TensorOp, dict[int, dict[int, TensorOp]]] | None = None
 
 
-def _strands(B: TensorOp, alpha: LinearMap, n: int) -> dict[int, TensorOp]:
+def _strands(B: TensorOp, alpha: TensorOp, n: int) -> dict[int, TensorOp]:
     """The strand operators of a validated pair on V^(x)n, built on first use.
 
     The pair is checked when it is not the very objects checked last;
@@ -248,7 +247,7 @@ def _strands(B: TensorOp, alpha: LinearMap, n: int) -> dict[int, TensorOp]:
     return entry[2].setdefault(n, {})
 
 
-def theta_operator(gamma: Permutation, B: TensorOp, alpha: LinearMap,
+def theta_operator(gamma: Permutation, B: TensorOp, alpha: TensorOp,
                    word: BraidWord | Sequence[int] | None = None) -> TensorOp:
     """B^gamma: the strand operators composed along a reduced word of gamma.
 
@@ -268,14 +267,14 @@ def theta_operator(gamma: Permutation, B: TensorOp, alpha: LinearMap,
     return identity_op(B.space, gamma.n) if out is None else out
 
 
-def alpha_n(alpha: LinearMap, n: int) -> TensorOp:
+def alpha_n(alpha: TensorOp, n: int) -> TensorOp:
     """(alpha^(tensor n))^(n^2), the twisting map of the tensor-power braiding."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return power(lift(alpha, n), n * n)
 
 
-def tensor_power_solution(B: TensorOp, alpha: LinearMap,
+def tensor_power_solution(B: TensorOp, alpha: TensorOp,
                           n: int) -> tuple[TensorOp, TensorOp]:
     """The braiding B^chi(n,n) and its twisting map over V^(tensor n).
 

@@ -18,6 +18,10 @@ from hombrax import braid, homlie, hybe, quantum, tensor, yd
 from hombrax.scalars import parse_scalar
 from hombrax.tensor import BasedSpace, LinearMap, TensorOp
 
+# The most columns, dim^(2n), of a tensor-power braiding: n = 6 over a 2-dim
+# pair takes seconds, n = 7 (2^14 columns) does not finish in minutes.
+_MAX_POWER_COLUMNS = 1 << 12
+
 
 def _read_input(args) -> dict:
     if getattr(args, "infile", None):
@@ -38,12 +42,12 @@ def _write_output(args, text: str) -> None:
         print(text)
 
 
-def _parse_alpha_text(text: str, space: BasedSpace) -> LinearMap:
+def _parse_alpha_text(text: str, space: BasedSpace) -> TensorOp:
     rows = [[parse_scalar(e) for e in row.split(",")] for row in text.split(";")]
     return LinearMap(space, rows)
 
 
-def _load_operator_and_alpha(args, need_alpha: bool) -> tuple[TensorOp, LinearMap | None]:
+def _load_operator_and_alpha(args, need_alpha: bool) -> tuple[TensorOp, TensorOp | None]:
     data = _read_input(args)
     opdata = data.get("operator", data)
     op = tensor.op_from_json_dict(opdata)
@@ -94,12 +98,11 @@ def _yd_module_from_args(args) -> yd.YDModule:
     return yd.comodule_from_qt(module.labels, module.action, yd.trivial_qt(module.host))
 
 
-def _tensor_power_doc(B: TensorOp, alpha: LinearMap, n: int) -> dict:
-    tensor._check_size(B.space.dim, 2 * n)
+def _tensor_power_doc(B: TensorOp, alpha: TensorOp, n: int) -> dict:
+    tensor._check_size(B.space.dim, 2 * n, _MAX_POWER_COLUMNS)
     bn, an = braid.tensor_power_solution(B, alpha, n)
     return {"operator": tensor.op_to_json_dict(bn),
-            "alpha": [[str(e) for e in row]
-                      for row in tensor.linear_map_from_op(an).rows]}
+            "alpha": [[str(e) for e in row] for row in an.dense()]}
 
 
 # -- construct ---------------------------------------------------------------
@@ -107,7 +110,7 @@ def _tensor_power_doc(B: TensorOp, alpha: LinearMap, n: int) -> dict:
 _GALLERY_POINT = {"q": 2, "l": 1}
 
 
-def _gallery_phi_alpha() -> tuple[TensorOp, LinearMap]:
+def _gallery_phi_alpha() -> tuple[TensorOp, TensorOp]:
     """Invertible rational instance used by tensor-power constructions."""
     alpha = LinearMap.diagonal(quantum.PHI_SPACE, [1, 3])
     B = hybe.twist(quantum.phi(), alpha).instantiate(_GALLERY_POINT)

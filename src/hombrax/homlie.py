@@ -35,8 +35,8 @@ from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import RationalLike, Scalar, reduce_mod_p
 from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
                             SymbolicNotMonomialInvertible, TensorOp, _json_dense,
-                            _json_dim, _json_labels, _json_sparse, _OnSpace, _sparse_json,
-                            as_op, compose, identity_op, swap_op, tensor_product)
+                            _json_dim, _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
+                            as_op, compose, identity_op, invert, swap_op, tensor_product)
 
 
 class NotAMorphism(ValueError):
@@ -64,17 +64,16 @@ def _coerce_scalar(x) -> Scalar:
 
 
 class HomLieAlgebra(_OnSpace):
-    """Based space + skew bracket L (x) L -> L (a c[i][j][k] grid or operator) + alpha."""
+    """Based space + skew bracket L (x) L -> L (a c[i][j][k] grid or operator) + alpha,
+    a self-map of a space of the same dimension, held as a self-map of L."""
 
     __slots__ = ("space", "bracket", "alpha")
 
-    def __init__(self, labels: Sequence[str], brackets, alpha: LinearMap):
+    def __init__(self, labels: Sequence[str], brackets, alpha: TensorOp):
         space = BasedSpace(labels)
-        if alpha.dim != space.dim:
-            raise DimMismatch(f"alpha is {alpha.dim}-dim, algebra is {space.dim}-dim")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "bracket", as_op(brackets, (space, space), (space,)))
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _on(alpha, space))
 
     def bracket_vec(self, i: int, j: int) -> tuple[Scalar, ...]:
         """[x_i, x_j] as a coordinate vector."""
@@ -106,7 +105,7 @@ class HomLieAlgebra(_OnSpace):
 
 def lie_algebra(labels: Sequence[str],
                 bracket_map: Mapping[tuple[int, int], Mapping[int, RationalLike | Scalar]],
-                alpha: LinearMap | None = None) -> HomLieAlgebra:
+                alpha: TensorOp | None = None) -> HomLieAlgebra:
     """Build an algebra from sparse i<j brackets; skew part is filled in."""
     n = len(labels)
     c = [[[Scalar.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -117,8 +116,7 @@ def lie_algebra(labels: Sequence[str],
             s = _coerce_scalar(coef)
             c[i][j][k] = c[i][j][k] + s
             c[j][i][k] = c[j][i][k] - s
-    space = BasedSpace(labels)
-    return HomLieAlgebra(labels, c, alpha or LinearMap.identity(space))
+    return HomLieAlgebra(labels, c, alpha or identity_op(BasedSpace(labels)))
 
 
 def heisenberg() -> HomLieAlgebra:
@@ -138,17 +136,12 @@ def sl2() -> HomLieAlgebra:
                        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
 
 
-def _on(alpha: LinearMap, space: BasedSpace) -> TensorOp:
-    """alpha as an operator on the algebra's space."""
-    return alpha.to_op().with_space(space)
-
-
 def skew_residual(L: HomLieAlgebra) -> TensorOp:
     """[x, y] + [y, x] on L (x) L."""
     return L.bracket + compose(L.bracket, swap_op(L.space))
 
 
-def multiplicativity_residual(L: HomLieAlgebra, alpha: LinearMap | None = None) -> TensorOp:
+def multiplicativity_residual(L: HomLieAlgebra, alpha: TensorOp | None = None) -> TensorOp:
     """alpha [x, y] - [alpha x, alpha y] on L (x) L."""
     a = _on(alpha or L.alpha, L.space)
     return compose(a, L.bracket) - compose(L.bracket, tensor_product(a, a))
@@ -162,16 +155,16 @@ def hom_jacobi_residual(L: HomLieAlgebra) -> TensorOp:
     the words (L, L) and (L,).
     """
     V = L.space
-    t = compose(L.bracket, tensor_product(L.bracket, _on(L.alpha, V)))
+    t = compose(L.bracket, tensor_product(L.bracket, L.alpha))
     return t + compose(t, swap_op((V, V), V)) + compose(t, swap_op(V, (V, V)))
 
 
-def twisted_constants(L: HomLieAlgebra, alpha: LinearMap) -> TensorOp:
+def twisted_constants(L: HomLieAlgebra, alpha: TensorOp) -> TensorOp:
     """The bracket alpha o [-,-]; no morphism validation."""
     return compose(_on(alpha, L.space), L.bracket)
 
 
-def yau_twist(g: HomLieAlgebra, alpha: LinearMap) -> HomLieAlgebra:
+def yau_twist(g: HomLieAlgebra, alpha: TensorOp) -> HomLieAlgebra:
     """The Hom-Lie algebra (g, alpha o [-,-], alpha) for a morphism alpha."""
     if not multiplicativity_residual(g, alpha).is_zero():
         raise NotAMorphism("alpha does not preserve the bracket")
@@ -280,11 +273,11 @@ def _sl2_residuals(e) -> tuple:
     )
 
 
-def sl2_morphism_equations(alpha: LinearMap) -> tuple[Scalar, ...]:
+def sl2_morphism_equations(alpha: TensorOp) -> tuple[Scalar, ...]:
     """The nine residuals that vanish exactly when alpha preserves the sl(2) bracket."""
-    if alpha.dim != 3:
+    if alpha.arity != 1 or alpha.total_dim != 3:
         raise DimMismatch("need a 3x3 matrix")
-    return _sl2_residuals(alpha.rows)
+    return _sl2_residuals(alpha.dense())
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +364,7 @@ def _sl2_family_kinds(flat: tuple[int, ...], p: int) -> list[str]:
     except ConstraintViolated:
         return kinds
     if tuple(reduce_mod_p(s.constant_value(), p)
-             for row in alpha.rows for s in row) == flat:
+             for row in alpha.dense() for s in row) == flat:
         kinds.append(f"kind{kind}")
     return kinds
 
@@ -448,14 +441,12 @@ def extended_alpha(L: HomLieAlgebra) -> LinearMap:
     """alpha extended by the identity on the added line: (a, x) -> (a, alpha x)."""
     n = L.dim
     zero, one = Scalar.zero(), Scalar.one()
-    rows = [[one] + [zero] * n]
-    for k in range(n):
-        rows.append([zero] + list(L.alpha.rows[k]))
+    rows = [[one] + [zero] * n] + [[zero] + row for row in L.alpha.dense()]
     return LinearMap(extension_space(L), rows)
 
 
-def _extension_braiding(L: HomLieAlgebra, flip: LinearMap,
-                        correction: LinearMap | None, stride: int) -> TensorOp:
+def _extension_braiding(L: HomLieAlgebra, flip: TensorOp,
+                        correction: TensorOp | None, stride: int) -> TensorOp:
     """(a, x) (x) (b, y) -> (b, flip y) (x) (a, flip x) plus the bracket term.
 
     The bracket term correction[x, y] (or [x, y] when correction is None)
@@ -464,9 +455,8 @@ def _extension_braiding(L: HomLieAlgebra, flip: LinearMap,
     """
     n = L.dim
     d = n + 1
-    F = flip.rows
-    bracket = L.bracket if correction is None else compose(_on(correction, L.space),
-                                                            L.bracket)
+    F = flip.dense()
+    bracket = L.bracket if correction is None else compose(correction, L.bracket)
     cols: dict[int, list[tuple[int, Scalar]]] = {}
     for pi in range(d):
         for qi in range(d):
@@ -501,48 +491,49 @@ def braiding_inverse_on_extension(L: HomLieAlgebra) -> TensorOp:
     """
     L.validate()
     try:
-        inv = L.alpha.inverse()
+        inv = invert(L.alpha)
     except (Singular, SymbolicNotMonomialInvertible) as exc:
         raise AlphaSingular("alpha is not invertible") from exc
-    return _extension_braiding(L, inv, inv.compose(inv), L.dim + 1)
+    return _extension_braiding(L, inv, compose(inv, inv), L.dim + 1)
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism testing and the conjugacy obstruction.
 # ---------------------------------------------------------------------------
 
-def is_hom_lie_isomorphism(gamma: LinearMap, L1: HomLieAlgebra,
+def is_hom_lie_isomorphism(gamma: TensorOp, L1: HomLieAlgebra,
                            L2: HomLieAlgebra) -> bool:
-    """gamma invertible, intertwining the alphas and transporting the bracket."""
-    if L1.dim != L2.dim or gamma.dim != L1.dim:
+    """gamma, read as a map L1 -> L2, invertible, intertwining the alphas and
+    transporting the bracket."""
+    if L1.dim != L2.dim or [s.dim for s in gamma.dom + gamma.cod] != [L1.dim] * 2:
         raise DimMismatch("dimension mismatch")
+    g = as_op(list(zip(*gamma.dense())), (L1.space,), (L2.space,))
     try:
-        gamma.inverse()
+        invert(g)
     except (Singular, SymbolicNotMonomialInvertible):
         return False
-    if gamma.compose(L1.alpha) != L2.alpha.compose(gamma):
+    if compose(g, L1.alpha) != compose(L2.alpha, g):
         return False
-    g = as_op(tuple(zip(*gamma.rows)), (L1.space,), (L2.space,))
     return (compose(g, L1.bracket) - compose(L2.bracket, tensor_product(g, g))).is_zero()
 
 
-def char_poly(m: LinearMap) -> tuple[Scalar, ...]:
+def char_poly(m: TensorOp) -> tuple[Scalar, ...]:
     """Monic characteristic polynomial coefficients, highest degree first.
 
     Faddeev-LeVerrier: only divisions by integers, so it works symbolically.
     """
-    a, ident = m.to_op(), identity_op(m.space)
-    coeffs, M = [Scalar.one()], m.to_op()
-    for k in range(1, m.dim + 1):
+    ident = identity_op(m.dom)
+    coeffs, M = [Scalar.one()], m
+    for k in range(1, m.total_dim + 1):
         if k > 1:
-            M = compose(a, M + ident.scale(coeffs[-1]))
+            M = compose(m, M + ident.scale(coeffs[-1]))
         trace = sum((s for j, col in enumerate(M.columns) for r, s in col if r == j),
                     Scalar.zero())
         coeffs.append(trace * Fraction(-1, k))
     return tuple(coeffs)
 
 
-def conjugacy_obstruction(alpha: LinearMap, beta: LinearMap) -> bool:
+def conjugacy_obstruction(alpha: TensorOp, beta: TensorOp) -> bool:
     """True when the characteristic polynomials differ: a sound witness that
     alpha and beta are not conjugate, hence the twisted algebras not isomorphic."""
     return char_poly(alpha) != char_poly(beta)
@@ -557,7 +548,7 @@ def algebra_to_json_dict(L: HomLieAlgebra) -> dict:
         "dim": L.dim,
         "labels": list(L.labels),
         "c": _sparse_json(L.bracket),
-        "alpha": [[str(e) for e in row] for row in L.alpha.rows],
+        "alpha": [[str(e) for e in row] for row in L.alpha.dense()],
     }
 
 

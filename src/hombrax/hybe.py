@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from hombrax.tensor import (
     DimMismatch,
-    LinearMap,
     TensorOp,
     compose,
     identity_op,
     lift,
-    linear_map_from_op,
     tensor_product,
 )
 
@@ -41,22 +39,16 @@ class IndexOutOfRange(ValueError):
     """Strand index outside 1..n-1."""
 
 
-def _as_map(alpha: LinearMap | TensorOp) -> LinearMap:
-    if isinstance(alpha, TensorOp):
-        return linear_map_from_op(alpha)
-    return alpha
-
-
-def _check_pair(B: TensorOp, alpha: LinearMap) -> None:
+def _check_pair(B: TensorOp, alpha: TensorOp) -> None:
     if B.arity != 2:
         raise DimMismatch(f"B must have arity 2, got {B.arity}")
-    if alpha.space != B.space:
-        raise DimMismatch(f"alpha on {alpha.space}, B on {B.space}")
+    if not alpha.dom == alpha.cod == (B.space,):
+        raise DimMismatch(f"alpha maps {list(alpha.dom)} to {list(alpha.cod)}, "
+                          f"B is on {B.space}")
 
 
-def compatibility_residual(B: TensorOp, alpha: LinearMap | TensorOp) -> TensorOp:
+def compatibility_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:
     """(alpha (x) alpha) B - B (alpha (x) alpha)."""
-    alpha = _as_map(alpha)
     _check_pair(B, alpha)
     a2 = lift(alpha, 2)
     return compose(a2, B) - compose(B, a2)
@@ -72,29 +64,26 @@ def ybe_residual(B: TensorOp) -> TensorOp:
     return compose(ib, compose(bi, ib)) - compose(bi, compose(ib, bi))
 
 
-def hybe_residual(B: TensorOp, alpha: LinearMap | TensorOp) -> TensorOp:
+def hybe_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:
     """Difference of the two sides of the twisted braid identity on V^(x)3.
 
     Raises IncompatiblePair when B does not commute with alpha (x) alpha;
     the twisted identity is only defined for commuting pairs.
     """
-    alpha = _as_map(alpha)
     if not compatibility_residual(B, alpha).is_zero():
         raise IncompatiblePair("B does not commute with alpha (x) alpha")
-    aop = alpha.to_op()
-    ab = tensor_product(aop, B)
-    ba = tensor_product(B, aop)
+    ab = tensor_product(alpha, B)
+    ba = tensor_product(B, alpha)
     return compose(ab, compose(ba, ab)) - compose(ba, compose(ab, ba))
 
 
-def twist(B: TensorOp, alpha: LinearMap | TensorOp) -> TensorOp:
+def twist(B: TensorOp, alpha: TensorOp) -> TensorOp:
     """Twist a Yang-Baxter solution along a commuting alpha.
 
     Returns (alpha (x) alpha) B, which satisfies the twisted braid identity
     for alpha whenever B satisfies the untwisted one and commutes with
     alpha (x) alpha.
     """
-    alpha = _as_map(alpha)
     _check_pair(B, alpha)
     if not ybe_residual(B).is_zero():
         raise NotYBESolution("B fails the Yang-Baxter identity")
@@ -103,9 +92,8 @@ def twist(B: TensorOp, alpha: LinearMap | TensorOp) -> TensorOp:
     return compose(lift(alpha, 2), B)
 
 
-def build_Bi(B: TensorOp, alpha: LinearMap | TensorOp, n: int, i: int) -> TensorOp:
+def build_Bi(B: TensorOp, alpha: TensorOp, n: int, i: int) -> TensorOp:
     """The strand operator alpha^(x)(i-1) (x) B (x) alpha^(x)(n-i-1) on V^(x)n."""
-    alpha = _as_map(alpha)
     _check_pair(B, alpha)
     if n < 2 or not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"i = {i} not in 1..{n - 1}")
@@ -117,7 +105,7 @@ def build_Bi(B: TensorOp, alpha: LinearMap | TensorOp, n: int, i: int) -> Tensor
     return op
 
 
-def braid_relation_residuals(B: TensorOp, alpha: LinearMap | TensorOp,
+def braid_relation_residuals(B: TensorOp, alpha: TensorOp,
                              n: int) -> list[TensorOp]:
     """All braid-relation residuals of the strand operators on V^(x)n.
 
@@ -125,7 +113,6 @@ def braid_relation_residuals(B: TensorOp, alpha: LinearMap | TensorOp,
     by (i, j)), then the adjacent residuals
     B_i B_{i+1} B_i - B_{i+1} B_i B_{i+1}.
     """
-    alpha = _as_map(alpha)
     ops = {i: build_Bi(B, alpha, n, i) for i in range(1, n)}
     out = []
     for i in range(1, n):

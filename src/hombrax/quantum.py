@@ -29,7 +29,8 @@ import numpy as np
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import Scalar, reduce_mod_p
-from hombrax.tensor import BasedSpace, LinearMap, TensorOp, compose, lift
+from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, TensorOp, compose, lift,
+                            rebase)
 
 Q = Scalar.param("q")
 L = Scalar.param("l")
@@ -85,7 +86,7 @@ def phi_equals_bql_swapped() -> bool:
     """Check phi against bql(2) with q -> q^-1, l -> q*l and the basis swapped."""
     b = bql(2).map_scalars(lambda s: s.substitute({"q": Q ** -1, "l": Q * L}))
     swap = LinearMap(PHI_SPACE, [[0, 1], [1, 0]])
-    conj = compose(lift(swap, 2), compose(b.with_space(PHI_SPACE), lift(swap, 2)))
+    conj = compose(lift(swap, 2), rebase(b, PHI_SPACE, 2), lift(swap, 2))
     return conj == phi()
 
 
@@ -230,38 +231,33 @@ class CompatibleAlpha:
                 return v
         return Scalar.zero()
 
-    def to_linear_map(self, space: BasedSpace | None = None) -> LinearMap:
-        N = self.pattern.N
-        space = space or BasedSpace.of_dim(N)
-        rows = [[Scalar.zero()] * N for _ in range(N)]
-        for c, v in self.values:
-            rows[self.pattern.row(c) - 1][c - 1] = v
-        return LinearMap(space, rows)
+    def to_linear_map(self, space: BasedSpace | None = None) -> TensorOp:
+        """The self-map sending e_c to value(c) e_k(c)."""
+        return TensorOp(space or BasedSpace.of_dim(self.pattern.N), 1,
+                        {c - 1: [(self.pattern.row(c) - 1, v)] for c, v in self.values})
 
     def __repr__(self):
         return f"CompatibleAlpha({self.pattern!r}, {dict((c, str(v)) for c, v in self.values)})"
 
 
-def pattern_of(alpha: LinearMap) -> SupportPattern | None:
-    """The support pattern of a matrix, or None if the conditions fail."""
-    N = alpha.dim
-    column_rows = {}
-    for i in range(N):
-        nonzero = [k for k in range(N) if not alpha.rows[k][i].is_zero()]
-        if len(nonzero) > 1:
-            return None
-        if nonzero:
-            column_rows[i + 1] = nonzero[0] + 1
+def pattern_of(alpha: TensorOp) -> SupportPattern | None:
+    """The support pattern of a self-map, or None if the conditions fail."""
+    if alpha.arity != 1:
+        raise ArityMismatch(f"need arity 1, got {alpha.arity}")
+    if any(len(col) > 1 for col in alpha.columns):
+        return None
     try:
-        return SupportPattern(N, column_rows)
+        return SupportPattern(alpha.total_dim, {i + 1: col[0][0] + 1 for i, col
+                                                in enumerate(alpha.columns) if col})
     except InvalidPattern:
         return None
 
 
-def check_compatible(alpha: LinearMap, N: int | None = None) -> bool:
+def check_compatible(alpha: TensorOp, N: int | None = None) -> bool:
     """Whether alpha's support satisfies the two classification conditions."""
-    if N is not None and alpha.dim != N:
-        raise BadDimension(f"alpha is {alpha.dim}x{alpha.dim}, expected {N}")
+    n = alpha.total_dim
+    if N is not None and n != N:
+        raise BadDimension(f"alpha is {n}x{n}, expected {N}")
     return pattern_of(alpha) is not None
 
 

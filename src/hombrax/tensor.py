@@ -16,18 +16,25 @@ power of one space, and the mixed-radix analogue over a word.  This is the
 conventional Kronecker-product layout, so a printed matrix maps directly
 onto columns.
 
+A linear self-map alpha of V is the case m = 1: an operator with
+``dom == cod == (V,)``.  ``LinearMap(space, rows)`` is only its dense-rows
+constructor (rows[k][i] is the e_k coefficient of alpha(e_i)); everything
+else works on the operator through ``compose``, ``invert``, ``lift``,
+``rebase`` and ``dense()``.
+
 Columns are canonical: rows strictly increase, no entry is zero and every
 row is in range.  ``TensorOp(space, arity, columns)`` is the one validating
-entry for columns of an operator on V^(tensor m) (JSON, user code) and
-``as_op`` the one for structure constants given as a grid.  Everything
-else (``compose``, ``tensor_product``, sums, scaling, ``lift``, ``invert``,
-``rebase``, ``with_space``, ``identity_op``, ``swap_op``) builds its result
-with ``TensorOp._trusted``: the columns are canonical and in range by
+entry for columns of an operator on V^(tensor m) (JSON, user code,
+``LinearMap``) and ``as_op`` the one for structure constants given as a
+grid.  Everything else (``compose``, ``tensor_product``, sums, scaling,
+``lift``, ``invert``, ``rebase``, ``identity_op``, ``swap_op``) builds its
+result with ``TensorOp._trusted``: the columns are canonical and in range by
 construction or canonicalised in place.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Callable, Iterable, Mapping, Sequence
@@ -134,16 +141,16 @@ def encode_index(dim: int, multi: Sequence[int]) -> int:
     return flat
 
 
-def _check_size(dim: int, arity: int) -> None:
-    """Refuse an operator on V^(tensor arity) with more than _MAX_COLUMNS columns.
+def _check_size(dim: int, arity: int, limit: int = _MAX_COLUMNS) -> None:
+    """Refuse an operator on V^(tensor arity) with more than limit columns.
 
     dim >= 2^(bit_length - 1), so a large arity is refused from the bit
     lengths alone, before dim ** arity is formed.
     """
-    if dim > 1 and (arity * (dim.bit_length() - 1) >= _MAX_COLUMNS.bit_length()
-                    or dim ** arity > _MAX_COLUMNS):
+    if dim > 1 and (arity * (dim.bit_length() - 1) >= limit.bit_length()
+                    or dim ** arity > limit):
         raise ValueError(f"dim {dim} to the power {arity} exceeds the limit of "
-                         f"{_MAX_COLUMNS} columns")
+                         f"{limit} columns")
 
 
 Column = tuple[tuple[int, Scalar], ...]
@@ -337,13 +344,6 @@ class TensorOp:
                 rows[r][j] = s
         return rows
 
-    def with_space(self, space: BasedSpace) -> "TensorOp":
-        """Relabel the underlying space (same dimension)."""
-        if space.dim != self.space.dim:
-            raise DimMismatch(f"dim {space.dim} vs {self.space.dim}")
-        word = (space,) * self.arity
-        return TensorOp._trusted(word, word, self.columns)
-
 
 def as_op(data, dom: Word, cod: Word) -> TensorOp:
     """The map dom -> cod given by data: a TensorOp between those words, or a
@@ -422,32 +422,22 @@ def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
     return TensorOp._trusted(f.dom + g.dom, f.cod + g.cod, cols)
 
 
-class LinearMap:
-    """A linear self-map of V; entry (k, i) is the e_k coefficient of alpha(e_i)."""
+class LinearMap(TensorOp):
+    """The dense-rows constructor of a linear self-map of V, the operator
+    (V,) -> (V,) whose entry (k, i) is the e_k coefficient of alpha(e_i)."""
 
-    __slots__ = ("space", "rows")
+    __slots__ = ()
 
     def __init__(self, space: BasedSpace, rows: Sequence[Sequence[Scalar | RationalLike]]):
         n = space.dim
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimMismatch(f"need a {n}x{n} matrix")
-        coerced = tuple(tuple(e if isinstance(e, Scalar) else Scalar.rational(e)
-                              for e in row) for row in rows)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "rows", coerced)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
+        super().__init__(space, 1, [[(k, e if isinstance(e, Scalar) else Scalar.rational(e))
+                                     for k, e in enumerate(col)] for col in zip(*rows)])
 
     @staticmethod
     def identity(space: BasedSpace) -> "LinearMap":
-        n = space.dim
-        return LinearMap(space, [[Scalar.one() if i == j else Scalar.zero()
-                                  for j in range(n)] for i in range(n)])
+        return LinearMap.diagonal(space, [Scalar.one()] * space.dim)
 
     @staticmethod
     def diagonal(space: BasedSpace, entries: Sequence[Scalar | RationalLike]) -> "LinearMap":
@@ -457,81 +447,30 @@ class LinearMap:
         return LinearMap(space, [[entries[i] if i == j else Scalar.zero()
                                   for j in range(n)] for i in range(n)])
 
-    def entry(self, k: int, i: int) -> Scalar:
-        return self.rows[k][i]
+    # The two names below remain only for perfbench; use dense() and invert().
 
-    def column(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(row[i] for row in self.rows)
+    @property
+    def rows(self) -> list[list[Scalar]]:
+        return self.dense()
 
-    def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return tuple(sum((row[i] * vec[i] for i in range(self.dim)), Scalar.zero())
-                     for row in self.rows)
-
-    def to_op(self) -> TensorOp:
-        cols = []
-        for i in range(self.dim):
-            cols.append(tuple((k, self.rows[k][i]) for k in range(self.dim)
-                              if not self.rows[k][i].is_zero()))
-        return TensorOp(self.space, 1, cols)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        if self.space != other.space:
-            raise SpaceMismatch(f"{self.space} vs {other.space}")
-        n = self.dim
-        return LinearMap(self.space,
-                         [[sum((self.rows[k][m] * other.rows[m][i] for m in range(n)),
-                               Scalar.zero()) for i in range(n)] for k in range(n)])
-
-    def inverse(self) -> "LinearMap":
-        return linear_map_from_op(invert(self.to_op()))
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "LinearMap":
-        return LinearMap(self.space, [[fn(e) for e in row] for row in self.rows])
-
-    def instantiate(self, assignment: Mapping[str, RationalLike]) -> "LinearMap":
-        return self.map_scalars(lambda s: Scalar.rational(s.evaluate(assignment)))
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self.space == other.space and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.space, self.rows))
-
-    def __repr__(self):
-        return f"LinearMap({[[str(e) for e in row] for row in self.rows]})"
+    def inverse(self) -> TensorOp:
+        return invert(self)
 
 
-def linear_map_from_op(op: TensorOp) -> LinearMap:
+def linear_map_from_op(op: TensorOp) -> TensorOp:
+    """op itself, once checked to be a self-map of one space (kept for perfbench)."""
     if op.arity != 1:
         raise ArityMismatch(f"need arity 1, got {op.arity}")
-    n = op.space.dim
-    rows = [[Scalar.zero()] * n for _ in range(n)]
-    for j, col in enumerate(op.columns):
-        for r, s in col:
-            rows[r][j] = s
-    return LinearMap(op.space, rows)
+    return op
 
 
-def lift(alpha: LinearMap, m: int) -> TensorOp:
-    """alpha^(tensor m), built directly from alpha's columns (canonical, as in
-    ``tensor_product``)."""
+def lift(alpha: TensorOp, m: int) -> TensorOp:
+    """alpha^(tensor m) for a self-map alpha of V."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = alpha.dim
-    sparse_cols = [tuple((k, alpha.rows[k][i]) for k in range(n)
-                         if not alpha.rows[k][i].is_zero()) for i in range(n)]
-    cols: list[list[tuple[int, Scalar]]] = [[(0, Scalar.one())]]
-    for _ in range(m):
-        nxt = []
-        for partial in cols:
-            for i in range(n):
-                nxt.append([(r * n + k, s * t) for r, s in partial
-                            for k, t in sparse_cols[i]])
-        cols = nxt
-    word = (alpha.space,) * m
-    return TensorOp._trusted(word, word, tuple(tuple(c) for c in cols))
+    if alpha.arity != 1:
+        raise ArityMismatch(f"need arity 1, got {alpha.arity}")
+    return functools.reduce(tensor_product, [alpha] * m)
 
 
 def power(f: TensorOp, k: int) -> TensorOp:
@@ -587,15 +526,24 @@ def invert(f: TensorOp) -> TensorOp:
     return TensorOp._trusted(f.cod, f.dom, cols)
 
 
+def _on(alpha: TensorOp, space: BasedSpace) -> TensorOp:
+    """alpha, a self-map of a space of space's dimension, as a self-map of space."""
+    if alpha.dom == alpha.cod == (space,):
+        return alpha
+    if alpha.arity != 1:
+        raise ArityMismatch(f"need a self-map of {space}, got arity {alpha.arity}")
+    return rebase(alpha, space, 1)
+
+
 def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
     """Reinterpret an operator over a regrouped tensor factorization.
 
     Row-major encoding makes the flat indices of V^(tensor km) and
     (V^(tensor k))^(tensor m) coincide, so regrouping is a relabeling.
     """
+    old = op.space
     if arity < 1 or space.dim ** arity != op.total_dim:
-        raise DimMismatch(
-            f"cannot regroup dim {op.space.dim}^{op.arity} as {space.dim}^{arity}")
+        raise DimMismatch(f"cannot regroup dim {old.dim}^{op.arity} as {space.dim}^{arity}")
     return TensorOp._trusted((space,) * arity, (space,) * arity, op.columns)
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from hombrax.scalars import Scalar
-from hombrax.tensor import (BasedSpace, LinearMap, TensorOp, _Frozen, _json_dense,
-                            _json_dim, _json_labels, _json_sparse, _OnSpace, _sparse_json,
+from hombrax.tensor import (BasedSpace, TensorOp, _Frozen, _json_dense, _json_dim,
+                            _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
                             as_op, compose, identity_op, swap_op, tensor_product)
 
 
@@ -204,24 +204,24 @@ def yd_braiding(V: YDModule) -> TensorOp:
                    tensor_product(V.coaction, v))
 
 
-def colinearity_residual(alpha: LinearMap, V: YDModule) -> TensorOp:
+def colinearity_residual(alpha: TensorOp, V: YDModule) -> TensorOp:
     """rho(alpha v) - (Id (x) alpha)(rho v) on V."""
-    a = alpha.to_op().with_space(V.space)
+    a = _on(alpha, V.space)
     return (compose(V.coaction, a)
             - compose(tensor_product(identity_op(V.host.space), a), V.coaction))
 
 
-def linearity_residual(alpha: LinearMap, V: YDModule) -> TensorOp:
+def linearity_residual(alpha: TensorOp, V: YDModule) -> TensorOp:
     """alpha(x . v) - x . alpha(v) on H (x) V."""
-    a = alpha.to_op().with_space(V.space)
+    a = _on(alpha, V.space)
     return compose(a, V.action) - compose(V.action, tensor_product(identity_op(V.host.space), a))
 
 
-def check_colinearity(alpha: LinearMap, V: YDModule) -> bool:
+def check_colinearity(alpha: TensorOp, V: YDModule) -> bool:
     return colinearity_residual(alpha, V).is_zero()
 
 
-def check_linearity(alpha: LinearMap, V: YDModule) -> bool:
+def check_linearity(alpha: TensorOp, V: YDModule) -> bool:
     return linearity_residual(alpha, V).is_zero()
 
 

@@ -107,10 +107,6 @@ def contract(spec: str, *grids: np.ndarray) -> np.ndarray:
     return np.einsum(spec, *grids)
 
 
-def dense_of_map(m: LinearMap):
-    return [list(row) for row in m.rows]
-
-
 def dense_equal(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -145,7 +141,7 @@ def random_heisenberg_twist(rng: random.Random, invertible: bool = True) -> HomL
     while True:
         params = [rand_fraction(rng) for _ in range(6)]
         alpha = heisenberg_morphism(*params)
-        delta = alpha.rows[0][0]
+        delta = alpha.entry(0, 0)
         if not invertible or not delta.is_zero():
             return yau_twist(heisenberg(), alpha)
 

@@ -70,7 +70,7 @@ def test_verify_braid_on_extension_braiding(capsys, monkeypatch):
     twisted = yau_twist(sl2(), sl2_morphism(1, 0, 2, 0))
     doc = {"operator": op_to_json_dict(braiding_on_extension(twisted)),
            "alpha": [[str(e) for e in row]
-                     for row in extended_alpha(twisted).rows]}
+                     for row in extended_alpha(twisted).dense()]}
     code, out, _ = run(capsys, ["verify", "braid", "--n", "4"],
                        stdin=json.dumps(doc), monkeypatch=monkeypatch)
     assert code == 0
@@ -126,6 +126,7 @@ def test_braid_eval_and_power(capsys, monkeypatch):
     assert json.loads(out)["operator"]["dim"] == 4
 
 
+@pytest.mark.scan
 def test_classify_compatible_with_field(capsys):
     code, out, _ = run(capsys, ["classify", "compatible", "--dim", "2",
                                 "--field", "5"])
@@ -144,6 +145,7 @@ def test_classify_compatible_refuses_degenerate_field(capsys):
     assert err.startswith("error:") and "degenerate" in err
 
 
+@pytest.mark.scan
 def test_classify_sl2_small_field(capsys):
     code, out, _ = run(capsys, ["classify", "sl2", "--field", "3"])
     assert code == 0
@@ -151,6 +153,7 @@ def test_classify_sl2_small_field(capsys):
     assert "unclassified: 0" in out
 
 
+@pytest.mark.scan
 def test_classify_rejects_even_field(capsys):
     code, _, err = run(capsys, ["classify", "sl2", "--field", "2"])
     assert code == 2
@@ -486,6 +489,8 @@ def no_large_work(monkeypatch):
     (["braid", "eval", "--perm", ",".join(str(k) for k in range(15, 0, -1))], _PAIR),
     (["verify", "braid", "--n", "15"], _PAIR),
     (["verify", "braid", "--n", str(10 ** 20)], _PAIR),
+    (["construct", "tensor-power", "--n", "7"], None),
+    (["braid", "power", "--n", "7"], _PAIR),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_oversized_requests_exit_2_before_building(capsys, monkeypatch, no_large_work,
                                                     argv, stdin):
@@ -495,13 +500,30 @@ def test_oversized_requests_exit_2_before_building(capsys, monkeypatch, no_large
     assert err.startswith("error:") and "exceeds the limit" in err
 
 
+@pytest.mark.parametrize("argv, stdin", [
+    (["construct", "tensor-power", "--n", "6"], None),
+    (["braid", "power", "--n", "6"], _PAIR),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_tensor_power_limit_admits_n6(capsys, monkeypatch, argv, stdin):
+    """n = 6 over a 2-dim pair (2^12 columns) passes the size check."""
+    from hombrax import braid
+
+    def reached(B, alpha, n):
+        raise ValueError(f"reached the builder at n = {n}")
+
+    monkeypatch.setattr(braid, "tensor_power_solution", reached)
+    text = None if stdin is None else json.dumps(stdin)
+    code, _, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and "reached the builder at n = 6" in err
+
+
 # -- oversized scans and structure-constant JSON ------------------------------
 
 @pytest.mark.parametrize("argv", [
     ["classify", "compatible", "--dim", "5", "--field", "7"],
     ["classify", "compatible", "--dim", "40", "--field", "3"],
     ["classify", "heisenberg", "--field", "11"],
-    ["classify", "sl2", "--field", "131"],
+    pytest.param(["classify", "sl2", "--field", "131"], marks=pytest.mark.scan),
     ["classify", "sl2star", "--field", str(10 ** 40 + 1)],
 ], ids=" ".join)
 def test_oversized_scans_exit_2_before_scanning(capsys, monkeypatch, argv):
@@ -516,7 +538,7 @@ def test_oversized_scans_exit_2_before_scanning(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "sl2", "--field", "2"],
+    pytest.param(["classify", "sl2", "--field", "2"], marks=pytest.mark.scan),
     ["classify", "heisenberg", "--field", "4"],
     ["classify", "compatible", "--dim", "2", "--field", "2"],
 ], ids=" ".join)

@@ -7,7 +7,6 @@ import pytest
 from helpers import (
     dense_matmul,
     dense_kron,
-    dense_of_map,
     dense_equal,
     phi_alpha_rational,
     phi_alpha_symbolic,
@@ -43,9 +42,12 @@ from hombrax.scalars import Scalar
 from hombrax.tensor import (
     BasedSpace,
     LinearMap,
+    as_op,
     compose,
+    identity_op,
     invert,
     lift,
+    rebase,
     swap_op,
     tensor_product,
 )
@@ -82,7 +84,7 @@ def test_ybe_residuals():
 
 
 def test_hybe_with_identity_is_structurally_ybe():
-    for b in (swap_op(V2), phi().with_space(V2), bql(2)):
+    for b in (swap_op(V2), rebase(phi(), V2, 2), bql(2)):
         assert hybe_residual(b, LinearMap.identity(V2)) == ybe_residual(b)
 
 
@@ -97,6 +99,25 @@ def test_hybe_zero_for_twisted_phi_all_shapes():
         assert hybe_residual(twist(phi(), alpha), alpha).is_zero()
 
 
+_W = BasedSpace.of_dim(2, prefix="w")
+
+
+@pytest.mark.parametrize("check", [
+    hybe_residual, twist, compatibility_residual,
+    lambda B, alpha: build_Bi(B, alpha, 3, 1),
+    lambda B, alpha: build_Bi(B, alpha, 3, 2),
+], ids=["hybe_residual", "twist", "compatibility_residual", "build_Bi 1", "build_Bi 2"])
+@pytest.mark.parametrize("bad", [
+    lift(LinearMap.identity(PHI_SPACE), 2),
+    as_op([[1, 0], [0, 1]], (PHI_SPACE,), (_W,)),
+    identity_op(_W),
+    swap_op(PHI_SPACE, _W),
+], ids=["arity 2 on V", "V to W", "self-map of W", "V W to W V"])
+def test_alpha_must_be_a_self_map_of_V(check, bad):
+    with pytest.raises(ValueError):
+        check(phi(), bad)
+
+
 def test_hybe_requires_compatibility():
     alpha = LinearMap(PHI_SPACE, [[1, 1], [0, 1]])
     with pytest.raises(IncompatiblePair):
@@ -109,7 +130,7 @@ def test_hybe_sides_match_dense_evaluation_oracle():
     pattern = SupportPattern(3, {1: 1, 2: 3})
     alpha = CompatibleAlpha(pattern, {1: 2, 2: 3}).to_linear_map()
     b = twist(bql(3).instantiate({"q": 2, "l": 1}), alpha)
-    a1 = dense_of_map(alpha)
+    a1 = alpha.dense()
     bd = b.dense()
     ab = dense_kron(a1, bd)
     ba = dense_kron(bd, a1)
@@ -139,10 +160,9 @@ def test_twist_contracts():
 def test_build_Bi_shapes():
     b, alpha = phi_alpha_symbolic()
     assert build_Bi(b, alpha, 2, 1) == b
-    assert build_Bi(b, alpha, 4, 2) == tensor_product(
-        tensor_product(alpha.to_op(), b), alpha.to_op())
-    assert build_Bi(b, alpha, 3, 2) == tensor_product(alpha.to_op(), b)
-    assert build_Bi(b, alpha, 3, 1) == tensor_product(b, alpha.to_op())
+    assert build_Bi(b, alpha, 4, 2) == tensor_product(tensor_product(alpha, b), alpha)
+    assert build_Bi(b, alpha, 3, 2) == tensor_product(alpha, b)
+    assert build_Bi(b, alpha, 3, 1) == tensor_product(b, alpha)
     with pytest.raises(IndexOutOfRange):
         build_Bi(b, alpha, 3, 3)
     with pytest.raises(IndexOutOfRange):
@@ -179,7 +199,7 @@ def test_inverse_pair_is_solution_on_extension_family():
         assert hybe_residual(b, alpha).is_zero()
         b_inv = invert(b)
         assert b_inv == braiding_inverse_on_extension(twisted)
-        alpha_inv = alpha.inverse()
+        alpha_inv = invert(alpha)
         assert hybe_residual(b_inv, alpha_inv).is_zero()
 
 

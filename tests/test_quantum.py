@@ -32,6 +32,7 @@ from hombrax.tensor import (
     compose,
     invert,
     lift,
+    rebase,
 )
 
 Q = Scalar.param("q")
@@ -65,12 +66,11 @@ def test_phi_swap_relation_needs_both_substitution_and_swap():
     # without the lambda substitution
     sub_only_q = bql(2).map_scalars(lambda s: s.substitute({"q": Q ** -1}))
     swap = LinearMap(PHI_SPACE, [[0, 1], [1, 0]])
-    conj = compose(lift(swap, 2),
-                   compose(sub_only_q.with_space(PHI_SPACE), lift(swap, 2)))
+    conj = compose(lift(swap, 2), rebase(sub_only_q, PHI_SPACE, 2), lift(swap, 2))
     assert conj != phi()
     # without the basis swap
     subbed = bql(2).map_scalars(lambda s: s.substitute({"q": Q ** -1, "l": Q * L}))
-    assert subbed.with_space(PHI_SPACE) != phi()
+    assert rebase(subbed, PHI_SPACE, 2) != phi()
     assert subbed.entry(1, 1) != phi().entry(1, 1)
 
 
@@ -204,6 +204,7 @@ def test_check_compatible_matches_residual_over_small_field_sample():
     assert accepted == expected
 
 
+@pytest.mark.scan
 def test_lambda_irrelevance_of_accept_set():
     one = brute_force_compatible_field(2, 5, q_res=2, lam_res=1)
     three = brute_force_compatible_field(2, 5, q_res=2, lam_res=3)
@@ -216,6 +217,7 @@ def test_brute_force_refuses_degenerate_residues(q_res, lam_res):
         brute_force_compatible_field(2, 5, q_res=q_res, lam_res=lam_res)
 
 
+@pytest.mark.scan
 def test_scan_is_stable_under_thread_cap(monkeypatch):
     # With 100-candidate chunks both scans span many chunks (7 and 197), so
     # the threaded path must reassemble them in the serial order.
@@ -261,6 +263,7 @@ def test_scan_size_guard():
         runtime.scan_size(0, 5)
 
 
+@pytest.mark.scan
 def test_scan_matrices_in_index_order():
     got = runtime.scan_matrices(2, 3, lambda A: A[:, 0, 0] == A[:, 1, 1])
     want = [m for m in itertools.product(range(3), repeat=4) if m[0] == m[3]]

@@ -12,9 +12,9 @@ from helpers import (
     dense_equal,
     dense_kron,
     dense_matmul,
-    dense_of_map,
     fraction_matmul,
     fraction_matrix,
+    rand_fraction,
     random_op,
     rational_gallery,
 )
@@ -114,7 +114,7 @@ def test_lift_matches_bilinear_expansion():
     alpha = LinearMap(V2, [[Scalar.param("a"), Scalar.param("b")],
                            [Scalar.param("c"), Scalar.param("d")]])
     lifted = lift(alpha, 2)
-    oracle = dense_kron(dense_of_map(alpha), dense_of_map(alpha))
+    oracle = dense_kron(alpha.dense(), alpha.dense())
     assert dense_equal(lifted.dense(), oracle)
 
 
@@ -124,8 +124,7 @@ def test_strand_operator_matches_dense_kronecker_oracle():
     alpha = LinearMap.diagonal(V2, [Scalar.param("a"), Scalar.param("d")])
     b = bql(2)
     op = build_Bi(b, alpha, 4, 2)
-    oracle = dense_kron(dense_kron(dense_of_map(alpha), b.dense()),
-                        dense_of_map(alpha))
+    oracle = dense_kron(dense_kron(alpha.dense(), b.dense()), alpha.dense())
     assert dense_equal(op.dense(), oracle)
 
 
@@ -136,10 +135,9 @@ def test_lift_equals_iterated_tensor_product():
         rows = [[Scalar.rational(rng.randint(-3, 3)) for _ in range(dim)]
                 for _ in range(dim)]
         alpha = LinearMap(space, rows)
-        op = alpha.to_op()
-        acc = op
+        acc = alpha
         for m in range(2, 5):
-            acc = tensor_product(acc, op)
+            acc = tensor_product(acc, alpha)
             assert lift(alpha, m) == acc
 
 
@@ -155,6 +153,33 @@ def test_residual_and_is_zero():
     assert (b - b).is_zero()
     assert not identity_op(V2, 1).is_zero()
     assert (compose(swap_op(V2), swap_op(V2)) - identity_op(V2, 2)).is_zero()
+
+
+def _random_rows(rng: random.Random) -> list[list[Fraction]]:
+    return [[rand_fraction(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(3)]
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_linear_map_kernels_match_dense_fraction_oracle(seed):
+    rng = random.Random(seed)
+    A, B = _random_rows(rng), _random_rows(rng)
+    a, b = LinearMap(V3, A), LinearMap(V3, B)
+    assert a.dense() == [[Scalar.rational(x) for x in row] for row in A]
+    assert fraction_matrix(a) == A
+    assert fraction_matrix(compose(a, b)) == fraction_matmul(A, B)
+    kron = [[A[i][j] * A[k][m] for j in range(3) for m in range(3)]
+            for i in range(3) for k in range(3)]
+    assert fraction_matrix(lift(a, 2)) == kron
+    det = sum(A[0][j] * (A[1][(j + 1) % 3] * A[2][(j + 2) % 3]
+                         - A[1][(j + 2) % 3] * A[2][(j + 1) % 3]) for j in range(3))
+    if det == 0:
+        with pytest.raises(Singular):
+            invert(a)
+        return
+    inv = fraction_matrix(invert(a))
+    ident = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert fraction_matmul(inv, A) == ident and fraction_matmul(A, inv) == ident
 
 
 def test_compose_matches_dense_oracle():
@@ -236,7 +261,7 @@ def test_invert_singular_and_symbolic_failures():
                             1: [(0, Scalar.one()), (1, Scalar.one())]})
     with pytest.raises(Singular):
         invert(ones)
-    stuck = LinearMap(V2, [[Scalar.param("q") + 1, 0], [0, 1]]).to_op()
+    stuck = LinearMap(V2, [[Scalar.param("q") + 1, 0], [0, 1]])
     with pytest.raises(SymbolicNotMonomialInvertible):
         invert(stuck)
 
@@ -287,7 +312,7 @@ def test_json_dict_shape():
     assert doc["dim"] == 2 and doc["arity"] == 2
     assert doc["columns"]["1"] == [["2", "1"]]
     assert doc["columns"]["0"] == [["0", "1"]]
-    assert op_from_json_dict(doc) == swap_op(V2).with_space(BasedSpace.of_dim(2))
+    assert op_from_json_dict(doc) == rebase(swap_op(V2), BasedSpace.of_dim(2), 2)
 
 
 def test_json_rejects_out_of_range_column():
@@ -301,7 +326,14 @@ def test_linear_map_round_trip_through_op():
     rng = random.Random(5)
     rows = [[Scalar.rational(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
     m = LinearMap(V3, rows)
-    assert linear_map_from_op(m.to_op()) == m
+    assert isinstance(m, TensorOp) and m.dom == m.cod == (V3,)
+    assert m.dense() == rows
+    # rows, inverse() and linear_map_from_op remain for perfbench only.
+    assert m.rows == rows and linear_map_from_op(m) is m
+    with pytest.raises(ArityMismatch):
+        linear_map_from_op(lift(m, 2))
+    shear = LinearMap(V3, [[1, 2, 0], [0, 1, 0], [0, 0, 3]])
+    assert shear.inverse() == invert(shear)
 
 
 # -- canonical kernel output ---------------------------------------------------
@@ -325,8 +357,8 @@ def kernel_results(f: TensorOp, g: TensorOp, alpha: LinearMap) -> list[TensorOp]
     out = [compose(f, g), compose(g, f), tensor_product(f, g), power(f, 2),
            lift(alpha, 1), lift(alpha, 2), identity_op(f.space, f.arity),
            swap_op(f.space), rebase(f, product_space(f.space, f.arity), 1),
-           f.with_space(BasedSpace.of_dim(f.space.dim, prefix="f"))]
-    for op in (f, alpha.to_op()):
+           rebase(f, BasedSpace.of_dim(f.space.dim, prefix="f"), f.arity)]
+    for op in (f, alpha):
         try:
             out.append(invert(op))
         except Singular:
