@@ -9,11 +9,9 @@ order -- which makes equality structural and zero-testing exact.  That is
 the whole point: operator identities are verified by checking that a
 residual has no terms at all, with no tolerance anywhere.
 
-Operators instantiated at a rational point have only constant entries, so
-``+``, ``*`` and unary ``-`` on two constants (a single term with an empty
-exponent vector) skip the term map: ``_constant`` wraps the ``Fraction``
-result directly, or returns the shared zero.  The result is the same
-canonical scalar the general Laurent path would build.
+Operators without parameters are kept by ``hombrax.tensor`` as integer
+columns over one denominator, so rational arithmetic rarely reaches this
+class; a constant is the one-term scalar with an empty exponent vector.
 
 The text format used in JSON exports writes a scalar as a sum of terms
 ``coef*name^exp*...`` with ``coef`` as ``num`` or ``num/den``, for example
@@ -110,7 +108,8 @@ class Scalar:
 
     @staticmethod
     def rational(value: RationalLike) -> "Scalar":
-        return _constant(Fraction(value))
+        c = Fraction(value)
+        return Scalar({(): c}) if c else _ZERO
 
     @staticmethod
     def param(name: str, exp: int = 1) -> "Scalar":
@@ -164,20 +163,16 @@ class Scalar:
             return other
         if not b:
             return self
-        if len(a) == 1 == len(b) and not a[0][0] and not b[0][0]:
-            return _constant(a[0][1] + b[0][1])
         merged = dict(a)
         for exps, coef in b:
             merged[exps] = merged.get(exps, Fraction(0)) + coef
-        return Scalar(merged)
+        out = Scalar(merged)
+        return out if out._terms else _ZERO  # a sum that cancels is the shared zero
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        a = self._terms
-        if len(a) == 1 and not a[0][0]:
-            return _constant(-a[0][1])
-        return Scalar({exps: -coef for exps, coef in a})
+        return Scalar({exps: -coef for exps, coef in self._terms})
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -199,8 +194,6 @@ class Scalar:
         a, b = self._terms, other._terms
         if not a or not b:
             return _ZERO
-        if len(a) == 1 == len(b) and not a[0][0] and not b[0][0]:
-            return _constant(a[0][1] * b[0][1])
         if self.is_one():
             return other
         if other.is_one():
@@ -304,18 +297,8 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _constant(c: Fraction) -> Scalar:
-    """The constant scalar c, built without the term-map canonicalisation."""
-    if not c:
-        return _ZERO
-    s = Scalar.__new__(Scalar)
-    object.__setattr__(s, "_terms", (((), c),))
-    return s
-
-
-_ZERO = Scalar.__new__(Scalar)
-object.__setattr__(_ZERO, "_terms", ())
-_ONE = _constant(Fraction(1))
+_ZERO = Scalar()
+_ONE = Scalar({(): Fraction(1)})
 
 
 def _coerce(x) -> Scalar:

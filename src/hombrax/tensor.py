@@ -28,8 +28,23 @@ entry for columns of an operator on V^(tensor m) (JSON, user code,
 ``LinearMap``) and ``as_op`` the one for structure constants given as a
 grid.  Everything else (``compose``, ``tensor_product``, sums, scaling,
 ``lift``, ``invert``, ``rebase``, ``identity_op``, ``swap_op``) builds its
-result with ``TensorOp._trusted``: the columns are canonical and in range by
-construction or canonicalised in place.
+result with ``TensorOp._trusted`` or ``TensorOp._rational``: the columns are
+canonical and in range by construction or canonicalised in place.
+
+An operator is stored in one of two forms with the same rows and the same
+sparsity.  The ``Scalar`` form holds Laurent-polynomial columns and is the
+only form of a symbolic operator.  The integer form of a rational operator
+holds ``(den, int columns)`` for the operator int columns / den, canonical
+when den > 0 and the gcd of den and all entries is 1 (the zero operator is
+``(1, empty columns)``), so equality stays structural.  ``instantiate``,
+``identity_op``, ``swap_op`` and every kernel whose operands are both
+rational build the integer form, dividing the content gcd out of each
+result once; ``invert`` eliminates on it fraction-free, in integers.  An
+operator built from ``Scalar`` columns derives its integer form on first use
+and keeps it, and ``.columns`` builds the ``Scalar`` columns of an integer
+operator on first use, so callers read either form through ``.columns``.
+Each kernel loop is written once: ``+``, ``*`` and truthiness act alike on
+``int`` and ``Scalar`` entries, and only the denominators differ.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from hombrax.scalars import RationalLike, Scalar, parse_scalar
@@ -195,13 +211,47 @@ def _canonical_column(entries: Iterable[tuple[int, Scalar]]) -> Column:
     return tuple(sorted((r, s) for r, s in entries if not s.is_zero()))
 
 
+_IntColumn = tuple[tuple[int, int], ...]
+_Integer = tuple[int, tuple[_IntColumn, ...]]
+
+
+def _reduced(den: int, cols: tuple[_IntColumn, ...]) -> _Integer:
+    """The canonical integer form of the operator cols / den (den != 0)."""
+    if den != 1:
+        g = math.gcd(den, *(v for col in cols for _, v in col))
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            cols = tuple(tuple((r, v // g) for r, v in col) for col in cols)
+    return den, cols
+
+
+def _integer_columns(cols: Iterable[Iterable[tuple[int, Fraction]]]) -> _Integer:
+    """The canonical integer form of columns of Fractions (zeros dropped).
+
+    Over the least common denominator a prime dividing it keeps its full
+    power in the denominator of some entry, whose scaled numerator it does
+    not divide, so the form needs no further reduction."""
+    cols = [[(r, x) for r, x in col if x] for col in cols]
+    den = math.lcm(*(x.denominator for col in cols for _, x in col))
+    return den, tuple(tuple((r, x.numerator * (den // x.denominator)) for r, x in col)
+                      for col in cols)
+
+
+def _scalar_column(den: int, col: _IntColumn) -> Column:
+    return tuple((r, Scalar.rational(Fraction(v, den))) for r, v in col)
+
+
 class TensorOp:
     """Total sparse map from the word dom to the word cod, columns indexed flat.
 
     ``TensorOp(space, arity, columns)`` builds an operator on V^(tensor arity).
     """
 
-    __slots__ = ("dom", "cod", "columns")
+    # _cols: Scalar columns, or None until built from _ints.  _ints: the
+    # integer form, None until derived from _cols, False for a symbolic map.
+    __slots__ = ("dom", "cod", "_cols", "_ints")
 
     def __init__(self, space: BasedSpace, arity: int,
                  columns: Mapping[int, Iterable[tuple[int, Scalar]]] | Sequence):
@@ -220,21 +270,60 @@ class TensorOp:
             for row, _ in col:
                 if not 0 <= row < n:
                     raise IndexError(f"row {row} out of range")
-        object.__setattr__(self, "dom", word)
-        object.__setattr__(self, "cod", word)
-        object.__setattr__(self, "columns", cols)
+        self._set(word, word, cols, None)
+
+    def _set(self, dom: Word, cod: Word, cols, ints) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_ints", ints)
 
     @classmethod
     def _trusted(cls, dom: Word, cod: Word, cols: tuple[Column, ...]) -> "TensorOp":
-        """A map from columns that are canonical and in range by construction."""
+        """A map from Scalar columns that are canonical and in range by construction."""
         op = object.__new__(cls)
-        object.__setattr__(op, "dom", dom)
-        object.__setattr__(op, "cod", cod)
-        object.__setattr__(op, "columns", cols)
+        op._set(dom, cod, cols, None)
+        return op
+
+    @classmethod
+    def _rational(cls, dom: Word, cod: Word, den: int,
+                  cols: tuple[_IntColumn, ...]) -> "TensorOp":
+        """The map cols / den from integer columns that are canonical and in
+        range by construction; the content gcd is divided out here."""
+        op = object.__new__(cls)
+        op._set(dom, cod, None, _reduced(den, cols))
         return op
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorOp is immutable")
+
+    # -- the two storage forms ---------------------------------------------
+
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        """The Scalar columns, built from the integer form on first use."""
+        cols = self._cols
+        if cols is None:
+            den, icols = self._ints
+            cols = tuple(_scalar_column(den, col) for col in icols)
+            object.__setattr__(self, "_cols", cols)
+        return cols
+
+    def _integer(self) -> _Integer | None:
+        """(den, int columns) of a rational map, derived on first use; None
+        for a symbolic one."""
+        ints = self._ints
+        if ints is None:
+            cols = self._cols
+            ints = (all(s.is_rational() for col in cols for _, s in col)
+                    and _integer_columns([(r, s.constant_value()) for r, s in col]
+                                         for col in cols))
+            object.__setattr__(self, "_ints", ints)
+        return ints or None
+
+    def _stored(self) -> tuple:
+        """The columns of either built form: the sparsity is the same."""
+        return self._ints[1] if self._cols is None else self._cols
 
     # -- basic queries -----------------------------------------------------
 
@@ -257,24 +346,26 @@ class TensorOp:
 
     @property
     def total_dim(self) -> int:
-        return len(self.columns)
+        return len(self._stored())
 
     def column(self, j: int) -> Column:
-        return self.columns[j]
+        if self._cols is None:
+            return _scalar_column(self._ints[0], self._ints[1][j])
+        return self._cols[j]
 
     def entry(self, row: int, col: int) -> Scalar:
-        for r, s in self.columns[col]:
+        for r, s in self.column(col):
             if r == row:
                 return s
         return Scalar.zero()
 
     def is_zero(self) -> bool:
-        return all(not col for col in self.columns)
+        return not any(self._stored())
 
     def first_nonzero_column(self) -> tuple[int, Column] | None:
-        for j, col in enumerate(self.columns):
+        for j, col in enumerate(self._stored()):
             if col:
-                return j, col
+                return j, self.column(j)
         return None
 
     def first_nonzero(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -289,14 +380,18 @@ class TensorOp:
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
-        return (self.dom == other.dom and self.cod == other.cod
-                and self.columns == other.columns)
+        if self.dom != other.dom or self.cod != other.cod:
+            return False
+        a, b = self._integer(), other._integer()
+        if a or b:  # a rational map never equals a symbolic one
+            return a == b
+        return self.columns == other.columns
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.columns))
+        return hash((self.dom, self.cod, self._integer() or self.columns))
 
     def __repr__(self):
-        nnz = sum(len(c) for c in self.columns)
+        nnz = sum(len(c) for c in self._stored())
         if self._is_power():
             return f"TensorOp(dim={self.dom[0].dim}, arity={len(self.dom)}, nnz={nnz})"
         dims = [[s.dim for s in w] for w in (self.dom, self.cod)]
@@ -304,21 +399,24 @@ class TensorOp:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _like(self, cols: Iterable) -> "TensorOp":
-        """Same words, with the given columns canonicalised."""
-        return TensorOp._trusted(self.dom, self.cod,
-                                 tuple(_canonical_column(c) for c in cols))
+    def _plus(self, other: "TensorOp", sign: int) -> "TensorOp":
+        _check_words(self.dom, other.dom)
+        _check_words(self.cod, other.cod)
+        a, b = self._integer(), other._integer()
+        if a and b:
+            den = math.lcm(a[0], b[0])
+            return TensorOp._rational(self.dom, self.cod, den, _sum_columns(
+                _scaled(a[1], den // a[0]), _scaled(b[1], sign * (den // b[0]))))
+        bcols = other.columns
+        if sign < 0:
+            bcols = tuple(tuple((r, -s) for r, s in col) for col in bcols)
+        return TensorOp._trusted(self.dom, self.cod, _sum_columns(self.columns, bcols))
 
     def __add__(self, other: "TensorOp") -> "TensorOp":
-        _check_words(self.dom, other.dom)
-        _check_words(self.cod, other.cod)
-        return self._like(a + b for a, b in zip(self.columns, other.columns))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        _check_words(self.dom, other.dom)
-        _check_words(self.cod, other.cod)
-        return self._like(a + tuple((r, -s) for r, s in b)
-                          for a, b in zip(self.columns, other.columns))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "TensorOp":
         return self.scale(Scalar.rational(-1))
@@ -331,18 +429,54 @@ class TensorOp:
         return compose(self, other)
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "TensorOp":
-        return self._like(tuple((r, fn(s)) for r, s in col) for col in self.columns)
+        return TensorOp._trusted(self.dom, self.cod, tuple(
+            _canonical_column((r, fn(s)) for r, s in col) for col in self.columns))
 
     def instantiate(self, assignment: Mapping[str, RationalLike]) -> "TensorOp":
         """Evaluate every entry at a rational parameter point."""
-        return self.map_scalars(lambda s: Scalar.rational(s.evaluate(assignment)))
+        return TensorOp._rational(self.dom, self.cod, *_integer_columns(
+            [(r, s.evaluate(assignment)) for r, s in col] for col in self.columns))
 
     def dense(self) -> list[list[Scalar]]:
-        rows = [[Scalar.zero()] * len(self.columns) for _ in range(_size(self.cod))]
+        rows = [[Scalar.zero()] * self.total_dim for _ in range(_size(self.cod))]
         for j, col in enumerate(self.columns):
             for r, s in col:
                 rows[r][j] = s
         return rows
+
+
+# The kernel loops.  Each runs on Scalar columns and on integer columns alike.
+
+def _scaled(cols: tuple, k: int) -> tuple:
+    return cols if k == 1 else tuple(tuple((r, k * v) for r, v in col) for col in cols)
+
+
+def _sum_columns(acols: tuple, bcols: tuple) -> tuple:
+    cols = []
+    for acol, bcol in zip(acols, bcols):
+        acc = dict(acol)
+        for r, s in bcol:
+            acc[r] = acc[r] + s if r in acc else s
+        # Rows are distinct dict keys, so sorting never compares entries.
+        cols.append(tuple(sorted(e for e in acc.items() if e[1])))
+    return tuple(cols)
+
+
+def _compose_columns(fcols: tuple, gcols: tuple) -> tuple:
+    cols = []
+    for gcol in gcols:
+        acc = {}
+        for i, s in gcol:
+            for r, t in fcols[i]:
+                p = s * t
+                acc[r] = acc[r] + p if r in acc else p
+        cols.append(tuple(sorted(e for e in acc.items() if e[1])))
+    return tuple(cols)
+
+
+def _tensor_columns(fcols: tuple, gcols: tuple, ng: int) -> tuple:
+    return tuple(tuple((rf * ng + rg, sf * sg) for rf, sf in fcol for rg, sg in gcol)
+                 for fcol in fcols for gcol in gcols)
 
 
 def as_op(data, dom: Word, cod: Word) -> TensorOp:
@@ -374,8 +508,7 @@ def as_op(data, dom: Word, cod: Word) -> TensorOp:
 def identity_op(space: BasedSpace | Word, m: int = 1) -> TensorOp:
     """The identity of V^(tensor m), or of a word of spaces."""
     word = _word(space, m)
-    one = Scalar.one()
-    return TensorOp._trusted(word, word, tuple(((j, one),) for j in range(_size(word))))
+    return TensorOp._rational(word, word, 1, tuple(((j, 1),) for j in range(_size(word))))
 
 
 def swap_op(A: BasedSpace | Word, B: BasedSpace | Word | None = None) -> TensorOp:
@@ -384,9 +517,8 @@ def swap_op(A: BasedSpace | Word, B: BasedSpace | Word | None = None) -> TensorO
     A = _word(A)
     B = A if B is None else _word(B)
     na, nb = _size(A), _size(B)
-    one = Scalar.one()
-    return TensorOp._trusted(A + B, B + A, tuple(((j * na + i, one),)
-                                                 for i in range(na) for j in range(nb)))
+    return TensorOp._rational(A + B, B + A, 1, tuple(((j * na + i, 1),)
+                                                     for i in range(na) for j in range(nb)))
 
 
 def compose(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
@@ -394,17 +526,10 @@ def compose(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
     if more:
         g = compose(g, *more)
     _check_words(f.dom, g.cod)
-    fcols = f.columns
-    cols = []
-    for gcol in g.columns:
-        acc: dict[int, Scalar] = {}
-        for i, s in gcol:
-            for r, t in fcols[i]:
-                p = s * t
-                acc[r] = acc[r] + p if r in acc else p
-        # Rows are distinct dict keys, so sorting never compares scalars.
-        cols.append(tuple(sorted(e for e in acc.items() if not e[1].is_zero())))
-    return TensorOp._trusted(g.dom, f.cod, tuple(cols))
+    a, b = f._integer(), g._integer()
+    if a and b:
+        return TensorOp._rational(g.dom, f.cod, a[0] * b[0], _compose_columns(a[1], b[1]))
+    return TensorOp._trusted(g.dom, f.cod, _compose_columns(f.columns, g.columns))
 
 
 def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
@@ -417,9 +542,11 @@ def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
     if more:
         return tensor_product(tensor_product(f, g), *more)
     ng = _size(g.cod)
-    cols = tuple(tuple((rf * ng + rg, sf * sg) for rf, sf in fcol for rg, sg in gcol)
-                 for fcol in f.columns for gcol in g.columns)
-    return TensorOp._trusted(f.dom + g.dom, f.cod + g.cod, cols)
+    dom, cod = f.dom + g.dom, f.cod + g.cod
+    a, b = f._integer(), g._integer()
+    if a and b:
+        return TensorOp._rational(dom, cod, a[0] * b[0], _tensor_columns(a[1], b[1], ng))
+    return TensorOp._trusted(dom, cod, _tensor_columns(f.columns, g.columns, ng))
 
 
 class LinearMap(TensorOp):
@@ -483,47 +610,72 @@ def power(f: TensorOp, k: int) -> TensorOp:
 
 
 def invert(f: TensorOp) -> TensorOp:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse by sparse Gauss-Jordan elimination on the rows of [F | I].
 
-    Pivots must be units of the Laurent ring (monomials); for fully
-    instantiated operators every nonzero entry qualifies, so this is plain
-    exact elimination.  Raises Singular if the operator has no inverse and
+    Column k is cleared by its sparsest unused pivot row: every other row
+    with an entry a there becomes p * row - a * (pivot row), p the pivot.
+    In integer form (F = A / den) that stays in integers: the changed row is
+    divided by the gcd of its entries, rows without an entry in column k
+    stay as they are, and at the end the pivot row of column k reads d e_k
+    on the left and d times row k of A^-1 on the right.  On Scalar entries
+    the pivot must be a unit of the Laurent ring (a monomial) and its row is
+    scaled to p = 1.  Raises Singular if the operator has no inverse and
     SymbolicNotMonomialInvertible if elimination gets stuck on symbolic
     entries none of which is a monomial.
     """
-    n = f.total_dim
-    m = f.dense()
-    aug = [[Scalar.one() if i == j else Scalar.zero() for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = None
-        stuck = False
-        for r in range(col, n):
-            if m[r][col].is_zero():
+    ints = f._integer()
+    den, cols = ints or (1, f.columns)
+    n = len(cols)
+    rows = [{n + i: 1 if ints else Scalar.one()} for i in range(n)]
+    for j, col in enumerate(cols):
+        for r, v in col:
+            rows[r][j] = v
+    unused = set(range(n))
+    pivots = []
+    for k in range(n):
+        hits = [i for i in range(n) if k in rows[i]]
+        free = [i for i in hits if i in unused]
+        if not free:
+            raise Singular(f"column {k} is dependent")
+        if not ints:
+            free = [i for i in free if rows[i][k].is_monomial()]
+            if not free:
+                raise SymbolicNotMonomialInvertible(f"no monomial pivot in column {k}")
+        pr = min(free, key=lambda i: len(rows[i]))
+        unused.discard(pr)
+        pivots.append(pr)
+        prow = rows[pr]
+        if not ints:
+            inv = prow[k].inverse()
+            prow = rows[pr] = {c: inv * v for c, v in prow.items()}
+        for i in hits:
+            if i == pr:
                 continue
-            if m[r][col].is_monomial():
-                pivot = r
-                break
-            stuck = True
-        if pivot is None:
-            if stuck:
-                raise SymbolicNotMonomialInvertible(
-                    f"no monomial pivot in column {col}")
-            raise Singular(f"column {col} is dependent")
-        m[col], m[pivot] = m[pivot], m[col]
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = m[col][col].inverse()
-        m[col] = [inv * e for e in m[col]]
-        aug[col] = [inv * e for e in aug[col]]
-        for r in range(n):
-            if r == col or m[r][col].is_zero():
-                continue
-            factor = m[r][col]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    cols = tuple(tuple((r, aug[r][j]) for r in range(n) if not aug[r][j].is_zero())
-                 for j in range(n))
-    return TensorOp._trusted(f.cod, f.dom, cols)
+            row = rows[i]
+            p, a = prow[k], row.pop(k)
+            if ints:
+                g = math.gcd(p, a)
+                p, a = p // g, a // g
+            acc = row if p == 1 else {c: p * v for c, v in row.items()}
+            for c, v in prow.items():
+                if c != k:
+                    t = -(a * v)
+                    acc[c] = acc[c] + t if c in acc else t
+            acc = {c: v for c, v in acc.items() if v}
+            if ints:
+                g = math.gcd(*acc.values())
+                if g > 1:
+                    acc = {c: v // g for c, v in acc.items()}
+            rows[i] = acc
+    out: list[list] = [[] for _ in range(n)]
+    for k, pr in enumerate(pivots):
+        d = rows[pr][k]
+        for c, v in rows[pr].items():
+            if c >= n:
+                out[c - n].append((k, Fraction(den * v, d) if ints else v))
+    if ints:
+        return TensorOp._rational(f.cod, f.dom, *_integer_columns(out))
+    return TensorOp._trusted(f.cod, f.dom, tuple(map(tuple, out)))
 
 
 def _on(alpha: TensorOp, space: BasedSpace) -> TensorOp:
@@ -544,7 +696,9 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
     old = op.space
     if arity < 1 or space.dim ** arity != op.total_dim:
         raise DimMismatch(f"cannot regroup dim {old.dim}^{op.arity} as {space.dim}^{arity}")
-    return TensorOp._trusted((space,) * arity, (space,) * arity, op.columns)
+    out = object.__new__(TensorOp)
+    out._set((space,) * arity, (space,) * arity, op._cols, op._ints)  # both forms, as built
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +715,28 @@ def op_to_json_dict(op: TensorOp) -> dict:
 
 
 def _json_int(value, what: str) -> int:
+    """A JSON integer, or a string in its one plain spelling str(int(s)):
+    "01", "1_0", " 1" and "+1" would alias other indices and sizes."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{what} must be an integer, not {value!r}")
-    return int(value)
+    if isinstance(value, int):
+        return value
+    try:
+        n = int(value)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+    if str(n) != value:
+        raise ValueError(f"{what} {value!r} must be written {n}")
+    return n
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """The object_pairs_hook of the JSON readers: a repeated key is refused
+    instead of the last one silently winning."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        raise ValueError(f"a JSON object repeats a key among {[k for k, _ in pairs]}")
+    return out
 
 
 # The structure-constant formats (Hom-Lie algebras, bialgebras and YD
@@ -652,13 +825,15 @@ def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorO
     total = dim ** arity
     cols: dict[int, list[tuple[int, Scalar]]] = {}
     for key, entries in columns.items():
-        j = int(key)
+        j = _json_int(key, "column")
         if not 0 <= j < total:
             raise IndexError(f"column {j} out of range")
         if not isinstance(entries, (list, tuple)) or any(
                 not isinstance(e, (list, tuple)) or len(e) != 2 for e in entries):
             raise ValueError(f"column {key}: entries must be [row, scalar] pairs")
         cols[j] = [(_json_int(r, "row"), parse_scalar(text)) for r, text in entries]
+        if len({r for r, _ in cols[j]}) < len(cols[j]):
+            raise ValueError(f"column {key} repeats a row")
     return TensorOp(space, arity, cols)
 
 
@@ -667,4 +842,4 @@ def op_dumps(op: TensorOp) -> str:
 
 
 def op_loads(text: str, space: BasedSpace | None = None) -> TensorOp:
-    return op_from_json_dict(json.loads(text), space)
+    return op_from_json_dict(json.loads(text, object_pairs_hook=_json_object), space)

@@ -80,6 +80,32 @@ def fraction_matmul(a, b):
              for j in range(n)] for i in range(n)]
 
 
+def fraction_kron(a, b):
+    """Plain dense Kronecker product of Fraction matrices (oracle for tensor_product)."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def fraction_det_and_inverse(a):
+    """(det, inverse) of a square Fraction matrix by plain Gauss-Jordan
+    elimination; the inverse is None when det = 0."""
+    n = len(a)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+    return det, [row[n:] for row in m]
+
+
 def fraction_grid(op: TensorOp) -> np.ndarray:
     """The entries of a map between words as an object array of Fractions,
     indexed by the domain's indices, then the codomain's.  The multi-indices

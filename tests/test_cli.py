@@ -382,6 +382,17 @@ def test_verify_braid_refuses_fewer_than_3_strands(capsys, monkeypatch, n):
     assert err.startswith("error:") and "3 strands" in err
 
 
+def _with(doc, path, value):
+    """A deep copy of doc with the entry at path replaced by value."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
 _PAIR = {"operator": {"dim": 2, "arity": 2,
                       "columns": {"0": [["0", "2"]], "1": [["2", "3"]],
                                   "2": [["1", "1"], ["2", "-1"]], "3": [["3", "2"]]}},
@@ -395,7 +406,16 @@ _PAIR = {"operator": {"dim": 2, "arity": 2,
     {"operator": {"dim": 2, "arity": 2, "columns": {"0": 5}}, "alpha": _PAIR["alpha"]},
     {"operator": _PAIR["operator"], "alpha": 5},
     {"operator": _PAIR["operator"], "alpha": [5, 6]},
-], ids=["operator list", "columns list", "column int", "alpha int", "alpha row int"])
+    # One index or size in two spellings: each used to be read, the last one
+    # silently winning.
+    _with(_PAIR, ["operator", "columns", "01"], [["1", "5"]]),
+    _with(_PAIR, ["operator", "columns", "0_3"], [["3", "5"]]),
+    _with(_PAIR, ["operator", "columns", "0"], [["0", "2"], ["00", "1"]]),
+    _with(_PAIR, ["operator", "columns", "0"], [["0", "2"], ["0", "1"]]),
+    _with(_PAIR, ["operator", "dim"], "0_2"),
+    _with(_PAIR, ["operator", "arity"], "+2"),
+], ids=["operator list", "columns list", "column int", "alpha int", "alpha row int",
+        "column 01", "column 0_3", "row 00", "row repeated", "dim 0_2", "arity +2"])
 def test_nested_wrong_type_json_exits_2(capsys, monkeypatch, command, doc):
     code, out, err = run(capsys, command.split(), stdin=json.dumps(doc),
                          monkeypatch=monkeypatch)
@@ -552,17 +572,7 @@ def test_classify_non_prime_field_exits_2_before_scanning(capsys, monkeypatch, a
 
 
 _IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-
-
-def _with(doc, path, value):
-    """A deep copy of doc with the entry at path replaced by value."""
-    doc = json.loads(json.dumps(doc))
-    *outer, last = path
-    target = doc
-    for key in outer:
-        target = target[key]
-    target[last] = value
-    return doc
+_BAD_JACOBI = json.loads(_GOLDEN_INPUTS["bad-jacobi"])
 
 
 def _yd_doc_with(path, value):
@@ -603,12 +613,40 @@ def _yd_doc_with(path, value):
     pytest.param("verify yd", _yd_doc_with(["bialgebra"], [1, 2]), id="bialgebra list"),
     pytest.param("yd verify", _yd_doc_with(["bialgebra", "dim"], "two"),
                  id="bialgebra dim text"),
+    # One index or size in two spellings: each used to be read, the last one
+    # silently winning.
+    pytest.param("verify hom-jacobi", _with(_BAD_JACOBI, ["c", "00,1"], {"1": "2"}),
+                 id="c key 00,1"),
+    pytest.param("verify hom-jacobi", _with(_BAD_JACOBI, ["c", "0,1", "01"], "2"),
+                 id="c index 01"),
+    pytest.param("verify hom-jacobi", _with(_BAD_JACOBI, ["dim"], "0_3"), id="dim 0_3"),
+    pytest.param("verify yd", _yd_doc_with(["action", "0, 1"], {"1": "1"}),
+                 id="action key 0, 1"),
+    pytest.param("verify yd", _yd_doc_with(["coaction", "1"], {"1,1": "1", "+1,1": "1"}),
+                 id="coaction index +1"),
+    pytest.param("verify yd", _yd_doc_with(["dim"], "2 "), id="dim 2 space"),
+    pytest.param("verify yd", _yd_doc_with(["bialgebra", "dim"], "0_2"),
+                 id="bialgebra dim 0_2"),
 ])
 def test_structure_constant_json_exits_2(capsys, monkeypatch, command, doc):
     code, out, err = run(capsys, command.split(), stdin=json.dumps(doc),
                          monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify ybe", '{"dim": 2, ' + json.dumps(_PAIR["operator"])[1:]),
+    ("verify ybe", '{"dim": 2, "arity": 2, "columns": {"0": [["0", "1"]], "0": [["1", "1"]]}}'),
+    ("verify hybe", '{"alpha": [["1", "0"], ["0", "1"]], ' + json.dumps(_PAIR)[1:]),
+    ("verify hom-jacobi", '{"dim": 3, ' + _GOLDEN_INPUTS["bad-jacobi"][1:]),
+    ("verify yd", '{"dim": 2, ' + _GOLDEN_INPUTS["yd-z2"][1:]),
+], ids=["ybe dim", "ybe column", "hybe alpha", "hom-jacobi dim", "yd dim"])
+def test_repeated_json_key_exits_2(capsys, monkeypatch, command, text):
+    """A key given twice in one JSON object is refused, not read last-wins."""
+    code, out, err = run(capsys, command.split(), stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "repeats a key" in err
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -629,7 +667,7 @@ def test_oversized_structure_constant_json_exits_2_before_building(
 
 
 _STRUCTURE_DOCS = {
-    "verify hom-jacobi": json.loads(_GOLDEN_INPUTS["bad-jacobi"]),
+    "verify hom-jacobi": _BAD_JACOBI,
     "verify yd": _z2_module_doc(({"0": "1"}, {"1": "-1"})),
 }
 

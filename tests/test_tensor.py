@@ -190,7 +190,7 @@ def test_compose_matches_dense_oracle():
 
 
 # sha256 of op_dumps(compose(op, op)) for each rational gallery operator, as
-# computed by the general term-map Scalar arithmetic: the constant fast path
+# computed by the general term-map Scalar arithmetic: the integer kernel
 # must reproduce the same text byte for byte.
 GALLERY_SQUARE_SHA256 = {
     "phi": "6da85b90ed9303225f29044299627c9debb8d1ac1f51695c67f4925643888883",
