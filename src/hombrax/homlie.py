@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
@@ -37,6 +35,9 @@ from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
                             SymbolicNotMonomialInvertible, TensorOp, _json_dense,
                             _json_dim, _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
                             as_op, compose, identity_op, invert, swap_op, tensor_product)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotAMorphism(ValueError):
@@ -308,6 +309,7 @@ class ClassificationReport:
 
 def _constants_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     """c[i, j, k] mod p; the dense bracket has rows k and columns (i, j)."""
+    import numpy as np
     n = L.dim
     return np.array([[reduce_mod_p(s.constant_value(), p) for s in row]
                      for row in L.bracket.dense()], dtype=np.int64).T.reshape(n, n, n)
@@ -315,6 +317,7 @@ def _constants_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
 
 def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     """Every A over F_p with A[x_i, x_j] = [A x_i, A x_j]: the brute-force oracle."""
+    import numpy as np
     n = L.dim
     scan_size(n, p)
     c = _constants_mod_p(L, p)
@@ -334,6 +337,8 @@ def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
 
 def _sl2_equation_solutions_mod_p(p: int) -> np.ndarray:
     """Every 3x3 matrix over F_p satisfying the nine morphism equations."""
+    import numpy as np
+
     def solves_equations(A: np.ndarray) -> np.ndarray:
         residuals = _sl2_residuals(A.transpose(1, 2, 0))
         return np.logical_and.reduce([r % p == 0 for r in residuals])

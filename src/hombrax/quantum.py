@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import Scalar, reduce_mod_p
 from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, TensorOp, compose, lift,
                             rebase)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Q = Scalar.param("q")
 L = Scalar.param("l")
@@ -301,6 +302,7 @@ def induced_solution(alpha: CompatibleAlpha) -> TensorOp:
 # ---------------------------------------------------------------------------
 
 def _bql_dense_mod_p(N: int, p: int, q_res: int, lam_res: int) -> np.ndarray:
+    import numpy as np
     op = bql(N).instantiate({"q": q_res, "l": lam_res})
     dense = np.zeros((N * N, N * N), dtype=np.int64)
     for j, col in enumerate(op.columns):
@@ -321,6 +323,7 @@ def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
     ValueError before bql(N) is built for a scan the engine refuses, and at
     degenerate residues (q^2 = 1 or l = 0 mod p).
     """
+    import numpy as np
     scan_size(N, p)
     if (q_res * q_res - 1) % p == 0 or lam_res % p == 0:
         raise ValueError(f"q = {q_res}, l = {lam_res} is degenerate mod {p}: "

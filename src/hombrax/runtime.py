@@ -7,18 +7,20 @@ predicate accepts.  Its guard ``scan_size`` refuses a modulus that is not an
 odd prime and a scan of more than ``_MAX_CANDIDATES`` candidates with
 ValueError (exit 2 on the command line), before anything sized by n or p is
 allocated.  HOMBRAX_THREADS caps the threads the chunks are spread over, and
-never exceeds ``os.cpu_count()``.
+never exceeds the CPUs this process may run on.  numpy and the thread pool
+are imported inside the scan functions, so a process that never scans (every
+exact identity check) does not load them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from hombrax.scalars import is_odd_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Candidates decoded per chunk: bounds the memory of one predicate call.
 _CHUNK = 200_000
@@ -28,14 +30,18 @@ _MAX_CANDIDATES = 1 << 26
 
 
 def worker_count() -> int:
-    """Thread cap for the exhaustive scans: HOMBRAX_THREADS, at most
-    ``os.cpu_count()``; defaults to 1 (serial), also for a malformed value."""
+    """Thread cap for the exhaustive scans: HOMBRAX_THREADS, at most the CPUs
+    this process may run on; defaults to 1 (serial), also for a malformed value."""
     raw = os.environ.get("HOMBRAX_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, min(n, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n, cpus))
 
 
 def map_chunks(fn: Callable, items: Sequence) -> list:
@@ -47,6 +53,7 @@ def map_chunks(fn: Callable, items: Sequence) -> list:
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -68,6 +75,7 @@ def scan_size(n: int, p: int) -> int:
 
 def _decode(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     """Row-major base-p digits of candidate indices as (count, n, n) matrices."""
+    import numpy as np
     return np.stack(np.unravel_index(idx, (p,) * (n * n)), axis=-1,
                     dtype=np.int64).reshape(-1, n, n)
 
@@ -76,6 +84,7 @@ def scan_matrices(n: int, p: int, keep: Callable[[np.ndarray], np.ndarray]) -> n
     """The n x n matrices over F_p that ``keep`` accepts, in index order.  ``keep``
     maps a (count, n, n) int64 array of entries in 0..p-1 to a boolean mask of
     length count, and must be safe to call from threads."""
+    import numpy as np
     total = scan_size(n, p)
 
     def scan(start: int) -> np.ndarray:

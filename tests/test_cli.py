@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +352,50 @@ def test_golden_output(capsys, monkeypatch, argv, source, code, digest):
             stdin = run(capsys, stdin)[1]
     got_code, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this hombrax."""
+    import hombrax
+    src = str(Path(hombrax.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+_FRESH_SCANS = [["classify", "sl2", "--field", "3"],
+                ["classify", "heisenberg", "--field", "3"],
+                ["classify", "compatible", "--dim", "2", "--field", "5"]]
+
+
+@pytest.mark.scan
+@pytest.mark.parametrize("argv", _FRESH_SCANS, ids=" ".join)
+def test_scan_commands_in_a_fresh_process(argv):
+    # The `python -m hombrax.cli` entry point in a fresh interpreter, where
+    # nothing but the scan path itself loads numpy or the thread pool.
+    (code, digest), = [(c, d) for a, src, c, d in _GOLDEN if a == argv and src is None]
+    proc = subprocess.run([sys.executable, "-m", "hombrax.cli", *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, hashlib.sha256(proc.stdout.encode()).hexdigest()) == (code, digest)
+
+
+_IMPORT_PROBE = """
+import importlib, pkgutil, sys
+import hombrax
+for mod in pkgutil.iter_modules(hombrax.__path__):
+    importlib.import_module("hombrax." + mod.name)
+loaded = sorted({"numpy", "concurrent.futures"} & set(sys.modules))
+assert not loaded, f"importing hombrax loaded {loaded}"
+from hombrax import homlie
+homlie.classify_sl2_finite_field(3)
+assert "numpy" in sys.modules
+"""
+
+
+@pytest.mark.scan
+def test_numpy_loads_only_when_a_scan_runs():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- hostile input ------------------------------------------------------------

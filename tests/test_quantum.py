@@ -233,7 +233,8 @@ def test_scan_is_stable_under_thread_cap(monkeypatch):
 
     monkeypatch.setattr(runtime, "map_chunks", counting_map_chunks)
     monkeypatch.setattr(runtime, "_CHUNK", 100)
-    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(runtime.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
     monkeypatch.setenv("HOMBRAX_THREADS", "4")
     assert runtime.worker_count() == 4
     assert brute_force_compatible_field(2, 5) == serial_accept
@@ -287,10 +288,20 @@ def test_brute_force_refuses_before_building_bql(monkeypatch):
 
 
 def test_thread_cap_is_at_most_cpu_count(monkeypatch):
+    # The fallback for a platform without an affinity mask.
+    monkeypatch.delattr(runtime.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(runtime.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("HOMBRAX_THREADS", "64")
     assert runtime.worker_count() == 2
     monkeypatch.setenv("HOMBRAX_THREADS", "many")
+    assert runtime.worker_count() == 1
+
+
+def test_thread_cap_is_at_most_affinity(monkeypatch):
+    # A process pinned to one CPU of a larger host scans serially.
+    monkeypatch.setattr(runtime.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(runtime.os, "cpu_count", lambda: 64)
+    monkeypatch.setenv("HOMBRAX_THREADS", "4")
     assert runtime.worker_count() == 1
 
 
