@@ -18,8 +18,9 @@ Hom-Lie algebra, and every Hom-Lie algebra L gives a braiding on the
 one-dimensional extension C (+) L which solves the twisted braid identity.
 
 The family lists are backed by exhaustive finite-field oracles
-(``classify_*_finite_field``) that scan every matrix over F_p and confirm
-that the families cover all morphism solutions.
+(``classify_*_finite_field``) that scan every matrix A over F_p for the
+bracket residual A[x_i, x_j] - [A x_i, A x_j] and confirm that the families
+cover all morphism solutions.
 """
 
 from __future__ import annotations
@@ -258,29 +259,6 @@ def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
     raise ConstraintViolated(f"kind must be 0..3, got {kind}")
 
 
-def _sl2_residuals(e) -> tuple:
-    """The nine sl(2) morphism residuals of a 3x3 grid e[i][j]: Scalars for
-    ``sl2_morphism_equations``, numpy columns of candidates for the scan."""
-    return (
-        e[1][0] * e[2][1] - e[1][1] * e[2][0] - 2 * e[0][1],
-        e[0][1] * e[1][0] - e[1][1] * (e[0][0] - 1),
-        e[0][1] * e[2][0] - e[2][1] * (1 + e[0][0]),
-        e[1][0] * e[2][2] - e[1][2] * e[2][0] + 2 * e[0][2],
-        e[0][2] * e[1][0] - e[1][2] * (1 + e[0][0]),
-        e[0][2] * e[2][0] - e[2][2] * (e[0][0] - 1),
-        e[0][0] - e[1][1] * e[2][2] + e[1][2] * e[2][1],
-        e[1][0] - 2 * (e[0][1] * e[1][2] - e[0][2] * e[1][1]),
-        e[2][0] - 2 * (e[0][2] * e[2][1] - e[0][1] * e[2][2]),
-    )
-
-
-def sl2_morphism_equations(alpha: TensorOp) -> tuple[Scalar, ...]:
-    """The nine residuals that vanish exactly when alpha preserves the sl(2) bracket."""
-    if alpha.arity != 1 or alpha.total_dim != 3:
-        raise DimMismatch("need a 3x3 matrix")
-    return _sl2_residuals(alpha.dense())
-
-
 # ---------------------------------------------------------------------------
 # Finite-field completeness oracles.
 # ---------------------------------------------------------------------------
@@ -325,25 +303,24 @@ def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def preserves_brackets(A: np.ndarray) -> np.ndarray:
-        ok = np.ones(A.shape[0], dtype=bool)
+        # Each pair is checked only on the candidates (indices into A) that
+        # every earlier pair kept.
+        alive, B = np.arange(A.shape[0]), A
         for i, j in pairs:
-            lhs = np.einsum("crm,m->cr", A, c[i, j])
-            rhs = (A[:, :, i, None] * A[:, None, :, j]).reshape(-1, n * n) @ cc
-            ok &= ~((lhs - rhs) % p).any(axis=1)
+            lhs = np.einsum("crm,m->cr", B, c[i, j])
+            rhs = (B[:, :, i, None] * B[:, None, :, j]).reshape(-1, n * n) @ cc
+            kept = ~((lhs - rhs) % p).any(axis=1)
+            alive, B = alive[kept], B[kept]
+        ok = np.zeros(A.shape[0], dtype=bool)
+        ok[alive] = True
         return ok
 
     return scan_matrices(n, p, preserves_brackets)
 
 
 def _sl2_equation_solutions_mod_p(p: int) -> np.ndarray:
-    """Every 3x3 matrix over F_p satisfying the nine morphism equations."""
-    import numpy as np
-
-    def solves_equations(A: np.ndarray) -> np.ndarray:
-        residuals = _sl2_residuals(A.transpose(1, 2, 0))
-        return np.logical_and.reduce([r % p == 0 for r in residuals])
-
-    return scan_matrices(3, p, solves_equations)
+    """The sl(2) morphism scan (kept for perfbench)."""
+    return morphism_matrices_mod_p(sl2(), p)
 
 
 def _sl2_family_kinds(flat: tuple[int, ...], p: int) -> list[str]:
@@ -398,9 +375,9 @@ def _make_report(algebra: str, p: int, solutions: np.ndarray,
 
 
 def classify_sl2_finite_field(p: int, strict: bool = False) -> ClassificationReport:
-    """Scan all 3x3 matrices over F_p against the nine equations, then cover
-    every solution by the four sl(2) families."""
-    solutions = _sl2_equation_solutions_mod_p(p)
+    """Brute-force sl(2) morphisms over F_p, then cover every solution by the
+    four sl(2) families."""
+    solutions = morphism_matrices_mod_p(sl2(), p)
     return _make_report("sl2", p, solutions,
                         lambda flat: _sl2_family_kinds(flat, p), strict)
 
@@ -450,34 +427,24 @@ def extended_alpha(L: HomLieAlgebra) -> LinearMap:
     return LinearMap(extension_space(L), rows)
 
 
-def _extension_braiding(L: HomLieAlgebra, flip: TensorOp,
-                        correction: TensorOp | None, stride: int) -> TensorOp:
-    """(a, x) (x) (b, y) -> (b, flip y) (x) (a, flip x) plus the bracket term.
+def _extension_braiding(L: HomLieAlgebra, a: TensorOp, b: TensorOp,
+                        bracket_left: bool) -> TensorOp:
+    """swap (a' (x) a') plus the bracket term, on E (x) E for E = C (+) L.
 
-    The bracket term correction[x, y] (or [x, y] when correction is None)
-    lands in the tensor factor of the given stride, with (1, 0) in the
-    other: stride 1 is the right factor, stride d = dim + 1 the left one.
+    a' = 1 (+) a is unit o coord + inc o a o proj, built from the unit
+    () -> E, its coordinate E -> (), the inclusion L -> E and the projection
+    E -> L.  The bracket term inc o b o (proj (x) proj) sits beside the unit:
+    in the right tensor factor, or in the left one when bracket_left.
     """
-    n = L.dim
-    d = n + 1
-    F = flip.dense()
-    bracket = L.bracket if correction is None else compose(correction, L.bracket)
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
-    for pi in range(d):
-        for qi in range(d):
-            if pi == 0 and qi == 0:
-                entries = [(0, Scalar.one())]
-            elif pi == 0:
-                entries = [((k + 1) * d, F[k][qi - 1]) for k in range(n)]
-            elif qi == 0:
-                entries = [(k + 1, F[k][pi - 1]) for k in range(n)]
-            else:
-                entries = [((k + 1) * d + (m + 1), F[k][qi - 1] * F[m][pi - 1])
-                           for k in range(n) for m in range(n)]
-                entries += [((m + 1) * stride, coef)
-                            for m, coef in bracket.columns[(pi - 1) * n + qi - 1]]
-            cols[pi * d + qi] = entries
-    return TensorOp(extension_space(L), 2, cols)
+    E, V, n = extension_space(L), L.space, L.dim
+    unit = TensorOp._rational((), (E,), 1, (((0, 1),),))
+    coord = TensorOp._rational((E,), (), 1, (((0, 1),),) + ((),) * n)
+    inc = TensorOp._rational((V,), (E,), 1, tuple(((k + 1, 1),) for k in range(n)))
+    proj = TensorOp._rational((E,), (V,), 1, ((),) + tuple(((k, 1),) for k in range(n)))
+    a_ext = compose(unit, coord) + compose(inc, a, proj)
+    term = compose(inc, b, tensor_product(proj, proj))
+    term = tensor_product(term, unit) if bracket_left else tensor_product(unit, term)
+    return compose(swap_op(E), tensor_product(a_ext, a_ext)) + term
 
 
 def braiding_on_extension(L: HomLieAlgebra) -> TensorOp:
@@ -486,7 +453,7 @@ def braiding_on_extension(L: HomLieAlgebra) -> TensorOp:
         (a, x) (x) (b, y) -> (b, alpha y) (x) (a, alpha x) + (1, 0) (x) (0, [x, y])
     """
     L.validate()
-    return _extension_braiding(L, L.alpha, None, 1)
+    return _extension_braiding(L, L.alpha, L.bracket, False)
 
 
 def braiding_inverse_on_extension(L: HomLieAlgebra) -> TensorOp:
@@ -499,7 +466,7 @@ def braiding_inverse_on_extension(L: HomLieAlgebra) -> TensorOp:
         inv = invert(L.alpha)
     except (Singular, SymbolicNotMonomialInvertible) as exc:
         raise AlphaSingular("alpha is not invertible") from exc
-    return _extension_braiding(L, inv, compose(inv, inv), L.dim + 1)
+    return _extension_braiding(L, inv, compose(inv, inv, L.bracket), True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     contract,
+    dense_matmul,
     extension_instances,
     fraction_grid,
     rand_fraction,
@@ -35,10 +36,10 @@ from hombrax.homlie import (
     hom_jacobi_residual,
     is_hom_lie_isomorphism,
     lie_algebra,
+    morphism_matrices_mod_p,
     multiplicativity_residual,
     sl2,
     sl2_morphism,
-    sl2_morphism_equations,
     sl2_star,
     sl2_star_morphism,
     twisted_constants,
@@ -178,24 +179,10 @@ def test_char_poly_against_det3():
         assert coeffs[3] == -det3(m)
 
 
-def test_nine_equations_examples():
-    assert all(s.is_zero() for s in
-               sl2_morphism_equations(LinearMap.identity(sl2().space)))
-    assert all(s.is_zero() for s in sl2_morphism_equations(sl2_morphism(0)))
-
-
-def test_nine_equations_agree_with_direct_residual_mod5():
-    rng = random.Random(4)
+def test_identity_and_zero_are_sl2_morphisms():
     g = sl2()
-    for _ in range(1000):
-        rows = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-        alpha = LinearMap(g.space, rows)
-        eq_zero = all(s.constant_value() % 5 == 0
-                      for s in sl2_morphism_equations(alpha))
-        res_zero = all(v.constant_value() % 5 == 0
-                       for col in multiplicativity_residual(g, alpha).columns
-                       for _, v in col)
-        assert eq_zero == res_zero
+    assert multiplicativity_residual(g, LinearMap.identity(g.space)).is_zero()
+    assert multiplicativity_residual(g, sl2_morphism(0)).is_zero()
 
 
 @pytest.mark.scan
@@ -226,13 +213,15 @@ def test_classify_rejects_bad_prime():
 
 
 @pytest.mark.scan
-def test_sl2_equation_scan_matches_generic_morphism_scan():
-    # The nine equations against the bracket-by-bracket scan of sl(2).
-    from hombrax.homlie import _sl2_equation_solutions_mod_p, morphism_matrices_mod_p
-    by_equations = _sl2_equation_solutions_mod_p(3)
-    generic = morphism_matrices_mod_p(sl2(), 3)
-    assert by_equations.shape == generic.shape == (25, 3, 3)
-    assert (by_equations == generic).all()
+def test_morphism_scan_counts_match_family_formulas():
+    # Heisenberg: six free parameters.  Poincare: kind 1 has six free
+    # parameters and kind 2 has a11 != 1 and two free ones, disjoint from
+    # kind 1 (a11 = 1).  sl(2) at p = 3 has 25 solutions.
+    for p in (3, 5):
+        assert morphism_matrices_mod_p(heisenberg(), p).shape == (p ** 6, 3, 3)
+        assert morphism_matrices_mod_p(sl2_star(), p).shape == (
+            p ** 6 + (p - 1) * p ** 2, 3, 3)
+    assert morphism_matrices_mod_p(sl2(), 3).shape == (25, 3, 3)
 
 
 @pytest.mark.scan
@@ -251,22 +240,51 @@ def test_braiding_on_abelian_extension_is_flip():
     assert braiding_inverse_on_extension(ab) == b
 
 
+def inverse3(m):
+    """The inverse of a 3x3 Scalar matrix by the adjugate."""
+    inv_det = det3(LinearMap(sl2().space, m)).inverse()
+    return [[(m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+              - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]) * inv_det
+             for j in range(3)] for i in range(3)]
+
+
+def displayed_extension_columns(flip, bracket, bracket_left):
+    """Columns of (a, x) (x) (b, y) -> (b, flip y) (x) (a, flip x) plus [x, y]
+    (bracket[k][i*n + j] is its x_k coefficient) beside (1, 0): in the right
+    factor, or in the left one when bracket_left; E = C (+) L has dim n + 1."""
+    n = len(flip)
+    d = n + 1
+    one, zero = Scalar.one(), Scalar.zero()
+    ext = [[one] + [zero] * n] + [[zero] + row for row in flip]  # 1 (+) flip
+    cols = []
+    for p in range(d):
+        for q in range(d):
+            col = {r * d + s: ext[r][q] * ext[s][p] for r in range(d) for s in range(d)}
+            if p and q:
+                for k in range(n):
+                    row = (k + 1) * d if bracket_left else k + 1
+                    col[row] = col[row] + bracket[k][(p - 1) * n + q - 1]
+            cols.append({r: v for r, v in col.items() if not v.is_zero()})
+    return cols
+
+
 def test_braiding_matches_displayed_formula():
-    # sl(2) twisted by the diagonal member: check columns of the formula
     # B((a,x) (x) (b,y)) = (b, alpha y) (x) (a, alpha x) + (1,0) (x) (0, [x,y])
-    twisted = yau_twist(sl2(), sl2_morphism(1, 0, 2, 0))  # alpha = diag(1,2,1/2)
-    b = braiding_on_extension(twisted)
-    d = 4
-    # column u0 (x) u0 -> u0 (x) u0
-    assert b.column(0) == ((0, Scalar.one()),)
-    # column u0 (x) Y -> (0, alpha Y) (x) (1, 0) = 2 Y (x) u0
-    assert b.column(2) == ((2 * d, Scalar.rational(2)),)
-    # column X (x) Y: (0, alpha Y) (x) (0, alpha X) + u0 (x) (0, [X,Y]_twisted)
-    # = 2 Y (x) X + u0 (x) 4 Y   (twisted bracket [X,Y] = alpha(2 alpha Y) ... )
-    col = dict(b.column(1 * d + 2))
-    assert col[2 * d + 1] == Scalar.rational(2)
-    expected_bracket = twisted.bracket_vec(0, 1)
-    assert col[2] == expected_bracket[1]
+    # and the closed-form inverse
+    # (a,x) (x) (b,y) -> (b, inv y) (x) (a, inv x) + (0, inv^2 [x,y]) (x) (1,0),
+    # column by column on a rational sl(2) twist and a symbolic Heisenberg twist.
+    a, b, c, d = (Scalar.param(x) for x in "abcd")
+    for twisted in (yau_twist(sl2(), sl2_morphism(3, 1, 2, Fraction(1, 3))),
+                    yau_twist(heisenberg(), heisenberg_morphism(b, c, a, 0, 0, d))):
+        alpha, bracket = twisted.alpha.dense(), twisted.bracket.dense()
+        inv = inverse3(alpha)
+        inv2 = dense_matmul(inv, inv)
+        inv2_bracket = [[sum((inv2[k][m] * bracket[m][j] for m in range(3)), Scalar.zero())
+                         for j in range(9)] for k in range(3)]
+        assert [dict(col) for col in braiding_on_extension(twisted).columns] == \
+            displayed_extension_columns(alpha, bracket, False)
+        assert [dict(col) for col in braiding_inverse_on_extension(twisted).columns] == \
+            displayed_extension_columns(inv, inv2_bracket, True)
 
 
 def test_braiding_extension_requires_invariants():
