@@ -1,7 +1,8 @@
 """Symmetric-group combinatorics and braid operators on tensor powers.
 
 A permutation of degree n acts on 1..n; its length is the inversion count,
-and a reduced word expresses it as that many adjacent transpositions.  By
+and a reduced word expresses it as that many adjacent transpositions,
+held as the tuple of letters i in 1..n-1, the transposition (i, i+1).  By
 Iwahori's classical result the positive braid word of any reduced
 decomposition depends only on the permutation, so a twisted braiding B
 with twisting map alpha assigns to each permutation gamma a well-defined
@@ -29,6 +30,7 @@ from hombrax.tensor import (
     Singular,
     SymbolicNotMonomialInvertible,
     TensorOp,
+    _Frozen,
     compose,
     identity_op,
     invert,
@@ -47,7 +49,7 @@ class NotInvertible(ValueError):
     """B or alpha is not invertible."""
 
 
-class Permutation:
+class Permutation(_Frozen):
     """Element of Sigma_n as the 1-based image tuple (gamma(1), ..., gamma(n))."""
 
     __slots__ = ("images",)
@@ -57,9 +59,6 @@ class Permutation:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @property
     def n(self) -> int:
@@ -114,44 +113,7 @@ def length(gamma: Permutation) -> int:
                if w[i] > w[j])
 
 
-class BraidWord:
-    """A positive braid word: generator indices in 1..n-1."""
-
-    __slots__ = ("n", "letters")
-
-    def __init__(self, n: int, letters: Sequence[int]):
-        letters = tuple(letters)
-        for i in letters:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"letter {i} not in 1..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BraidWord is immutable")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (isinstance(other, BraidWord) and self.n == other.n
-                and self.letters == other.letters)
-
-    def __hash__(self):
-        return hash((self.n, self.letters))
-
-    def __repr__(self):
-        return f"BraidWord(n={self.n}, letters={self.letters})"
-
-    def permutation(self) -> Permutation:
-        """Product of the adjacent transpositions, leftmost letter applied last."""
-        out = Permutation.identity(self.n)
-        for i in self.letters:
-            out = out * Permutation.transposition(self.n, i)
-        return out
-
-
-def reduced_word(gamma: Permutation, strategy: str = "smallest") -> BraidWord:
+def reduced_word(gamma: Permutation, strategy: str = "smallest") -> tuple[int, ...]:
     """A reduced word for gamma by bubble sort.
 
     Repeatedly pick a descent position i of the one-line word (the smallest;
@@ -168,7 +130,7 @@ def reduced_word(gamma: Permutation, strategy: str = "smallest") -> BraidWord:
         i = descents[0] if strategy == "smallest" else descents[-1]
         recorded.append(i)
         w[i - 1], w[i] = w[i], w[i - 1]
-    return BraidWord(gamma.n, tuple(reversed(recorded)))
+    return tuple(reversed(recorded))
 
 
 def all_reduced_words(gamma: Permutation) -> list[tuple[int, ...]]:
@@ -248,19 +210,19 @@ def _strands(B: TensorOp, alpha: TensorOp, n: int) -> dict[int, TensorOp]:
 
 
 def theta_operator(gamma: Permutation, B: TensorOp, alpha: TensorOp,
-                   word: BraidWord | Sequence[int] | None = None) -> TensorOp:
+                   word: Sequence[int] | None = None) -> TensorOp:
     """B^gamma: the strand operators composed along a reduced word of gamma.
 
     Iwahori well-definedness makes the result independent of the word; pass
-    one explicitly to exercise that.  Requires (B, alpha) to be an
-    invertible solution of the twisted braid identity.
+    one explicitly, as letters in 1..n-1, to exercise that; ``build_Bi``
+    refuses any other letter.  Requires (B, alpha) to be an invertible
+    solution of the twisted braid identity.
     """
     strands = _strands(B, alpha, gamma.n)
     if word is None:
         word = reduced_word(gamma)
-    letters = word.letters if isinstance(word, BraidWord) else tuple(word)
     out = None
-    for i in reversed(letters):
+    for i in reversed(word):
         if i not in strands:
             strands[i] = build_Bi(B, alpha, gamma.n, i)
         out = strands[i] if out is None else compose(strands[i], out)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
-from hombrax.scalars import RationalLike, Scalar, reduce_mod_p
+from hombrax.scalars import RationalLike, Scalar
 from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
                             SymbolicNotMonomialInvertible, TensorOp, _json_dense,
                             _json_dim, _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
@@ -285,20 +285,13 @@ class ClassificationReport:
         return out
 
 
-def _constants_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
-    """c[i, j, k] mod p; the dense bracket has rows k and columns (i, j)."""
-    import numpy as np
-    n = L.dim
-    return np.array([[reduce_mod_p(s.constant_value(), p) for s in row]
-                     for row in L.bracket.dense()], dtype=np.int64).T.reshape(n, n, n)
-
-
 def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     """Every A over F_p with A[x_i, x_j] = [A x_i, A x_j]: the brute-force oracle."""
     import numpy as np
     n = L.dim
     scan_size(n, p)
-    c = _constants_mod_p(L, p)
+    # c[i, j, k]: the dense bracket has rows k and columns (i, j).
+    c = np.array(L.bracket.mod_p(p), dtype=np.int64).T.reshape(n, n, n)
     cc = c.reshape(n * n, n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -345,8 +338,7 @@ def _sl2_family_kinds(flat: tuple[int, ...], p: int) -> list[str]:
         alpha = sl2_morphism(kind, a, b, c)
     except ConstraintViolated:
         return kinds
-    if tuple(reduce_mod_p(s.constant_value(), p)
-             for row in alpha.dense() for s in row) == flat:
+    if tuple(x for row in alpha.mod_p(p) for x in row) == flat:
         kinds.append(f"kind{kind}")
     return kinds
 

@@ -12,7 +12,11 @@ self-map of V.  The twisted braid identity compares
 
 against the same composite with the factors exchanged, and only makes
 sense when B commutes with alpha (x) alpha; that compatibility is enforced
-with a hard error, not silently assumed.
+with a hard error, not silently assumed.  It is the braid relation
+x y x = y x y of the two strands x = alpha (x) B and y = B (x) alpha on
+V^(x)3, and the Yang-Baxter identity is its case alpha = Id.  One
+expression, ``_braid``, builds that relation's residual for both, and for
+each pair of adjacent strands in ``braid_relation_residuals``.
 """
 
 from __future__ import annotations
@@ -54,14 +58,17 @@ def compatibility_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:
     return compose(a2, B) - compose(B, a2)
 
 
+def _braid(x: TensorOp, y: TensorOp) -> TensorOp:
+    """The braid-relation residual x y x - y x y."""
+    return compose(x, y, x) - compose(y, x, y)
+
+
 def ybe_residual(B: TensorOp) -> TensorOp:
     """Difference of the two sides of the Yang-Baxter identity on V^(x)3."""
     if B.arity != 2:
         raise DimMismatch(f"B must have arity 2, got {B.arity}")
     one = identity_op(B.space, 1)
-    ib = tensor_product(one, B)
-    bi = tensor_product(B, one)
-    return compose(ib, compose(bi, ib)) - compose(bi, compose(ib, bi))
+    return _braid(tensor_product(one, B), tensor_product(B, one))
 
 
 def hybe_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:
@@ -72,9 +79,7 @@ def hybe_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:
     """
     if not compatibility_residual(B, alpha).is_zero():
         raise IncompatiblePair("B does not commute with alpha (x) alpha")
-    ab = tensor_product(alpha, B)
-    ba = tensor_product(B, alpha)
-    return compose(ab, compose(ba, ab)) - compose(ba, compose(ab, ba))
+    return _braid(tensor_product(alpha, B), tensor_product(B, alpha))
 
 
 def twist(B: TensorOp, alpha: TensorOp) -> TensorOp:
@@ -118,7 +123,5 @@ def braid_relation_residuals(B: TensorOp, alpha: TensorOp,
     for i in range(1, n):
         for j in range(i + 2, n):
             out.append(compose(ops[i], ops[j]) - compose(ops[j], ops[i]))
-    for i in range(1, n - 1):
-        out.append(compose(ops[i], compose(ops[i + 1], ops[i]))
-                   - compose(ops[i + 1], compose(ops[i], ops[i + 1])))
+    out.extend(_braid(ops[i], ops[i + 1]) for i in range(1, n - 1))
     return out

@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Mapping
 
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
-from hombrax.scalars import Scalar, reduce_mod_p
-from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, TensorOp, compose, lift,
-                            rebase)
+from hombrax.scalars import Scalar
+from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, TensorOp, _Frozen, compose,
+                            lift, rebase)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,7 +95,7 @@ def phi_equals_bql_swapped() -> bool:
 # Support patterns and the compatible twisting maps.
 # ---------------------------------------------------------------------------
 
-class SupportPattern:
+class SupportPattern(_Frozen):
     """Columns 1..N each carrying at most one row, rows increasing on the support."""
 
     __slots__ = ("N", "column_rows")
@@ -111,9 +111,6 @@ class SupportPattern:
                     f"rows must increase along the support: k({c1}) = {r1}, k({c2}) = {r2}")
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "column_rows", items)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupportPattern is immutable")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -202,7 +199,7 @@ def group_patterns_by_shape(N: int) -> dict[SupportPattern, list[SupportPattern]
             for shape in maximal_patterns(N)}
 
 
-class CompatibleAlpha:
+class CompatibleAlpha(_Frozen):
     """A support pattern dressed with its nonzero column entries."""
 
     __slots__ = ("pattern", "values")
@@ -218,13 +215,10 @@ class CompatibleAlpha:
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "values", tuple(sorted(vals.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CompatibleAlpha is immutable")
-
     @staticmethod
-    def symbolic(pattern: SupportPattern, prefix: str = "a") -> "CompatibleAlpha":
-        return CompatibleAlpha(
-            pattern, {c: Scalar.param(f"{prefix}{c}") for c in pattern.support})
+    def symbolic(pattern: SupportPattern) -> "CompatibleAlpha":
+        """The pattern with the parameter a<c> in each support column c."""
+        return CompatibleAlpha(pattern, {c: Scalar.param(f"a{c}") for c in pattern.support})
 
     def value(self, col: int) -> Scalar:
         for c, v in self.values:
@@ -232,9 +226,9 @@ class CompatibleAlpha:
                 return v
         return Scalar.zero()
 
-    def to_linear_map(self, space: BasedSpace | None = None) -> TensorOp:
-        """The self-map sending e_c to value(c) e_k(c)."""
-        return TensorOp(space or BasedSpace.of_dim(self.pattern.N), 1,
+    def to_linear_map(self) -> TensorOp:
+        """The self-map of e1..eN sending e_c to value(c) e_k(c)."""
+        return TensorOp(BasedSpace.of_dim(self.pattern.N), 1,
                         {c - 1: [(self.pattern.row(c) - 1, v)] for c, v in self.values})
 
     def __repr__(self):
@@ -301,16 +295,6 @@ def induced_solution(alpha: CompatibleAlpha) -> TensorOp:
 # Finite-field brute force: the accept set of the compatibility residual.
 # ---------------------------------------------------------------------------
 
-def _bql_dense_mod_p(N: int, p: int, q_res: int, lam_res: int) -> np.ndarray:
-    import numpy as np
-    op = bql(N).instantiate({"q": q_res, "l": lam_res})
-    dense = np.zeros((N * N, N * N), dtype=np.int64)
-    for j, col in enumerate(op.columns):
-        for r, s in col:
-            dense[r, j] = reduce_mod_p(s.constant_value(), p)
-    return dense
-
-
 def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
                                  lam_res: int = 1) -> set[tuple[int, ...]]:
     """All matrices over F_p whose compatibility residual with bql(N) vanishes.
@@ -328,7 +312,7 @@ def brute_force_compatible_field(N: int, p: int, q_res: int = 2,
     if (q_res * q_res - 1) % p == 0 or lam_res % p == 0:
         raise ValueError(f"q = {q_res}, l = {lam_res} is degenerate mod {p}: "
                          "need q^2 != 1 and l != 0")
-    B = _bql_dense_mod_p(N, p, q_res, lam_res)
+    B = np.array(bql(N).instantiate({"q": q_res, "l": lam_res}).mod_p(p), dtype=np.int64)
     # M[u, v, i] = B[(u, v), (i, i)]: column (i, i) of B as an N x N matrix.
     M = B[:, [i * N + i for i in range(N)]].reshape(N, N, N)
 

@@ -43,6 +43,8 @@ result once; ``invert`` eliminates on it fraction-free, in integers.  An
 operator built from ``Scalar`` columns derives its integer form on first use
 and keeps it, and ``.columns`` builds the ``Scalar`` columns of an integer
 operator on first use, so callers read either form through ``.columns``.
+``mod_p(p)`` is the one reduction to F_p: the dense matrix of a rational
+operator, read from the integer form with one inverse of the denominator.
 Each kernel loop is written once: ``+``, ``*`` and truthiness act alike on
 ``int`` and ``Scalar`` entries, and only the denominators differ.
 """
@@ -55,7 +57,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from hombrax.scalars import RationalLike, Scalar, parse_scalar
+from hombrax.scalars import RationalLike, Scalar, parse_scalar, reduce_mod_p
 
 # The most columns (dim ** arity) an operator read from input or requested
 # on the command line may have.  The largest operators the gallery, the tests
@@ -83,7 +85,16 @@ class SymbolicNotMonomialInvertible(ValueError):
     """Symbolic elimination got stuck: no pivot is a unit of the Laurent ring."""
 
 
-class BasedSpace:
+class _Frozen:
+    """Base of the immutable types: setting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class BasedSpace(_Frozen):
     """An N-dimensional space with named, ordered basis vectors."""
 
     __slots__ = ("labels",)
@@ -94,16 +105,13 @@ class BasedSpace:
             raise ValueError(f"labels must be distinct and nonempty: {labels}")
         object.__setattr__(self, "labels", labels)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BasedSpace is immutable")
-
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     @staticmethod
-    def of_dim(n: int, prefix: str = "e", start: int = 1) -> "BasedSpace":
-        return BasedSpace(tuple(f"{prefix}{i}" for i in range(start, start + n)))
+    def of_dim(n: int, prefix: str = "e") -> "BasedSpace":
+        return BasedSpace(tuple(f"{prefix}{i}" for i in range(1, n + 1)))
 
     def __eq__(self, other):
         return isinstance(other, BasedSpace) and self.labels == other.labels
@@ -113,15 +121,6 @@ class BasedSpace:
 
     def __repr__(self):
         return f"BasedSpace({list(self.labels)})"
-
-
-class _Frozen:
-    """Base of the immutable structures built from structure constants."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class _OnSpace(_Frozen):
@@ -243,7 +242,7 @@ def _scalar_column(den: int, col: _IntColumn) -> Column:
     return tuple((r, Scalar.rational(Fraction(v, den))) for r, v in col)
 
 
-class TensorOp:
+class TensorOp(_Frozen):
     """Total sparse map from the word dom to the word cod, columns indexed flat.
 
     ``TensorOp(space, arity, columns)`` builds an operator on V^(tensor arity).
@@ -293,9 +292,6 @@ class TensorOp:
         op = object.__new__(cls)
         op._set(dom, cod, None, _reduced(den, cols))
         return op
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorOp is immutable")
 
     # -- the two storage forms ---------------------------------------------
 
@@ -442,6 +438,25 @@ class TensorOp:
         for j, col in enumerate(self.columns):
             for r, s in col:
                 rows[r][j] = s
+        return rows
+
+    def mod_p(self, p: int) -> list[list[int]]:
+        """The dense matrix of a rational map mod p, rows as in dense(), in
+        0..p-1: the integer columns times one inverse of the denominator.
+
+        Raises ValueError for a symbolic map, and DenominatorDivisibleByP
+        (or ValueError for a modulus that is not an odd prime) as
+        ``reduce_mod_p`` does.
+        """
+        ints = self._integer()
+        if ints is None:
+            raise ValueError("a symbolic map has no reduction mod p")
+        den, cols = ints
+        inv = reduce_mod_p(Fraction(1, den), p)
+        rows = [[0] * len(cols) for _ in range(_size(self.cod))]
+        for j, col in enumerate(cols):
+            for r, v in col:
+                rows[r][j] = v * inv % p
         return rows
 
 

@@ -231,17 +231,17 @@ def check_linearity(alpha: TensorOp, V: YDModule) -> bool:
 
 class QuasiTriangularStructure(_Frozen):
     """An invertible R = sum s_i (x) t_i in H (x) H; r[i][j] is the
-    e_i (x) e_j coefficient.  R and its inverse are held as maps () -> H (x) H."""
+    e_i (x) e_j coefficient.  R and its inverse are held as maps () -> H (x) H;
+    construction checks the axioms."""
 
     __slots__ = ("host", "r", "r_inverse")
 
-    def __init__(self, host: Bialgebra, r, r_inverse, validate: bool = True):
+    def __init__(self, host: Bialgebra, r, r_inverse):
         H = host.space
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "r", as_op(r, (), (H, H)))
         object.__setattr__(self, "r_inverse", as_op(r_inverse, (), (H, H)))
-        if validate:
-            self.check_axioms()
+        self.check_axioms()
 
     def axioms(self) -> list[tuple]:
         H = self.host
@@ -299,17 +299,17 @@ def tau_r_operator(labels: Sequence[str], action, qt: QuasiTriangularStructure) 
 
 class DualQuasiTriangularStructure(_Frozen):
     """A convolution-invertible form R on H (x) H; form[i][j] = R(e_i (x) e_j).
-    The form and its inverse are held as maps H (x) H -> ()."""
+    The form and its inverse are held as maps H (x) H -> (); construction
+    checks the axioms."""
 
     __slots__ = ("host", "form", "form_inverse")
 
-    def __init__(self, host: Bialgebra, form, form_inverse, validate: bool = True):
+    def __init__(self, host: Bialgebra, form, form_inverse):
         H = host.space
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "form", as_op(form, (H, H), ()))
         object.__setattr__(self, "form_inverse", as_op(form_inverse, (H, H), ()))
-        if validate:
-            self.check_axioms()
+        self.check_axioms()
 
     def axioms(self) -> list[tuple]:
         H = self.host

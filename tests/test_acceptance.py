@@ -25,7 +25,6 @@ from helpers import (
     random_sl2_twist,
 )
 from hombrax.braid import (
-    BraidWord,
     Permutation,
     all_reduced_words,
     alpha_n,
@@ -272,7 +271,7 @@ def test_criterion_09_iwahori_well_definedness(report):
         for images in itertools.permutations(range(1, 5)):
             g = Permutation(images)
             words = all_reduced_words(g)
-            w1, w2 = BraidWord(4, words[0]), BraidWord(4, words[-1])
+            w1, w2 = words[0], words[-1]
             if w1 != w2:
                 distinct_words += 1
             assert theta_operator(g, b, alpha, word=w1) == \

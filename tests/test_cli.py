@@ -65,6 +65,20 @@ def test_verify_pipelines(capsys, monkeypatch):
                        stdin=phi_json, monkeypatch=monkeypatch)
     assert code == 1
     assert out.splitlines()[0].startswith("FAIL compat column")
+    # Identity alpha is compatible with anything, and the HYBE at alpha = Id
+    # is the YBE: a perturbed phi fails both, so the direct FAIL line shows
+    # the YBE residual.
+    doc = json.loads(phi_json)
+    doc["columns"]["0"].append(["3", "1"])
+    residual = ("column 0 -> 3: 1*l^2 + -1*q^2*l^2, 5: 1*q*l^2 + -1*q^3*l^2, "
+                "6: -1*l^2 + 1*q^2*l^2")
+    code, out, _ = run(capsys, ["verify", "hybe", "--alpha", "1,0;0,1"],
+                       stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 1
+    assert out.splitlines() == ["PASS compat", f"FAIL hybe {residual}"]
+    code, out, _ = run(capsys, ["verify", "ybe"], stdin=json.dumps(doc),
+                       monkeypatch=monkeypatch)
+    assert (code, out.strip()) == (1, f"FAIL ybe {residual}")
 
 
 def test_verify_braid_on_extension_braiding(capsys, monkeypatch):
@@ -595,10 +609,10 @@ def test_tensor_power_limit_admits_n6(capsys, monkeypatch, argv, stdin):
     ["classify", "sl2star", "--field", str(10 ** 40 + 1)],
 ], ids=" ".join)
 def test_oversized_scans_exit_2_before_scanning(capsys, monkeypatch, argv):
-    from hombrax import homlie, quantum, runtime
+    from hombrax import quantum, runtime
+    from hombrax.tensor import TensorOp
     monkeypatch.setattr(runtime, "_decode", _refuse)
-    monkeypatch.setattr(quantum, "_bql_dense_mod_p", _refuse)
-    monkeypatch.setattr(homlie, "_constants_mod_p", _refuse)
+    monkeypatch.setattr(TensorOp, "mod_p", _refuse)
     monkeypatch.setattr(quantum, "enumerate_patterns", _refuse)
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
@@ -611,9 +625,10 @@ def test_oversized_scans_exit_2_before_scanning(capsys, monkeypatch, argv):
     ["classify", "compatible", "--dim", "2", "--field", "2"],
 ], ids=" ".join)
 def test_classify_non_prime_field_exits_2_before_scanning(capsys, monkeypatch, argv):
-    from hombrax import quantum, runtime
+    from hombrax import runtime
+    from hombrax.tensor import TensorOp
     monkeypatch.setattr(runtime, "_decode", _refuse)
-    monkeypatch.setattr(quantum, "_bql_dense_mod_p", _refuse)
+    monkeypatch.setattr(TensorOp, "mod_p", _refuse)
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "odd prime" in err

@@ -20,6 +20,7 @@ from hombrax.homlie import (
     HomLieAlgebra,
     InvariantViolated,
     NotAMorphism,
+    UnclassifiedMorphismFound,
     algebra_from_json_dict,
     algebra_to_json_dict,
     braiding_inverse_on_extension,
@@ -225,6 +226,22 @@ def test_morphism_scan_counts_match_family_formulas():
 
 
 @pytest.mark.scan
+def test_uncovered_morphisms_are_reported(capsys, monkeypatch):
+    import hombrax.homlie as homlie
+    from hombrax.cli import main
+    kinds = homlie._sl2_family_kinds
+    monkeypatch.setattr(homlie, "_sl2_family_kinds",
+                        lambda flat, p: [k for k in kinds(flat, p) if k != "kind3"])
+    with pytest.raises(UnclassifiedMorphismFound):
+        classify_sl2_finite_field(3, strict=True)
+    report = classify_sl2_finite_field(3)
+    assert not report.complete
+    assert "  unclassified: 4" in report.lines()
+    assert main(["classify", "sl2", "--field", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL coverage"
+
+
+@pytest.mark.scan
 def test_classify_sl2_complete_at_p7():
     # 7^9 ~ 40M matrices; still a bounded one-shot scan
     report = classify_sl2_finite_field(7, strict=True)
@@ -294,6 +311,17 @@ def test_braiding_extension_requires_invariants():
         braiding_on_extension(broken)
 
 
+def test_validate_names_the_failed_axiom():
+    g = sl2()
+    not_skew = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    not_skew[0][1][1] = 1  # [X, Y] = Y but [Y, X] = 0
+    with pytest.raises(InvariantViolated, match="not skew-symmetric"):
+        HomLieAlgebra(g.labels, not_skew, g.alpha).validate()
+    # [a, b] = a, [b, c] = b: the Jacobi sum on (a, b, c) is -a.
+    with pytest.raises(InvariantViolated, match="twisted Jacobi fails at"):
+        lie_algebra(("a", "b", "c"), {(0, 1): {0: 1}, (1, 2): {1: 1}}).validate()
+
+
 def test_braiding_inverse_singular_alpha():
     alpha = heisenberg_morphism(0, 0, 1, 1, 1, 1)  # delta = 0
     twisted = yau_twist(heisenberg(), alpha)
@@ -332,6 +360,18 @@ def test_is_hom_lie_isomorphism_basics():
     assert is_hom_lie_isomorphism(ident, twisted, twisted)
     doubled = LinearMap.diagonal(twisted.space, [2, 2, 2])
     assert not is_hom_lie_isomorphism(doubled, twisted, twisted)
+
+
+def test_is_hom_lie_isomorphism_needs_invertible_gamma_intertwining_alphas():
+    twisted = yau_twist(heisenberg(), heisenberg_morphism(0, 0, 2, 0, 0, 3))
+    # The zero map transports the bracket and intertwines the alphas.
+    assert not is_hom_lie_isomorphism(LinearMap(twisted.space, [[0] * 3] * 3),
+                                      twisted, twisted)
+    # X -> -X, Y <-> Z transports [Y, Z] = 6X but not alpha = diag(6, 2, 3).
+    flip = LinearMap(twisted.space, [[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert (compose(flip, twisted.bracket)
+            == compose(twisted.bracket, tensor_product(flip, flip)))
+    assert not is_hom_lie_isomorphism(flip, twisted, twisted)
 
 
 def test_is_hom_lie_isomorphism_between_differently_labelled_algebras():

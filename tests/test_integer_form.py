@@ -23,7 +23,7 @@ from helpers import (
     rational_gallery,
 )
 from hombrax.quantum import bql
-from hombrax.scalars import Scalar
+from hombrax.scalars import DenominatorDivisibleByP, Scalar, reduce_mod_p
 from hombrax.tensor import (
     BasedSpace,
     LinearMap,
@@ -134,6 +134,27 @@ def test_gallery_kernels_match_fraction_oracle(name):
     _check_pair(op, op)
     _check_tensor(op)
     _check_inverse(op)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_gallery_mod_p_matches_entrywise_reduction(name):
+    op = GALLERY[name]
+    dense = [[s.constant_value() for s in row] for row in op.dense()]
+    for p in (3, 5, 7):
+        if any(x.denominator % p == 0 for row in dense for x in row):
+            with pytest.raises(DenominatorDivisibleByP):
+                op.mod_p(p)
+        else:
+            assert op.mod_p(p) == [[reduce_mod_p(x, p) for x in row] for row in dense]
+
+
+def test_mod_p_refuses_symbolic_maps_and_denominators_divisible_by_p():
+    with pytest.raises(ValueError, match="symbolic"):
+        phi_alpha_symbolic()[0].mod_p(5)
+    thirds = LinearMap(V2, [[Fraction(1, 3), 0], [Fraction(2, 5), 1]])
+    with pytest.raises(DenominatorDivisibleByP):
+        thirds.mod_p(3)
+    assert thirds.mod_p(7) == [[5, 0], [6, 1]]
 
 
 @pytest.mark.parametrize("k", range(len(RANDOM)))

@@ -29,6 +29,7 @@ from hombrax.tensor import (
     BasedSpace,
     LinearMap,
     Singular,
+    TensorOp,
     compose,
     invert,
     lift,
@@ -279,7 +280,7 @@ def test_brute_force_refuses_before_building_bql(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oversized scan reached its setup")
 
-    monkeypatch.setattr(quantum, "_bql_dense_mod_p", refuse)
+    monkeypatch.setattr(TensorOp, "mod_p", refuse)
     monkeypatch.setattr(quantum, "bql", refuse)
     with pytest.raises(ValueError, match="exceeds the limit"):
         brute_force_compatible_field(10 ** 6, 5)

@@ -18,7 +18,8 @@ from helpers import (
     random_op,
     rational_gallery,
 )
-from hombrax.quantum import bql
+from hombrax.braid import Permutation
+from hombrax.quantum import CompatibleAlpha, SupportPattern, bql
 from hombrax.scalars import Scalar
 from hombrax.tensor import (
     ArityMismatch,
@@ -320,6 +321,24 @@ def test_json_rejects_out_of_range_column():
     doc["columns"]["99"] = [["0", "1"]]
     with pytest.raises(IndexError):
         op_from_json_dict(doc)
+
+
+def test_constructor_rejects_bad_columns():
+    one = Scalar.one()
+    with pytest.raises(IndexError, match="column keys"):
+        TensorOp(V2, 1, {2: [(0, one)]})
+    with pytest.raises(ValueError, match="expected 2 columns"):
+        TensorOp(V2, 1, [[(0, one)]])
+    with pytest.raises(IndexError, match="row 2 out of range"):
+        TensorOp(V2, 1, [[(2, one)], []])
+
+
+def test_structures_are_immutable():
+    pattern = SupportPattern(2, {1: 1})
+    for obj in (V2, identity_op(V2), LinearMap.identity(V2), Permutation((2, 1)),
+                pattern, CompatibleAlpha(pattern, {1: 2})):
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+            obj.labels = ()
 
 
 def test_linear_map_round_trip_through_op():
