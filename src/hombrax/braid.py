@@ -7,7 +7,9 @@ Iwahori's classical result the positive braid word of any reduced
 decomposition depends only on the permutation, so a twisted braiding B
 with twisting map alpha assigns to each permutation gamma a well-defined
 operator B^gamma: the composite of the strand operators B_i along any
-reduced word of gamma.
+reduced word of gamma.  ``theta_operator`` builds it as one ``compose``
+chain of those strands, once the word is checked to be a reduced word of
+gamma.
 
 The block swap chi(n, n) in Sigma_2n, pushed through this construction,
 turns a braiding on V into one on V^(tensor n): ``tensor_power_solution``
@@ -211,22 +213,30 @@ def _strands(B: TensorOp, alpha: TensorOp, n: int) -> dict[int, TensorOp]:
 
 def theta_operator(gamma: Permutation, B: TensorOp, alpha: TensorOp,
                    word: Sequence[int] | None = None) -> TensorOp:
-    """B^gamma: the strand operators composed along a reduced word of gamma.
+    """B^gamma: the strand operators composed along a reduced word of gamma,
+    as one ``compose`` chain.
 
     Iwahori well-definedness makes the result independent of the word; pass
-    one explicitly, as letters in 1..n-1, to exercise that; ``build_Bi``
-    refuses any other letter.  Requires (B, alpha) to be an invertible
+    one explicitly, as letters in 1..n-1, to exercise that.  ``build_Bi``
+    refuses any other letter (IndexOutOfRange), and a word whose length is
+    not ``length(gamma)`` or whose transposition product is not gamma is
+    refused with ValueError.  Requires (B, alpha) to be an invertible
     solution of the twisted braid identity.
     """
-    strands = _strands(B, alpha, gamma.n)
+    n = gamma.n
+    strands = _strands(B, alpha, n)
     if word is None:
         word = reduced_word(gamma)
-    out = None
-    for i in reversed(word):
-        if i not in strands:
-            strands[i] = build_Bi(B, alpha, gamma.n, i)
-        out = strands[i] if out is None else compose(strands[i], out)
-    return identity_op(B.space, gamma.n) if out is None else out
+    images = list(range(1, n + 1))
+    for i in word:
+        if i not in strands:  # build_Bi refuses a letter outside 1..n-1 before the swap
+            strands[i] = build_Bi(B, alpha, n, i)
+        images[i - 1], images[i] = images[i], images[i - 1]
+    if len(word) != length(gamma) or tuple(images) != gamma.images:
+        raise ValueError(f"{tuple(word)} is not a reduced word of {gamma}")
+    if not word:
+        return identity_op(B.space, n)
+    return strands[word[0]] if len(word) == 1 else compose(*(strands[i] for i in word))
 
 
 def alpha_n(alpha: TensorOp, n: int) -> TensorOp:

@@ -46,7 +46,10 @@ operator on first use, so callers read either form through ``.columns``.
 ``mod_p(p)`` is the one reduction to F_p: the dense matrix of a rational
 operator, read from the integer form with one inverse of the denominator.
 Each kernel loop is written once: ``+``, ``*`` and truthiness act alike on
-``int`` and ``Scalar`` entries, and only the denominators differ.
+``int`` and ``Scalar`` entries, and only the denominators differ.  A
+``compose`` of any number of factors is one call of the one chain loop,
+which pushes each column of the last factor through all the others, so a
+chain of rational factors is reduced once, not once per step.
 """
 
 from __future__ import annotations
@@ -477,15 +480,27 @@ def _sum_columns(acols: tuple, bcols: tuple) -> tuple:
     return tuple(cols)
 
 
-def _compose_columns(fcols: tuple, gcols: tuple) -> tuple:
+def _compose_columns(factors: Sequence[tuple]) -> tuple:
+    """The columns of factors[0] after factors[1] after ... after factors[-1].
+
+    Each column of the last factor is pushed through the others as one
+    sparse vector; an entry that cancelled to zero is not pushed further,
+    and zeros are dropped and the rows sorted once, at the end.
+    """
+    *outer, last = factors
+    outer.reverse()
     cols = []
-    for gcol in gcols:
-        acc = {}
-        for i, s in gcol:
-            for r, t in fcols[i]:
-                p = s * t
-                acc[r] = acc[r] + p if r in acc else p
-        cols.append(tuple(sorted(e for e in acc.items() if e[1])))
+    for vec in last:
+        for fcols in outer:
+            acc = {}
+            for i, s in vec:
+                if s:
+                    for r, t in fcols[i]:
+                        p = s * t
+                        acc[r] = acc[r] + p if r in acc else p
+            vec = acc.items()
+        # Rows are distinct dict keys, so sorting never compares entries.
+        cols.append(tuple(sorted(e for e in vec if e[1])))
     return tuple(cols)
 
 
@@ -537,14 +552,22 @@ def swap_op(A: BasedSpace | Word, B: BasedSpace | Word | None = None) -> TensorO
 
 
 def compose(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
-    """f after g (after each of ``more`` in turn), exactly; f.dom must be g.cod."""
-    if more:
-        g = compose(g, *more)
-    _check_words(f.dom, g.cod)
-    a, b = f._integer(), g._integer()
-    if a and b:
-        return TensorOp._rational(g.dom, f.cod, a[0] * b[0], _compose_columns(a[1], b[1]))
-    return TensorOp._trusted(g.dom, f.cod, _compose_columns(f.columns, g.columns))
+    """f after g (after each of ``more`` in turn), exactly; each factor's dom
+    must be the next one's cod.
+
+    The chain is one kernel call: with every factor rational it runs on
+    the integer columns over the product of the denominators, and the
+    content gcd is divided out once per chain; if any factor is symbolic,
+    the whole chain runs on Scalar columns.
+    """
+    ops = (f, g, *more)
+    for a, b in zip(ops, ops[1:]):
+        _check_words(a.dom, b.cod)
+    ints = [op._integer() for op in ops]
+    if all(ints):
+        return TensorOp._rational(ops[-1].dom, f.cod, math.prod(d for d, _ in ints),
+                                  _compose_columns([c for _, c in ints]))
+    return TensorOp._trusted(ops[-1].dom, f.cod, _compose_columns([op.columns for op in ops]))
 
 
 def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
@@ -616,12 +639,12 @@ def lift(alpha: TensorOp, m: int) -> TensorOp:
 
 
 def power(f: TensorOp, k: int) -> TensorOp:
+    """f composed with itself k times, as one chain; the identity for k = 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = identity_op(f.dom)
-    for _ in range(k):
-        out = compose(f, out)
-    return out
+    if k == 0:
+        return identity_op(f.dom)
+    return f if k == 1 else compose(*(f,) * k)
 
 
 def invert(f: TensorOp) -> TensorOp:

@@ -101,6 +101,14 @@ def test_braid_word_validation():
     longest3 = Permutation((3, 2, 1))
     with pytest.raises(IndexOutOfRange):
         theta_operator(longest3, b, alpha, word=(3,))
+    with pytest.raises(ValueError, match="not a reduced word"):
+        theta_operator(longest3, b, alpha, word=(1,))  # too short
+    with pytest.raises(ValueError, match="not a reduced word"):
+        theta_operator(longest3, b, alpha, word=(1, 2, 2))  # right length, product s_1
+    with pytest.raises(ValueError, match="not a reduced word"):
+        theta_operator(Permutation((3, 1, 2)), b, alpha, word=(1, 2))  # a word of (2, 3, 1)
+    with pytest.raises(ValueError, match="not a reduced word"):
+        theta_operator(Permutation.identity(3), b, alpha, word=(1, 1))
     assert theta_operator(longest3, b, alpha, word=(1, 2, 1)) == \
         theta_operator(longest3, b, alpha)
 

@@ -7,6 +7,7 @@ gallery and on seeded random sparse operators, and mixed calls are compared
 with the same calls made after evaluating the symbolic operand.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from hombrax.tensor import (
     compose,
     identity_op,
     invert,
+    lift,
     op_dumps,
     op_loads,
     tensor_product,
@@ -166,6 +168,44 @@ def test_random_sparse_kernels_match_fraction_oracle(k):
     _check_inverse(f)
 
 
+def _check_chain(ops: list) -> None:
+    """compose(*ops), one chain kernel call, against the pairwise fold and
+    the product of the dense Fraction matrices."""
+    result = compose(*ops)
+    _check_canonical(result)
+    assert result == functools.reduce(compose, ops)
+    assert fraction_matrix(result) == functools.reduce(fraction_matmul, map(fraction_matrix, ops))
+
+
+@pytest.mark.parametrize("k", range(len(RANDOM)))
+def test_random_chains_match_fold_and_fraction_oracle(k):
+    _check_chain([RANDOM[(k + 7 * j) % len(RANDOM)] for j in range(3 + k % 3)])
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_gallery_chains_match_fold_and_fraction_oracle(name):
+    op = GALLERY[name]
+    same = [x for _, x in sorted(GALLERY.items()) if x.dom == op.dom and x.cod == op.cod]
+    partner = same[(same.index(op) + 1) % len(same)]
+    for length in (3, 4, 5):
+        _check_chain([op, partner, op, partner, op][:length])
+
+
+def test_cancelling_chain_is_the_last_factor():
+    for f, g in ((GALLERY["bql3"], GALLERY["induced0"]), (RANDOM[0], RANDOM[4]),
+                 (RANDOM[7], RANDOM[1])):
+        assert compose(f, invert(f), g) == g
+        assert compose(g, invert(f), f) == g
+
+
+def test_symbolic_chains_match_their_fold():
+    sym, alpha = phi_alpha_symbolic()
+    lifted = lift(alpha, 2)
+    for ops in ([sym, lifted, sym], [lifted, sym, sym, lifted]):
+        assert compose(*ops) == functools.reduce(compose, ops)
+        assert compose(*ops) == compose(ops[0], functools.reduce(compose, ops[1:]))
+
+
 def test_random_sparse_operators_cover_every_case():
     dets = [fraction_det_and_inverse(fraction_matrix(op))[0] for op in RANDOM]
     assert any(d == 0 for d in dets) and any(d != 0 for d in dets)
@@ -191,6 +231,8 @@ def test_mixed_calls_agree_with_evaluation_first():
     at = sym.instantiate(point)
     for mixed, direct in ((compose(rat, sym), compose(rat, at)),
                           (compose(sym, rat), compose(at, rat)),
+                          (compose(rat, sym, rat), compose(rat, at, rat)),
+                          (compose(sym, rat, sym), compose(at, rat, at)),
                           (tensor_product(rat, sym), tensor_product(rat, at)),
                           (rat - sym, rat - at),
                           (sym + rat, at + rat)):
