@@ -33,9 +33,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import RationalLike, Scalar
 from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
-                            SymbolicNotMonomialInvertible, TensorOp, _json_dense,
-                            _json_dim, _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
-                            as_op, compose, identity_op, invert, swap_op, tensor_product)
+                            SymbolicNotMonomialInvertible, TensorOp, _json_dense, _json_dim,
+                            _json_labels, _json_sparse, _on, _OnSpace, _sparse_json, as_op,
+                            compose, identity_op, invert, residual, swap_op, tensor_product)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,7 +146,7 @@ def skew_residual(L: HomLieAlgebra) -> TensorOp:
 def multiplicativity_residual(L: HomLieAlgebra, alpha: TensorOp | None = None) -> TensorOp:
     """alpha [x, y] - [alpha x, alpha y] on L (x) L."""
     a = _on(alpha or L.alpha, L.space)
-    return compose(a, L.bracket) - compose(L.bracket, tensor_product(a, a))
+    return residual((a, L.bracket), (L.bracket, tensor_product(a, a)))
 
 
 def hom_jacobi_residual(L: HomLieAlgebra) -> TensorOp:
@@ -476,9 +476,8 @@ def is_hom_lie_isomorphism(gamma: TensorOp, L1: HomLieAlgebra,
         invert(g)
     except (Singular, SymbolicNotMonomialInvertible):
         return False
-    if compose(g, L1.alpha) != compose(L2.alpha, g):
-        return False
-    return (compose(g, L1.bracket) - compose(L2.bracket, tensor_product(g, g))).is_zero()
+    return (residual((g, L1.alpha), (L2.alpha, g)).is_zero()
+            and residual((g, L1.bracket), (L2.bracket, tensor_product(g, g))).is_zero())
 
 
 def char_poly(m: TensorOp) -> tuple[Scalar, ...]:

@@ -21,14 +21,8 @@ each pair of adjacent strands in ``braid_relation_residuals``.
 
 from __future__ import annotations
 
-from hombrax.tensor import (
-    DimMismatch,
-    TensorOp,
-    compose,
-    identity_op,
-    lift,
-    tensor_product,
-)
+from hombrax.tensor import (DimMismatch, TensorOp, compose, identity_op, lift, residual,
+                            tensor_product)
 
 
 class IncompatiblePair(ValueError):
@@ -55,12 +49,12 @@ def compatibility_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:
     """(alpha (x) alpha) B - B (alpha (x) alpha)."""
     _check_pair(B, alpha)
     a2 = lift(alpha, 2)
-    return compose(a2, B) - compose(B, a2)
+    return residual((a2, B), (B, a2))
 
 
 def _braid(x: TensorOp, y: TensorOp) -> TensorOp:
     """The braid-relation residual x y x - y x y."""
-    return compose(x, y, x) - compose(y, x, y)
+    return residual((x, y, x), (y, x, y))
 
 
 def ybe_residual(B: TensorOp) -> TensorOp:
@@ -122,6 +116,6 @@ def braid_relation_residuals(B: TensorOp, alpha: TensorOp,
     out = []
     for i in range(1, n):
         for j in range(i + 2, n):
-            out.append(compose(ops[i], ops[j]) - compose(ops[j], ops[i]))
+            out.append(residual((ops[i], ops[j]), (ops[j], ops[i])))
     out.extend(_braid(ops[i], ops[i + 1]) for i in range(1, n - 1))
     return out

@@ -46,10 +46,11 @@ operator on first use, so callers read either form through ``.columns``.
 ``mod_p(p)`` is the one reduction to F_p: the dense matrix of a rational
 operator, read from the integer form with one inverse of the denominator.
 Each kernel loop is written once: ``+``, ``*`` and truthiness act alike on
-``int`` and ``Scalar`` entries, and only the denominators differ.  A
-``compose`` of any number of factors is one call of the one chain loop,
-which pushes each column of the last factor through all the others, so a
-chain of rational factors is reduced once, not once per step.
+``int`` and ``Scalar`` entries, and only the denominators differ.  One
+loop, ``_combine_columns``, serves ``compose``, ``+``/``-`` and
+``residual``: it sums chains of factors, pushing each column of a chain's
+last factor through the others into one accumulator, so a composite or a
+residual of rational factors is reduced once, not once per step or side.
 """
 
 from __future__ import annotations
@@ -398,24 +399,11 @@ class TensorOp(_Frozen):
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _plus(self, other: "TensorOp", sign: int) -> "TensorOp":
-        _check_words(self.dom, other.dom)
-        _check_words(self.cod, other.cod)
-        a, b = self._integer(), other._integer()
-        if a and b:
-            den = math.lcm(a[0], b[0])
-            return TensorOp._rational(self.dom, self.cod, den, _sum_columns(
-                _scaled(a[1], den // a[0]), _scaled(b[1], sign * (den // b[0]))))
-        bcols = other.columns
-        if sign < 0:
-            bcols = tuple(tuple((r, -s) for r, s in col) for col in bcols)
-        return TensorOp._trusted(self.dom, self.cod, _sum_columns(self.columns, bcols))
-
     def __add__(self, other: "TensorOp") -> "TensorOp":
-        return self._plus(other, 1)
+        return _combination(((self,), (other,)), (1, 1))
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        return self._plus(other, -1)
+        return _combination(((self,), (other,)), (1, -1))
 
     def __neg__(self) -> "TensorOp":
         return self.scale(Scalar.rational(-1))
@@ -465,43 +453,39 @@ class TensorOp(_Frozen):
 
 # The kernel loops.  Each runs on Scalar columns and on integer columns alike.
 
-def _scaled(cols: tuple, k: int) -> tuple:
-    return cols if k == 1 else tuple(tuple((r, k * v) for r, v in col) for col in cols)
+def _combine_columns(terms: Sequence[tuple[int, Sequence[tuple]]]) -> tuple:
+    """The columns of the sum of c * (f_1 after ... after f_k) over the terms
+    (c, (f_1, ..., f_k)), each factor given by its columns.
 
-
-def _sum_columns(acols: tuple, bcols: tuple) -> tuple:
-    cols = []
-    for acol, bcol in zip(acols, bcols):
-        acc = dict(acol)
-        for r, s in bcol:
-            acc[r] = acc[r] + s if r in acc else s
-        # Rows are distinct dict keys, so sorting never compares entries.
-        cols.append(tuple(sorted(e for e in acc.items() if e[1])))
-    return tuple(cols)
-
-
-def _compose_columns(factors: Sequence[tuple]) -> tuple:
-    """The columns of factors[0] after factors[1] after ... after factors[-1].
-
-    Each column of the last factor is pushed through the others as one
-    sparse vector; an entry that cancelled to zero is not pushed further,
-    and zeros are dropped and the rows sorted once, at the end.
+    Term by term, each column of a chain's last factor, times c, is pushed
+    through the other factors as one sparse vector (an entry that cancelled
+    to zero is not pushed further) and added into the first term's column;
+    zeros are dropped and the rows sorted once, at the end.
     """
-    *outer, last = factors
-    outer.reverse()
-    cols = []
-    for vec in last:
-        for fcols in outer:
-            acc = {}
-            for i, s in vec:
-                if s:
-                    for r, t in fcols[i]:
-                        p = s * t
-                        acc[r] = acc[r] + p if r in acc else p
-            vec = acc.items()
-        # Rows are distinct dict keys, so sorting never compares entries.
-        cols.append(tuple(sorted(e for e in vec if e[1])))
-    return tuple(cols)
+    out = None
+    for c, (*outer, last) in terms:
+        outer.reverse()
+        vecs = []
+        for j, vec in enumerate(last):
+            if c != 1:
+                vec = [(i, c * s) for i, s in vec]
+            for fcols in outer:
+                acc = {}
+                for i, s in vec:
+                    if s:
+                        for r, t in fcols[i]:
+                            p = s * t
+                            acc[r] = acc[r] + p if r in acc else p
+                vec = acc.items()
+            if out is not None:
+                acc = dict(out[j])
+                for r, s in vec:
+                    acc[r] = acc[r] + s if r in acc else s
+                vec = acc.items()
+            vecs.append(vec)
+        out = vecs
+    # Rows are distinct dict keys, so sorting never compares entries.
+    return tuple(tuple(sorted(e for e in vec if e[1])) for vec in out)
 
 
 def _tensor_columns(fcols: tuple, gcols: tuple, ng: int) -> tuple:
@@ -551,23 +535,58 @@ def swap_op(A: BasedSpace | Word, B: BasedSpace | Word | None = None) -> TensorO
                                                      for i in range(na) for j in range(nb)))
 
 
+def _combination(chains: Sequence[Sequence[TensorOp]], signs: Sequence[int]) -> TensorOp:
+    """The sum of sign * (chain[0] after chain[1] after ...) over chains and
+    signs, in one kernel call; word mismatches raise as compose and +/- do.
+
+    With every factor rational the loop runs on integer columns, chain t
+    weighted by sign_t * den / d_t, d_t the product of its denominators and
+    den the lcm of the d_t, and the content gcd is divided out once.
+    Otherwise every chain runs on Scalar columns.
+    """
+    for chain in chains:
+        for a, b in zip(chain, chain[1:]):
+            _check_words(a.dom, b.cod)
+    dom, cod = chains[0][-1].dom, chains[0][0].cod
+    for chain in chains[1:]:
+        _check_words(dom, chain[-1].dom)
+        _check_words(cod, chain[0].cod)
+    terms, den = [], 1
+    for sign, chain in zip(signs, chains):
+        d, cols = 1, []
+        for op in chain:
+            ints = op._integer()
+            if not ints:
+                return TensorOp._trusted(dom, cod, _combine_columns(
+                    [(t, [op.columns for op in ch]) for t, ch in zip(signs, chains)]))
+            d *= ints[0]
+            cols.append(ints[1])
+        terms.append((sign, d, cols))
+        den = math.lcm(den, d)
+    return TensorOp._rational(dom, cod, den, _combine_columns(
+        [(sign * (den // d), cols) for sign, d, cols in terms]))
+
+
 def compose(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
     """f after g (after each of ``more`` in turn), exactly; each factor's dom
     must be the next one's cod.
 
-    The chain is one kernel call: with every factor rational it runs on
-    the integer columns over the product of the denominators, and the
-    content gcd is divided out once per chain; if any factor is symbolic,
-    the whole chain runs on Scalar columns.
+    The chain is the one-term case of the kernel loop that also computes
+    ``+``, ``-`` and ``residual``: each column of the last factor is pushed
+    through all the others, and rational factors are reduced once per chain.
     """
-    ops = (f, g, *more)
-    for a, b in zip(ops, ops[1:]):
-        _check_words(a.dom, b.cod)
-    ints = [op._integer() for op in ops]
-    if all(ints):
-        return TensorOp._rational(ops[-1].dom, f.cod, math.prod(d for d, _ in ints),
-                                  _compose_columns([c for _, c in ints]))
-    return TensorOp._trusted(ops[-1].dom, f.cod, _compose_columns([op.columns for op in ops]))
+    return _combination(((f, g, *more),), (1,))
+
+
+def residual(lhs: TensorOp | Sequence[TensorOp],
+             rhs: TensorOp | Sequence[TensorOp]) -> TensorOp:
+    """lhs - rhs, each side a map or a tuple of maps composed in order:
+    compose(*lhs) - compose(*rhs), raising as that fold does, in one kernel
+    call.  Both sides go into one accumulator over the lcm of their
+    denominator products and are reduced once, so a residual whose entries
+    all cancel does no big-integer reduction.
+    """
+    return _combination([(x,) if isinstance(x, TensorOp) else x for x in (lhs, rhs)], (1, -1))
 
 
 def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
@@ -743,12 +762,22 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
 # JSON operator format.
 # ---------------------------------------------------------------------------
 
+def _text_columns(op: TensorOp) -> tuple:
+    """The columns with entries as text: str(Fraction(v, den)) from the
+    integer form of a rational map, what str of the constant Scalar prints."""
+    ints = op._integer()
+    if ints is None:
+        return tuple(tuple((r, str(s)) for r, s in col) for col in op.columns)
+    den, cols = ints
+    return tuple(tuple((r, str(Fraction(v, den))) for r, v in col) for col in cols)
+
+
 def op_to_json_dict(op: TensorOp) -> dict:
     return {
         "dim": op.space.dim,
         "arity": op.arity,
-        "columns": {str(j): [[str(r), str(s)] for r, s in col]
-                    for j, col in enumerate(op.columns)},
+        "columns": {str(j): [[str(r), text] for r, text in col]
+                    for j, col in enumerate(_text_columns(op))},
     }
 
 
@@ -788,8 +817,8 @@ def _sparse_json(op: TensorOp) -> dict:
     def key(word: Word, flat: int) -> str:
         return ",".join(map(str, decode_word(word, flat)))
 
-    return {key(op.dom, j): {key(op.cod, r): str(s) for r, s in col}
-            for j, col in enumerate(op.columns) if col}
+    return {key(op.dom, j): {key(op.cod, r): text for r, text in col}
+            for j, col in enumerate(_text_columns(op)) if col}
 
 
 def _json_dim(data, arity: int) -> int:

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 from hombrax.scalars import Scalar
 from hombrax.tensor import (BasedSpace, TensorOp, _Frozen, _json_dense, _json_dim,
                             _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
-                            as_op, compose, identity_op, swap_op, tensor_product)
+                            as_op, compose, identity_op, residual, swap_op, tensor_product)
 
 
 class AxiomViolation(ValueError):
@@ -86,25 +86,25 @@ class Bialgebra(_OnSpace):
         i = identity_op(H)
         return [
             ("associativity fails at ({col})",
-             compose(m, tensor_product(m, i)) - compose(m, tensor_product(i, m))),
-            ("unit law fails at {col}", compose(m, tensor_product(u, i)) - i,
-             compose(m, tensor_product(i, u)) - i),
+             residual((m, tensor_product(m, i)), (m, tensor_product(i, m)))),
+            ("unit law fails at {col}", residual((m, tensor_product(u, i)), i),
+             residual((m, tensor_product(i, u)), i)),
             ("coassociativity fails at ({col},{row})",
-             compose(tensor_product(i, D), D) - compose(tensor_product(D, i), D)),
-            ("counit law fails at ({col},{row})", compose(tensor_product(e, i), D) - i,
-             compose(tensor_product(i, e), D) - i),
+             residual((tensor_product(i, D), D), (tensor_product(D, i), D))),
+            ("counit law fails at ({col},{row})", residual((tensor_product(e, i), D), i),
+             residual((tensor_product(i, e), D), i)),
             ("Delta is not an algebra map at ({col})",
-             compose(D, m) - compose(self.algebra_mult(2), tensor_product(D, D))),
-            ("counit is not an algebra map at ({col})", compose(e, m) - tensor_product(e, e)),
-            ("Delta(1) != 1 (x) 1", compose(D, u) - tensor_product(u, u)),
-            ("eps(1) != 1", compose(e, u) - identity_op(())),
+             residual((D, m), (self.algebra_mult(2), tensor_product(D, D)))),
+            ("counit is not an algebra map at ({col})", residual((e, m), tensor_product(e, e))),
+            ("Delta(1) != 1 (x) 1", residual((D, u), tensor_product(u, u))),
+            ("eps(1) != 1", residual((e, u), identity_op(()))),
         ]
 
     def check_axioms(self) -> None:
         _check(self.axioms())
 
     def is_cocommutative(self) -> bool:
-        return (compose(swap_op(self.space), self.comult) - self.comult).is_zero()
+        return residual((swap_op(self.space), self.comult), self.comult).is_zero()
 
     def __repr__(self):
         return f"Bialgebra(labels={self.labels})"
@@ -145,17 +145,17 @@ class YDModule(_OnSpace):
     def module_axioms(self) -> list[tuple]:
         H, act, v = self.host, self.action, identity_op(self.space)
         return [("(xy).v = x.(y.v) fails at ({col})",
-                 compose(act, tensor_product(H.mult, v))
-                 - compose(act, tensor_product(identity_op(H.space), act))),
-                ("1.v = v fails at {col}", compose(act, tensor_product(H.unit, v)) - v)]
+                 residual((act, tensor_product(H.mult, v)),
+                          (act, tensor_product(identity_op(H.space), act)))),
+                ("1.v = v fails at {col}", residual((act, tensor_product(H.unit, v)), v))]
 
     def comodule_axioms(self) -> list[tuple]:
         H, co, v = self.host, self.coaction, identity_op(self.space)
         return [("coassociativity of rho fails at ({col},{row})",
-                 compose(tensor_product(identity_op(H.space), co), co)
-                 - compose(tensor_product(H.comult, v), co)),
+                 residual((tensor_product(identity_op(H.space), co), co),
+                          (tensor_product(H.comult, v), co))),
                 ("counit law of rho fails at {col}",
-                 compose(tensor_product(H.counit, v), co) - v)]
+                 residual((tensor_product(H.counit, v), co), v))]
 
     def check_module(self) -> None:
         _check(self.module_axioms())
@@ -176,12 +176,11 @@ def yd_residual(V: YDModule) -> TensorOp:
     V.check_comodule()
     h, v = identity_op(H.space), identity_op(V.space)
     m, act, co, D = H.mult, V.action, V.coaction, H.comult
-    lhs = compose(tensor_product(m, act), tensor_product(h, swap_op(H.space), v),
-                  tensor_product(D, co))
-    rhs = compose(tensor_product(m, v), tensor_product(h, swap_op(V.space, H.space)),
-                  tensor_product(compose(co, act), h), tensor_product(h, swap_op(H.space, V.space)),
-                  tensor_product(D, v))
-    return lhs - rhs
+    return residual((tensor_product(m, act), tensor_product(h, swap_op(H.space), v),
+                     tensor_product(D, co)),
+                    (tensor_product(m, v), tensor_product(h, swap_op(V.space, H.space)),
+                     tensor_product(compose(co, act), h),
+                     tensor_product(h, swap_op(H.space, V.space)), tensor_product(D, v)))
 
 
 def yd_condition_residual(V: YDModule) -> list[tuple[tuple[int, int], list[list[Scalar]]]]:
@@ -207,14 +206,13 @@ def yd_braiding(V: YDModule) -> TensorOp:
 def colinearity_residual(alpha: TensorOp, V: YDModule) -> TensorOp:
     """rho(alpha v) - (Id (x) alpha)(rho v) on V."""
     a = _on(alpha, V.space)
-    return (compose(V.coaction, a)
-            - compose(tensor_product(identity_op(V.host.space), a), V.coaction))
+    return residual((V.coaction, a), (tensor_product(identity_op(V.host.space), a), V.coaction))
 
 
 def linearity_residual(alpha: TensorOp, V: YDModule) -> TensorOp:
     """alpha(x . v) - x . alpha(v) on H (x) V."""
     a = _on(alpha, V.space)
-    return compose(a, V.action) - compose(V.action, tensor_product(identity_op(V.host.space), a))
+    return residual((a, V.action), (V.action, tensor_product(identity_op(V.host.space), a)))
 
 
 def check_colinearity(alpha: TensorOp, V: YDModule) -> bool:
@@ -250,15 +248,15 @@ class QuasiTriangularStructure(_Frozen):
         unit2 = tensor_product(u, u)
         r13 = compose(tensor_product(i, swap_op(H.space)), tensor_product(R, u))
         return [
-            ("R R^-1 != 1 (x) 1", compose(m2, tensor_product(R, S)) - unit2,
-             compose(m2, tensor_product(S, R)) - unit2),
+            ("R R^-1 != 1 (x) 1", residual((m2, tensor_product(R, S)), unit2),
+             residual((m2, tensor_product(S, R)), unit2)),
             ("tau(Delta x) R != R Delta x at basis {col}",
-             compose(m2, tensor_product(compose(swap_op(H.space), D), R))
-             - compose(m2, tensor_product(R, D))),
+             residual((m2, tensor_product(compose(swap_op(H.space), D), R)),
+                      (m2, tensor_product(R, D)))),
             ("(Delta (x) Id)(R) != R13 R23",
-             compose(tensor_product(D, i), R) - compose(m3, tensor_product(r13, u, R))),
+             residual((tensor_product(D, i), R), (m3, tensor_product(r13, u, R)))),
             ("(Id (x) Delta)(R) != R13 R12",
-             compose(tensor_product(i, D), R) - compose(m3, tensor_product(r13, R, u))),
+             residual((tensor_product(i, D), R), (m3, tensor_product(r13, R, u)))),
         ]
 
     def check_axioms(self) -> None:
@@ -319,18 +317,18 @@ class DualQuasiTriangularStructure(_Frozen):
         D2 = compose(tensor_product(i, s, i), tensor_product(D, D))
         return [
             ("form not convolution-invertible at ({col})",
-             compose(tensor_product(F, G), D2) - tensor_product(e, e),
-             compose(tensor_product(G, F), D2) - tensor_product(e, e)),
+             residual((tensor_product(F, G), D2), tensor_product(e, e)),
+             residual((tensor_product(G, F), D2), tensor_product(e, e))),
             ("first dual condition fails at ({col})",
-             compose(tensor_product(compose(m, s), F), D2) - compose(tensor_product(F, m), D2)),
+             residual((tensor_product(compose(m, s), F), D2), (tensor_product(F, m), D2))),
             ("second dual condition fails at ({col})",
-             compose(F, tensor_product(m, i))
-             - compose(tensor_product(F, F), tensor_product(i, s, i), tensor_product(i, i, D))),
+             residual((F, tensor_product(m, i)),
+                      (tensor_product(F, F), tensor_product(i, s, i), tensor_product(i, i, D)))),
             ("third dual condition fails at ({col})",
-             compose(F, tensor_product(i, m))
-             - compose(tensor_product(F, F),
+             residual((F, tensor_product(i, m)),
+                      (tensor_product(F, F),
                        tensor_product(i, swap_op((H.space, H.space), H.space)),
-                       tensor_product(D, i, i))),
+                       tensor_product(D, i, i)))),
         ]
 
     def check_axioms(self) -> None:

@@ -8,6 +8,7 @@ with the same calls made after evaluating the symbolic operand.
 """
 
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,28 +17,41 @@ import pytest
 
 from helpers import (
     GALLERY_POINT,
+    extension_instances,
     fraction_det_and_inverse,
     fraction_kron,
     fraction_matmul,
     fraction_matrix,
+    phi_alpha_rational,
     phi_alpha_symbolic,
+    rand_fraction,
     rational_gallery,
 )
-from hombrax.quantum import bql
+from hombrax.braid import tensor_power_solution
+from hombrax.homlie import braiding_on_extension, extended_alpha, multiplicativity_residual
+from hombrax.hybe import braid_relation_residuals, build_Bi, compatibility_residual, hybe_residual
+from hombrax.quantum import CompatibleAlpha, bql, induced_solution, maximal_patterns
 from hombrax.scalars import DenominatorDivisibleByP, Scalar, reduce_mod_p
 from hombrax.tensor import (
+    ArityMismatch,
     BasedSpace,
     LinearMap,
     Singular,
+    SpaceMismatch,
     TensorOp,
+    _sparse_json,
     compose,
+    decode_word,
     identity_op,
     invert,
     lift,
     op_dumps,
     op_loads,
+    residual,
+    swap_op,
     tensor_product,
 )
+from hombrax.yd import YDModule, group_bialgebra, yd_residual, z2_sign_module
 
 V2 = BasedSpace.of_dim(2)
 GALLERY = rational_gallery()
@@ -251,3 +265,229 @@ def test_one_operator_reached_three_ways_is_equal_with_equal_hash():
     assert by_instantiate == by_json == by_compose
     assert hash(by_instantiate) == hash(by_json) == hash(by_compose)
     assert compose(by_json, identity_op(space, 2)) == by_json
+
+
+# -- residual: both sides of an identity in one kernel call -------------------
+
+def _side(side) -> TensorOp:
+    """One side of a residual as the fold computes it."""
+    if isinstance(side, TensorOp):
+        return side
+    return side[0] if len(side) == 1 else compose(*side)
+
+
+def _check_residual(lhs, rhs) -> TensorOp:
+    """residual(lhs, rhs) against compose(*lhs) - compose(*rhs) and the dense
+    Fraction oracle; returns the residual."""
+    result = residual(lhs, rhs)
+    fold = _side(lhs) - _side(rhs)
+    _check_canonical(result)
+    assert result == fold and hash(result) == hash(fold)
+    dense = [functools.reduce(fraction_matmul, map(fraction_matrix, side)) for side in (lhs, rhs)]
+    want = _entrywise(*dense, lambda x, y: x - y)
+    assert fraction_matrix(result) == want
+    hit = result.first_nonzero_column()
+    assert (None if hit is None else (hit[0], hit[1][0][0])) == _first_nonzero(want)
+    return result
+
+
+def _den(side) -> int:
+    return math.prod(op._integer()[0] for op in side)
+
+
+RANDOM_SIDES = [([RANDOM[(k + 3 * j) % len(RANDOM)] for j in range(1 + k % 5)],
+                 [RANDOM[(k + 5 * j + 1) % len(RANDOM)] for j in range(1 + (k + 2) % 5)])
+                for k in range(len(RANDOM))]
+
+
+@pytest.mark.parametrize("k", range(len(RANDOM_SIDES)))
+def test_random_residuals_match_fold_and_fraction_oracle(k):
+    _check_residual(*RANDOM_SIDES[k])
+
+
+def test_random_residual_sides_cover_every_length_and_unequal_denominators():
+    assert {(len(lhs), len(rhs)) for lhs, rhs in RANDOM_SIDES} >= {(n, (n + 2) % 5 or 5)
+                                                                    for n in range(1, 6)}
+    assert sum(_den(lhs) != _den(rhs) for lhs, rhs in RANDOM_SIDES) >= len(RANDOM_SIDES) - 2
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_gallery_residuals_match_fold_and_fraction_oracle(name):
+    op = GALLERY[name]
+    same = [x for _, x in sorted(GALLERY.items()) if x.dom == op.dom and x.cod == op.cod]
+    partner = same[(same.index(op) + 1) % len(same)]
+    word = [op, partner, op, partner, op]
+    for left, right in ((1, 1), (2, 1), (3, 3), (1, 4), (5, 2)):
+        _check_residual(word[:left], word[1:1 + right])
+
+
+def test_gallery_residual_sides_have_unequal_denominators():
+    dens = {_den([x]) for x in GALLERY.values()}
+    assert len(dens) > 3
+
+
+def test_cancelling_residual_is_the_canonical_zero():
+    for f, g in ((GALLERY["bql3"], GALLERY["induced0"]), (RANDOM[0], RANDOM[4]),
+                 (RANDOM[7], RANDOM[1]), (GALLERY["extension0"], GALLERY["extension0"])):
+        zero = TensorOp(g.space, g.arity, {})
+        for result in (residual((f, invert(f), g), g), residual(g, (g, invert(f), f)),
+                       residual((f, g), (f, g)), residual(g, g)):
+            assert result == zero and hash(result) == hash(zero)
+            assert result._integer() == (1, ((),) * g.total_dim)
+    B, inverse = GALLERY["extension1"], GALLERY["extension1_inverse"]
+    assert residual((B, inverse), identity_op(B.space, 2)).is_zero()
+
+
+def test_symbolic_and_mixed_residuals_match_their_fold():
+    sym, alpha = phi_alpha_symbolic()
+    lifted, rat = lift(alpha, 2), GALLERY["phi"]
+    for lhs, rhs in (((lifted, sym), (sym, lifted)), ((sym, lifted, sym), (lifted, sym)),
+                     (sym, (sym, sym)), ((rat, sym), (sym, rat)), (rat, (sym, lifted)),
+                     ((rat, rat, sym), rat)):
+        result = residual(lhs, rhs)
+        assert result == _side(lhs) - _side(rhs)
+    assert residual((lifted, sym), (sym, lifted)).is_zero()
+    point = {**GALLERY_POINT, "a": Fraction(2, 3), "d": -5}
+    at = sym.instantiate(point)
+    mixed = residual((rat, sym, rat), (sym, rat))
+    assert mixed._integer() is None
+    assert mixed.instantiate(point) == residual((rat, at, rat), (at, rat))
+
+
+def _raised(fn):
+    try:
+        fn()
+    except (ArityMismatch, SpaceMismatch) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_mismatched_residual_words_raise_as_the_fold():
+    V3 = BasedSpace.of_dim(3)
+    op2, op1, other = RANDOM[0], SMALL, identity_op(V3, 2)
+    cross = swap_op(V2, V3)  # (V2, V3) -> (V3, V2)
+    cases = [
+        ((op2, op1), op2),                                # lhs chain, arity
+        (op2, (op2, other)),                              # rhs chain, space
+        ((op2, op2), op1),                                # sides' words, arity
+        (op2, (other, other)),                            # sides' words, space
+        (cross, identity_op((V2, V3))),                   # cods differ
+        (cross, (identity_op((V2, V3)), identity_op((V2, V3)))),  # cods differ, a chain
+        (identity_op((V3, V2)), cross),                   # doms differ
+        ((op1, op1), (op1, op2)),                         # rhs chain after a valid lhs
+    ]
+    for lhs, rhs in cases:
+        want = _raised(lambda: _side(lhs) - _side(rhs))
+        assert want is not None, (lhs, rhs)
+        assert _raised(lambda: residual(lhs, rhs)) == want
+
+
+# -- the residual builders against the fold each one replaced ------------------
+
+def _perturbed(op: TensorOp, col: int, row: int, delta) -> TensorOp:
+    return op + TensorOp(op.space, op.arity, {col: [(row, Scalar.rational(delta))]})
+
+
+def _hybe_pairs() -> list:
+    """(name, B, alpha): induced, extension and tensor-power solutions, and
+    for each kind one pair perturbed by a multiple of alpha (x) alpha, which
+    keeps the pair compatible and breaks the twisted identity."""
+    rng = random.Random(11)
+    pairs = []
+    patterns = maximal_patterns(3)
+    for k, pattern in enumerate((patterns[-1], patterns[3])):  # alpha invertible, singular
+        ca = CompatibleAlpha(pattern, {c: rand_fraction(rng, nonzero=True)
+                                       for c in pattern.support})
+        pairs.append((f"induced{k}", induced_solution(ca).instantiate(GALLERY_POINT),
+                      ca.to_linear_map()))
+    for k, L in enumerate(extension_instances(rng, 2)):
+        pairs.append((f"extension{k}", braiding_on_extension(L), extended_alpha(L)))
+    b, alpha = phi_alpha_rational()
+    pairs.append(("tensor-power2", *tensor_power_solution(b, alpha, 2)))
+    for name, B, alpha in list(pairs[::2]):
+        pairs.append((f"{name}-perturbed", B + lift(alpha, 2).scale(Fraction(2, 7)), alpha))
+    return pairs
+
+
+HYBE_PAIRS = _hybe_pairs()
+
+
+def _fold_braid(x: TensorOp, y: TensorOp) -> TensorOp:
+    return compose(x, y, x) - compose(y, x, y)
+
+
+@pytest.mark.parametrize("name, B, alpha", HYBE_PAIRS, ids=[p[0] for p in HYBE_PAIRS])
+def test_hybe_residual_builders_match_their_fold(name, B, alpha):
+    a2 = lift(alpha, 2)
+    assert compatibility_residual(B, alpha) == compose(a2, B) - compose(B, a2)
+    n = B.total_dim
+    # The first perturbation site at which the pair stops commuting.
+    bad = next(b for b in (_perturbed(B, j, r, Fraction(3, 5)) for j in range(n) for r in range(n))
+               if not (compose(a2, b) - compose(b, a2)).is_zero())
+    assert compatibility_residual(bad, alpha) == compose(a2, bad) - compose(bad, a2)
+    res = hybe_residual(B, alpha)
+    assert res == _fold_braid(tensor_product(alpha, B), tensor_product(B, alpha))
+    assert res.is_zero() == (not name.endswith("perturbed"))
+    assert res.first_nonzero() == _fold_braid(tensor_product(alpha, B),
+                                              tensor_product(B, alpha)).first_nonzero()
+    strands = [build_Bi(B, alpha, 4, i) for i in (1, 2, 3)]
+    fold = [compose(strands[0], strands[2]) - compose(strands[2], strands[0]),
+            _fold_braid(strands[0], strands[1]), _fold_braid(strands[1], strands[2])]
+    assert braid_relation_residuals(B, alpha, 4) == fold
+
+
+def test_bracket_residual_matches_its_fold():
+    rng = random.Random(12)
+    for L in extension_instances(rng, 3):
+        a, n = L.alpha, L.dim
+        fold = [compose(x, L.bracket) - compose(L.bracket, tensor_product(x, x))
+                for x in [a] + [_perturbed(a, j, r, Fraction(-4, 3))
+                                for j in range(n) for r in range(n)]]
+        assert multiplicativity_residual(L, a) == fold[0] and fold[0].is_zero()
+        # The first perturbation site at which alpha stops preserving the bracket.
+        k = next(k for k, res in enumerate(fold) if not res.is_zero())
+        bad = _perturbed(a, (k - 1) // n, (k - 1) % n, Fraction(-4, 3))
+        assert multiplicativity_residual(L, bad) == fold[k]
+
+
+def _fold_yd_residual(V: YDModule) -> TensorOp:
+    H = V.host
+    h, v = identity_op(H.space), identity_op(V.space)
+    m, act, co, D = H.mult, V.action, V.coaction, H.comult
+    lhs = compose(tensor_product(m, act), tensor_product(h, swap_op(H.space), v),
+                  tensor_product(D, co))
+    rhs = compose(tensor_product(m, v), tensor_product(h, swap_op(V.space, H.space)),
+                  tensor_product(compose(co, act), h),
+                  tensor_product(h, swap_op(H.space, V.space)), tensor_product(D, v))
+    return lhs - rhs
+
+
+def test_yd_residual_matches_its_fold():
+    one, zero = Scalar.one(), Scalar.zero()
+    grading = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
+    flip = [[[one, zero], [zero, one]], [[zero, one], [one, zero]]]
+    failing = YDModule(group_bialgebra(2), ("v0", "v1"), flip, grading)
+    for V, holds in ((z2_sign_module(), True), (failing, False)):
+        res = yd_residual(V)
+        assert res == _fold_yd_residual(V) and res.is_zero() == holds
+
+
+# -- JSON text straight from the integer form --------------------------------
+
+def _json_via_scalars(op: TensorOp) -> str:
+    """op_dumps as written from Scalar columns, str of each entry."""
+    return json.dumps({"dim": op.space.dim, "arity": op.arity,
+                       "columns": {str(j): [[str(r), str(s)] for r, s in col]
+                                   for j, col in enumerate(op.columns)}},
+                      sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY) + [f"random{k}" for k in range(len(RANDOM))])
+def test_json_from_integer_form_matches_scalar_text(name):
+    op = GALLERY[name] if name in GALLERY else RANDOM[int(name[6:])]
+    fresh = TensorOp._rational(op.dom, op.cod, *op._integer())  # integer form only
+    assert fresh._cols is None
+    assert op_dumps(fresh) == _json_via_scalars(op)
+    key = lambda word, flat: ",".join(map(str, decode_word(word, flat)))  # noqa: E731
+    assert _sparse_json(fresh) == {key(op.dom, j): {key(op.cod, r): str(s) for r, s in col}
+                                   for j, col in enumerate(op.columns) if col}
