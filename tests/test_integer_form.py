@@ -276,9 +276,9 @@ def _side(side) -> TensorOp:
     return side[0] if len(side) == 1 else compose(*side)
 
 
-def _check_residual(lhs, rhs) -> TensorOp:
+def _check_residual(lhs, rhs) -> None:
     """residual(lhs, rhs) against compose(*lhs) - compose(*rhs) and the dense
-    Fraction oracle; returns the residual."""
+    Fraction oracle."""
     result = residual(lhs, rhs)
     fold = _side(lhs) - _side(rhs)
     _check_canonical(result)
@@ -288,7 +288,6 @@ def _check_residual(lhs, rhs) -> TensorOp:
     assert fraction_matrix(result) == want
     hit = result.first_nonzero_column()
     assert (None if hit is None else (hit[0], hit[1][0][0])) == _first_nonzero(want)
-    return result
 
 
 def _den(side) -> int:
@@ -305,25 +304,27 @@ def test_random_residuals_match_fold_and_fraction_oracle(k):
     _check_residual(*RANDOM_SIDES[k])
 
 
-def test_random_residual_sides_cover_every_length_and_unequal_denominators():
-    assert {(len(lhs), len(rhs)) for lhs, rhs in RANDOM_SIDES} >= {(n, (n + 2) % 5 or 5)
-                                                                    for n in range(1, 6)}
-    assert sum(_den(lhs) != _den(rhs) for lhs, rhs in RANDOM_SIDES) >= len(RANDOM_SIDES) - 2
-
-
-@pytest.mark.parametrize("name", sorted(GALLERY))
-def test_gallery_residuals_match_fold_and_fraction_oracle(name):
+def _gallery_sides(name: str) -> list:
+    """Sides of 1 to 5 factors alternating a gallery operator and a partner
+    of the same shape."""
     op = GALLERY[name]
     same = [x for _, x in sorted(GALLERY.items()) if x.dom == op.dom and x.cod == op.cod]
     partner = same[(same.index(op) + 1) % len(same)]
     word = [op, partner, op, partner, op]
-    for left, right in ((1, 1), (2, 1), (3, 3), (1, 4), (5, 2)):
-        _check_residual(word[:left], word[1:1 + right])
+    return [(word[:left], word[1:1 + right])
+            for left, right in ((1, 1), (2, 1), (3, 3), (1, 4), (5, 2))]
 
 
-def test_gallery_residual_sides_have_unequal_denominators():
-    dens = {_den([x]) for x in GALLERY.values()}
-    assert len(dens) > 3
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_gallery_residuals_match_fold_and_fraction_oracle(name):
+    for lhs, rhs in _gallery_sides(name):
+        _check_residual(lhs, rhs)
+
+
+def test_residual_sides_cover_every_length_and_unequal_denominators():
+    sides = RANDOM_SIDES + [s for name in GALLERY for s in _gallery_sides(name)]
+    assert {len(lhs) for lhs, _ in sides} == {len(rhs) for _, rhs in sides} == {1, 2, 3, 4, 5}
+    assert sum(_den(lhs) != _den(rhs) for lhs, rhs in sides) > 0.8 * len(sides)
 
 
 def test_cancelling_residual_is_the_canonical_zero():
