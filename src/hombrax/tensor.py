@@ -31,18 +31,16 @@ grid.  Everything else (``compose``, ``tensor_product``, sums, scaling,
 result with ``TensorOp._trusted`` or ``TensorOp._rational``: the columns are
 canonical and in range by construction or canonicalised in place.
 
-An operator is stored in one of two forms with the same rows and the same
-sparsity.  The ``Scalar`` form holds Laurent-polynomial columns and is the
-only form of a symbolic operator.  The integer form of a rational operator
-holds ``(den, int columns)`` for the operator int columns / den, canonical
-when den > 0 and the gcd of den and all entries is 1 (the zero operator is
-``(1, empty columns)``), so equality stays structural.  ``instantiate``,
-``identity_op``, ``swap_op`` and every kernel whose operands are both
-rational build the integer form, dividing the content gcd out of each
-result once; ``invert`` eliminates on it fraction-free, in integers.  An
-operator built from ``Scalar`` columns derives its integer form on first use
-and keeps it, and ``.columns`` builds the ``Scalar`` columns of an integer
-operator on first use, so callers read either form through ``.columns``.
+An operator is stored in one form, fixed when it is built: ``(den, cols)``.
+If every entry is rational, cols are int columns and the operator is
+cols / den, canonical when den > 0 and the gcd of den and all entries is 1
+(the zero operator is ``(1, empty columns)``).  Otherwise cols are
+``Scalar`` (Laurent-polynomial) columns and den is None.  Either way
+equality and hashing are structural on ``(dom, cod, den, cols)``, and
+nothing is written to an operator after it is built.  Kernels on rational
+operands divide the content gcd out of each result once; ``invert``
+eliminates on the integer form fraction-free, in integers.  ``.columns``
+reads the ``Scalar`` columns, built anew from the integer form on each call.
 ``mod_p(p)`` is the one reduction to F_p: the dense matrix of a rational
 operator, read from the integer form with one inverse of the denominator.
 Each kernel loop is written once: ``+``, ``*`` and truthiness act alike on
@@ -161,15 +159,17 @@ def encode_index(dim: int, multi: Sequence[int]) -> int:
 
 
 def _check_size(dim: int, arity: int, limit: int = _MAX_COLUMNS) -> None:
-    """Refuse an operator on V^(tensor arity) with more than limit columns.
+    """Refuse an operator on V^(tensor arity) with more than limit columns,
+    counting dim as at least 2: a 1-dim operator has one column, but words,
+    strands and braid words still grow with its arity.
 
-    dim >= 2^(bit_length - 1), so a large arity is refused from the bit
-    lengths alone, before dim ** arity is formed.
+    base >= 2^(bit_length - 1), so a large arity is refused from the bit
+    lengths alone, before base ** arity is formed.
     """
-    if dim > 1 and (arity * (dim.bit_length() - 1) >= limit.bit_length()
-                    or dim ** arity > limit):
+    base = max(dim, 2)
+    if arity * (base.bit_length() - 1) >= limit.bit_length() or base ** arity > limit:
         raise ValueError(f"dim {dim} to the power {arity} exceeds the limit of "
-                         f"{limit} columns")
+                         f"{limit} columns (dim counted as at least 2)")
 
 
 Column = tuple[tuple[int, Scalar], ...]
@@ -246,15 +246,23 @@ def _scalar_column(den: int, col: _IntColumn) -> Column:
     return tuple((r, Scalar.rational(Fraction(v, den))) for r, v in col)
 
 
+def _form(cols: tuple[Column, ...]) -> tuple[int | None, tuple]:
+    """The stored form of canonical Scalar columns: the integer form if every
+    entry is rational, else (None, cols)."""
+    if all(s.is_rational() for col in cols for _, s in col):
+        return _integer_columns([(r, s.constant_value()) for r, s in col] for col in cols)
+    return None, cols
+
+
 class TensorOp(_Frozen):
     """Total sparse map from the word dom to the word cod, columns indexed flat.
 
     ``TensorOp(space, arity, columns)`` builds an operator on V^(tensor arity).
     """
 
-    # _cols: Scalar columns, or None until built from _ints.  _ints: the
-    # integer form, None until derived from _cols, False for a symbolic map.
-    __slots__ = ("dom", "cod", "_cols", "_ints")
+    # _den: the denominator of a rational map's int columns _cols, or None
+    # for a symbolic map, whose _cols are Scalar columns.
+    __slots__ = ("dom", "cod", "_den", "_cols")
 
     def __init__(self, space: BasedSpace, arity: int,
                  columns: Mapping[int, Iterable[tuple[int, Scalar]]] | Sequence):
@@ -273,19 +281,20 @@ class TensorOp(_Frozen):
             for row, _ in col:
                 if not 0 <= row < n:
                     raise IndexError(f"row {row} out of range")
-        self._set(word, word, cols, None)
+        self._set(word, word, *_form(cols))
 
-    def _set(self, dom: Word, cod: Word, cols, ints) -> None:
+    def _set(self, dom: Word, cod: Word, den: int | None, cols: tuple) -> None:
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_ints", ints)
 
     @classmethod
     def _trusted(cls, dom: Word, cod: Word, cols: tuple[Column, ...]) -> "TensorOp":
-        """A map from Scalar columns that are canonical and in range by construction."""
+        """A map from Scalar columns that are canonical and in range by
+        construction, stored in integer form if every entry is rational."""
         op = object.__new__(cls)
-        op._set(dom, cod, cols, None)
+        op._set(dom, cod, *_form(cols))
         return op
 
     @classmethod
@@ -294,36 +303,21 @@ class TensorOp(_Frozen):
         """The map cols / den from integer columns that are canonical and in
         range by construction; the content gcd is divided out here."""
         op = object.__new__(cls)
-        op._set(dom, cod, None, _reduced(den, cols))
+        op._set(dom, cod, *_reduced(den, cols))
         return op
 
-    # -- the two storage forms ---------------------------------------------
+    # -- the stored form ----------------------------------------------------
 
     @property
     def columns(self) -> tuple[Column, ...]:
-        """The Scalar columns, built from the integer form on first use."""
-        cols = self._cols
-        if cols is None:
-            den, icols = self._ints
-            cols = tuple(_scalar_column(den, col) for col in icols)
-            object.__setattr__(self, "_cols", cols)
-        return cols
+        """The Scalar columns: the stored ones of a symbolic map, built anew
+        from the integer form of a rational one on each call."""
+        den, cols = self._den, self._cols
+        return cols if den is None else tuple(_scalar_column(den, col) for col in cols)
 
     def _integer(self) -> _Integer | None:
-        """(den, int columns) of a rational map, derived on first use; None
-        for a symbolic one."""
-        ints = self._ints
-        if ints is None:
-            cols = self._cols
-            ints = (all(s.is_rational() for col in cols for _, s in col)
-                    and _integer_columns([(r, s.constant_value()) for r, s in col]
-                                         for col in cols))
-            object.__setattr__(self, "_ints", ints)
-        return ints or None
-
-    def _stored(self) -> tuple:
-        """The columns of either built form: the sparsity is the same."""
-        return self._ints[1] if self._cols is None else self._cols
+        """(den, int columns) of a rational map; None for a symbolic one."""
+        return None if self._den is None else (self._den, self._cols)
 
     # -- basic queries -----------------------------------------------------
 
@@ -346,12 +340,11 @@ class TensorOp(_Frozen):
 
     @property
     def total_dim(self) -> int:
-        return len(self._stored())
+        return len(self._cols)
 
     def column(self, j: int) -> Column:
-        if self._cols is None:
-            return _scalar_column(self._ints[0], self._ints[1][j])
-        return self._cols[j]
+        den, col = self._den, self._cols[j]
+        return col if den is None else _scalar_column(den, col)
 
     def entry(self, row: int, col: int) -> Scalar:
         for r, s in self.column(col):
@@ -360,10 +353,10 @@ class TensorOp(_Frozen):
         return Scalar.zero()
 
     def is_zero(self) -> bool:
-        return not any(self._stored())
+        return not any(self._cols)
 
     def first_nonzero_column(self) -> tuple[int, Column] | None:
-        for j, col in enumerate(self._stored()):
+        for j, col in enumerate(self._cols):
             if col:
                 return j, self.column(j)
         return None
@@ -377,21 +370,19 @@ class TensorOp(_Frozen):
         j, col = hit
         return decode_word(self.dom, j), decode_word(self.cod, col[0][0])
 
+    def _key(self) -> tuple:
+        return self.dom, self.cod, self._den, self._cols
+
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
-        if self.dom != other.dom or self.cod != other.cod:
-            return False
-        a, b = self._integer(), other._integer()
-        if a or b:  # a rational map never equals a symbolic one
-            return a == b
-        return self.columns == other.columns
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self._integer() or self.columns))
+        return hash(self._key())
 
     def __repr__(self):
-        nnz = sum(len(c) for c in self._stored())
+        nnz = sum(len(c) for c in self._cols)
         if self._is_power():
             return f"TensorOp(dim={self.dom[0].dim}, arity={len(self.dom)}, nnz={nnz})"
         dims = [[s.dim for s in w] for w in (self.dom, self.cod)]
@@ -406,11 +397,14 @@ class TensorOp(_Frozen):
         return _combination(((self,), (other,)), (1, -1))
 
     def __neg__(self) -> "TensorOp":
-        return self.scale(Scalar.rational(-1))
+        return self.scale(-1)
 
     def scale(self, s: Scalar | RationalLike) -> "TensorOp":
-        s = s if isinstance(s, Scalar) else Scalar.rational(s)
-        return self.map_scalars(lambda v: s * v)
+        if isinstance(s, Scalar):
+            if not s.is_rational():
+                return self.map_scalars(lambda v: s * v)
+            s = s.constant_value()
+        return _combination(((self,),), (s,))
 
     def __matmul__(self, other: "TensorOp") -> "TensorOp":
         return compose(self, other)
@@ -535,14 +529,16 @@ def swap_op(A: BasedSpace | Word, B: BasedSpace | Word | None = None) -> TensorO
                                                      for i in range(na) for j in range(nb)))
 
 
-def _combination(chains: Sequence[Sequence[TensorOp]], signs: Sequence[int]) -> TensorOp:
-    """The sum of sign * (chain[0] after chain[1] after ...) over chains and
-    signs, in one kernel call; word mismatches raise as compose and +/- do.
+def _combination(chains: Sequence[Sequence[TensorOp]],
+                 coeffs: Sequence[int | Fraction]) -> TensorOp:
+    """The sum of c * (chain[0] after chain[1] after ...) over chains and
+    rational coefficients c, in one kernel call; word mismatches raise as
+    compose and +/- do.
 
-    With every factor rational the loop runs on integer columns, chain t
-    weighted by sign_t * den / d_t, d_t the product of its denominators and
-    den the lcm of the d_t, and the content gcd is divided out once.
-    Otherwise every chain runs on Scalar columns.
+    With every factor rational the loop runs on integer columns: chain t,
+    with c_t = n_t / m_t, is weighted by n_t * den / d_t, d_t the product of
+    m_t and its denominators and den the lcm of the d_t, and the content gcd
+    is divided out once.  Otherwise every chain runs on Scalar columns.
     """
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
@@ -552,19 +548,18 @@ def _combination(chains: Sequence[Sequence[TensorOp]], signs: Sequence[int]) -> 
         _check_words(dom, chain[-1].dom)
         _check_words(cod, chain[0].cod)
     terms, den = [], 1
-    for sign, chain in zip(signs, chains):
-        d, cols = 1, []
+    for c, chain in zip(coeffs, chains):
+        d, cols = c.denominator, []
         for op in chain:
-            ints = op._integer()
-            if not ints:
+            if op._den is None:
                 return TensorOp._trusted(dom, cod, _combine_columns(
-                    [(t, [op.columns for op in ch]) for t, ch in zip(signs, chains)]))
-            d *= ints[0]
-            cols.append(ints[1])
-        terms.append((sign, d, cols))
+                    [(t, [op.columns for op in ch]) for t, ch in zip(coeffs, chains)]))
+            d *= op._den
+            cols.append(op._cols)
+        terms.append((c.numerator, d, cols))
         den = math.lcm(den, d)
     return TensorOp._rational(dom, cod, den, _combine_columns(
-        [(sign * (den // d), cols) for sign, d, cols in terms]))
+        [(n * (den // d), cols) for n, d, cols in terms]))
 
 
 def compose(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
@@ -600,9 +595,9 @@ def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
         return tensor_product(tensor_product(f, g), *more)
     ng = _size(g.cod)
     dom, cod = f.dom + g.dom, f.cod + g.cod
-    a, b = f._integer(), g._integer()
-    if a and b:
-        return TensorOp._rational(dom, cod, a[0] * b[0], _tensor_columns(a[1], b[1], ng))
+    if f._den is not None and g._den is not None:
+        return TensorOp._rational(dom, cod, f._den * g._den,
+                                  _tensor_columns(f._cols, g._cols, ng))
     return TensorOp._trusted(dom, cod, _tensor_columns(f.columns, g.columns, ng))
 
 
@@ -680,8 +675,8 @@ def invert(f: TensorOp) -> TensorOp:
     SymbolicNotMonomialInvertible if elimination gets stuck on symbolic
     entries none of which is a monomial.
     """
-    ints = f._integer()
-    den, cols = ints or (1, f.columns)
+    den, cols = f._den, f._cols
+    ints = den is not None
     n = len(cols)
     rows = [{n + i: 1 if ints else Scalar.one()} for i in range(n)]
     for j, col in enumerate(cols):
@@ -754,7 +749,7 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
     if arity < 1 or space.dim ** arity != op.total_dim:
         raise DimMismatch(f"cannot regroup dim {old.dim}^{op.arity} as {space.dim}^{arity}")
     out = object.__new__(TensorOp)
-    out._set((space,) * arity, (space,) * arity, op._cols, op._ints)  # both forms, as built
+    out._set((space,) * arity, (space,) * arity, op._den, op._cols)
     return out
 
 
@@ -765,10 +760,9 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
 def _text_columns(op: TensorOp) -> tuple:
     """The columns with entries as text: str(Fraction(v, den)) from the
     integer form of a rational map, what str of the constant Scalar prints."""
-    ints = op._integer()
-    if ints is None:
-        return tuple(tuple((r, str(s)) for r, s in col) for col in op.columns)
-    den, cols = ints
+    den, cols = op._den, op._cols
+    if den is None:
+        return tuple(tuple((r, str(s)) for r, s in col) for col in cols)
     return tuple(tuple((r, str(Fraction(v, den))) for r, v in col) for col in cols)
 
 
@@ -833,7 +827,7 @@ def _json_dim(data, arity: int) -> int:
 
 
 def _json_labels(data: Mapping, dim: int, prefix: str) -> tuple[str, ...]:
-    labels = data.get("labels") or [f"{prefix}{i}" for i in range(dim)]
+    labels = data.get("labels", [f"{prefix}{i}" for i in range(dim)])
     if not (isinstance(labels, list) and len(labels) == dim
             and all(isinstance(x, str) for x in labels)):
         raise ValueError(f"labels must be a list of {dim} strings")

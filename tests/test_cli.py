@@ -540,6 +540,9 @@ def _refuse(*args, **kwargs):
                                                              "columns": {}}}),
     (["braid", "eval", "--perm", "2,1"], {"operator": {"dim": 10 ** 30, "arity": 1,
                                                        "columns": {}}}),
+    # One column, but the arity still sizes every word built from it.
+    (["verify", "ybe"], {"dim": 1, "arity": 10 ** 18, "columns": {}}),
+    (["verify", "ybe"], {"dim": 1, "arity": 10 ** 8, "columns": {}}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_oversized_json_exits_2_before_building(capsys, monkeypatch, argv, stdin):
     from hombrax.tensor import BasedSpace, TensorOp
@@ -548,6 +551,9 @@ def test_oversized_json_exits_2_before_building(capsys, monkeypatch, argv, stdin
     code, out, err = run(capsys, argv, stdin=json.dumps(stdin), monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "exceeds the limit" in err
+
+
+_ONE_DIM = {"dim": 1, "arity": 2, "columns": {"0": [["0", "2"]]}}
 
 
 @pytest.fixture
@@ -573,6 +579,11 @@ def no_large_work(monkeypatch):
     (["verify", "braid", "--n", str(10 ** 20)], _PAIR),
     (["construct", "tensor-power", "--n", "7"], None),
     (["braid", "power", "--n", "7"], _PAIR),
+    # A 1-dim pair: dim counts as 2, so 5,000 strands are refused at once.
+    (["verify", "braid", "--n", "5000", "--alpha", "1"], _ONE_DIM),
+    (["braid", "power", "--n", "3000", "--alpha", "1"], _ONE_DIM),
+    pytest.param(["braid", "eval", "--perm", ",".join(str(k) for k in range(3000, 0, -1)),
+                  "--alpha", "1"], _ONE_DIM, id="braid eval --perm 3000,...,1 --alpha 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_oversized_requests_exit_2_before_building(capsys, monkeypatch, no_large_work,
                                                     argv, stdin):
@@ -661,6 +672,8 @@ def _yd_doc_with(path, value):
                  id="too few labels"),
     pytest.param("verify hom-jacobi", {"dim": 1, "labels": 5, "c": {}, "alpha": [["1"]]},
                  id="labels int"),
+    *[pytest.param("verify hom-jacobi", {"dim": 1, "labels": value, "c": {}, "alpha": [["1"]]},
+                   id=f"labels {json.dumps(value)}") for value in (False, 0, "", [], None)],
     pytest.param("verify yd", _yd_doc_with(["coaction"], {"0": {"-1,0": "1"}}),
                  id="coaction negative index"),
     pytest.param("verify yd", _yd_doc_with(["action"], {"0,2": {"0": "1"}}),

@@ -30,7 +30,7 @@ from helpers import (
 from hombrax.braid import tensor_power_solution
 from hombrax.homlie import braiding_on_extension, extended_alpha, multiplicativity_residual
 from hombrax.hybe import braid_relation_residuals, build_Bi, compatibility_residual, hybe_residual
-from hombrax.quantum import CompatibleAlpha, bql, induced_solution, maximal_patterns
+from hombrax.quantum import CompatibleAlpha, bql, induced_solution, maximal_patterns, phi
 from hombrax.scalars import DenominatorDivisibleByP, Scalar, reduce_mod_p
 from hombrax.tensor import (
     ArityMismatch,
@@ -40,6 +40,7 @@ from hombrax.tensor import (
     SpaceMismatch,
     TensorOp,
     _sparse_json,
+    as_op,
     compose,
     decode_word,
     identity_op,
@@ -47,6 +48,8 @@ from hombrax.tensor import (
     lift,
     op_dumps,
     op_loads,
+    product_space,
+    rebase,
     residual,
     swap_op,
     tensor_product,
@@ -261,7 +264,7 @@ def test_one_operator_reached_three_ways_is_equal_with_equal_hash():
     by_json = op_loads(op_dumps(by_instantiate), space)
     w = bql(3).instantiate({"q": Fraction(-3, 5), "l": 7})
     by_compose = compose(invert(w), w, by_instantiate)
-    assert by_json._cols is not None and by_json._ints is None  # Scalar-built
+    assert by_json._integer() == by_instantiate._integer()  # read from text, stored in int
     assert by_instantiate == by_json == by_compose
     assert hash(by_instantiate) == hash(by_json) == hash(by_compose)
     assert compose(by_json, identity_op(space, 2)) == by_json
@@ -486,9 +489,141 @@ def _json_via_scalars(op: TensorOp) -> str:
 @pytest.mark.parametrize("name", sorted(GALLERY) + [f"random{k}" for k in range(len(RANDOM))])
 def test_json_from_integer_form_matches_scalar_text(name):
     op = GALLERY[name] if name in GALLERY else RANDOM[int(name[6:])]
-    fresh = TensorOp._rational(op.dom, op.cod, *op._integer())  # integer form only
-    assert fresh._cols is None
+    fresh = TensorOp._rational(op.dom, op.cod, *op._integer())
+    assert fresh._integer() == op._integer()  # the one stored form, no Scalar columns
     assert op_dumps(fresh) == _json_via_scalars(op)
     key = lambda word, flat: ",".join(map(str, decode_word(word, flat)))  # noqa: E731
     assert _sparse_json(fresh) == {key(op.dom, j): {key(op.cod, r): str(s) for r, s in col}
                                    for j, col in enumerate(op.columns) if col}
+
+
+# -- one stored form per operator ---------------------------------------------
+
+def _integer_built(op: TensorOp) -> TensorOp:
+    """op rebuilt from int columns over the lcm of its entries' denominators."""
+    cols = [[(r, s.constant_value()) for r, s in col] for col in op.columns]
+    den = math.lcm(*(x.denominator for col in cols for _, x in col))
+    return TensorOp._rational(op.dom, op.cod, den,
+                              tuple(tuple((r, int(x * den)) for r, x in col) for col in cols))
+
+
+def _check_one_form(op: TensorOp) -> None:
+    """The integer form is stored exactly when every entry is rational, and
+    it is the form an integer-built copy stores."""
+    rational = all(s.is_rational() for col in op.columns for _, s in col)
+    assert (op._integer() is not None) == rational
+    if rational:
+        copy = _integer_built(op)
+        assert op == copy and hash(op) == hash(copy)
+        assert op._integer() == copy._integer()
+    else:
+        assert all(isinstance(s, Scalar) for col in op._cols for _, s in col)
+
+
+def _grid(alpha: TensorOp) -> list:
+    """The structure-constant grid of a self-map: grid[i][k] is the e_k
+    coefficient of alpha(e_i)."""
+    return [list(col) for col in zip(*alpha.dense())]
+
+
+def _built_every_way() -> list:
+    sym, alpha = phi_alpha_symbolic()
+    B = phi()
+    point = {**GALLERY_POINT, "a": Fraction(2, 3), "d": -5}
+    mixed_alpha = LinearMap(V2, [[Scalar.param("a"), 1], [0, Fraction(-2, 5)]])
+    ops = [sym, alpha, B, mixed_alpha, SMALL, LinearMap.identity(V2),
+           LinearMap(V2, [[0, 0], [0, 0]]), as_op(_grid(SMALL), (V2,), (V2,)),
+           as_op(_grid(alpha), (V2,), (V2,)), as_op(_grid(mixed_alpha), (V2,), (V2,)),
+           sym.instantiate(point), alpha.instantiate(point), invert(B), invert(alpha),
+           identity_op(V2, 2), swap_op(V2), swap_op(V2, SMALL.dom),
+           B - B, compose(B, invert(B)), compose(invert(alpha), alpha),
+           compose(sym, lift(alpha, 2)), sym + GALLERY["phi"], tensor_product(sym, SMALL),
+           tensor_product(alpha, SMALL), residual((sym, lift(alpha, 2)), (lift(alpha, 2), sym)),
+           rebase(sym, product_space(V2, 2), 1), sym.scale(0), sym.scale(Fraction(1, 3))]
+    for op in [*GALLERY.values(), *RANDOM]:
+        space, arity = op.space, op.arity
+        ops += [op, TensorOp(space, arity, op.columns), op_loads(op_dumps(op), space),
+                rebase(op, product_space(space, arity), 1), compose(op, op), op - op,
+                op + RANDOM[0] if op.dom == RANDOM[0].dom else op.scale(3),
+                tensor_product(op, SMALL), residual((op, op), op)]
+        if fraction_det_and_inverse(fraction_matrix(op))[0]:
+            ops.append(invert(op))
+    return ops
+
+
+def test_every_way_of_building_stores_one_form():
+    ops = _built_every_way()
+    for op in ops:
+        _check_one_form(op)
+    forms = [op._integer() is not None for op in ops]
+    assert any(forms) and not all(forms)
+
+
+def test_symbolic_results_that_cancel_are_stored_as_integers():
+    B = phi()
+    for op in (B - B, compose(B, invert(B)), residual((B, B), (B, B))):
+        assert B._integer() is None and op._integer() is not None
+        _check_one_form(op)
+    assert B - B == TensorOp(B.space, B.arity, {})
+    assert compose(B, invert(B)) == identity_op(B.space, 2)
+
+
+def test_reading_an_operator_writes_nothing_to_it():
+    sym, _ = phi_alpha_symbolic()
+    for op in [*GALLERY.values(), *RANDOM, sym, phi()]:
+        den, cols = op._den, op._cols
+        copy = TensorOp(op.space, op.arity, op.columns)
+        assert op.columns == copy.columns and op == copy and hash(op) == hash(copy)
+        op_dumps(op)
+        if den is not None:
+            try:
+                op.mod_p(7)
+            except DenominatorDivisibleByP:
+                pass
+        assert op._den is den and op._cols is cols
+        with pytest.raises(AttributeError):
+            op._cols = cols
+
+
+def _scaled_entrywise(op: TensorOp, s) -> TensorOp:
+    """op.scale(s) as map_scalars computed it: s * v on each Scalar entry v."""
+    s = s if isinstance(s, Scalar) else Scalar.rational(s)
+    return TensorOp._trusted(op.dom, op.cod, tuple(
+        tuple((r, s * v) for r, v in col if not (s * v).is_zero()) for col in op.columns))
+
+
+FACTORS = [0, 1, -1, Fraction(2, 7), Scalar.rational(Fraction(-3, 4)), Scalar.param("q") + 1]
+
+
+SCALED = {**GALLERY, "random3": RANDOM[3], "symbolic": phi_alpha_symbolic()[0]}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_scale_matches_entrywise_formula_and_fraction_oracle(name):
+    op = SCALED[name]
+    for s in FACTORS:
+        result = op.scale(s)
+        assert result == _scaled_entrywise(op, s)
+        _check_one_form(result)
+        if op._integer() and not (isinstance(s, Scalar) and not s.is_rational()):
+            c = s.constant_value() if isinstance(s, Scalar) else Fraction(s)
+            assert fraction_matrix(result) == [[c * x for x in row]
+                                               for row in fraction_matrix(op)]
+        else:
+            assert result.dense() == [[s * x for x in row] for row in op.dense()]
+    assert -op == _scaled_entrywise(op, -1) == op.scale(-1)
+    zero = op.scale(0)
+    assert zero == TensorOp(op.space, op.arity, {}) and zero._integer() == (1, ((),) * op.total_dim)
+
+
+def test_rational_scale_and_negation_build_no_scalar(monkeypatch):
+    B = GALLERY["extension0"]  # the braiding on an extension of a twisted Heisenberg algebra
+    want = [_scaled_entrywise(B, Fraction(2, 3)), _scaled_entrywise(B, -1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Scalar")
+
+    monkeypatch.setattr(Scalar, "__init__", refuse)
+    got = [B.scale(Fraction(2, 3)), -B]
+    monkeypatch.undo()
+    assert got == want and all(op._integer() for op in got)

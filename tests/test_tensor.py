@@ -461,4 +461,6 @@ def test_size_limit_refuses_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match="exceeds the limit"):
         tensor._check_size(_NoPower(3), 10 ** 18)
     tensor._check_size(2, 14)  # exactly at the limit
-    tensor._check_size(1, 10 ** 18)  # one column
+    tensor._check_size(1, 14)  # dim counted as 2
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        tensor._check_size(1, 10 ** 18)  # one column, but 10^18 factors
