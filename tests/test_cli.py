@@ -368,6 +368,24 @@ def test_golden_output(capsys, monkeypatch, argv, source, code, digest):
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # main builds its parser once per process: a refusal by argparse leaves
+    # nothing behind, and a repeated command sees no defaults of the last.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ybe", "--n", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    picked = [g for g in _GOLDEN if g[0][0] != "classify"][::3]
+    for argv, source, code, digest in picked + picked[:2]:
+        stdin = _GOLDEN_INPUTS[source] if source else None
+        if isinstance(stdin, list):
+            stdin = run(capsys, stdin)[1]
+        got_code, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+    from hombrax import cli
+    assert cli._build_parser() is cli._build_parser()
+
+
 def _fresh_env():
     """The environment of a fresh interpreter that imports this hombrax."""
     import hombrax
