@@ -27,9 +27,9 @@ _MAX_POWER_COLUMNS = 1 << 12
 def _read_input(args) -> dict:
     if getattr(args, "infile", None):
         with open(args.infile) as fh:
-            data = json.load(fh, object_pairs_hook=tensor._json_object)
+            data = tensor._json_loads(fh.read())
     else:
-        data = json.load(sys.stdin, object_pairs_hook=tensor._json_object)
+        data = tensor._json_loads(sys.stdin.read())
     if not isinstance(data, dict):
         raise ValueError(f"input JSON must be an object, not {type(data).__name__}")
     return data

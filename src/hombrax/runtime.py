@@ -74,10 +74,11 @@ def scan_size(n: int, p: int) -> int:
 
 
 def _decode(idx: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Row-major base-p digits of candidate indices as (count, n, n) matrices."""
+    """Row-major base-p digits of candidate indices as (count, n, n) matrices,
+    most significant first: one broadcast floor division by the place values."""
     import numpy as np
-    return np.stack(np.unravel_index(idx, (p,) * (n * n)), axis=-1,
-                    dtype=np.int64).reshape(-1, n, n)
+    places = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] // places % p).reshape(-1, n, n)
 
 
 def scan_matrices(n: int, p: int, keep: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

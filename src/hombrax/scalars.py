@@ -1,17 +1,22 @@
 """Exact coefficient arithmetic: multivariate Laurent polynomials over Q.
 
-Scalars are the universal coefficient ring for every operator in this
-package.  A scalar is a finite sum of terms, each a reduced rational
-coefficient attached to an integer exponent vector over named parameters
-(exponents may be negative, so monomials are units).  The representation is
-canonical -- no zero coefficients are stored and terms are kept in a fixed
-order -- which makes equality structural and zero-testing exact.  That is
-the whole point: operator identities are verified by checking that a
-residual has no terms at all, with no tolerance anywhere.
+A ``Scalar`` is the coefficient every operator entry is read and written
+as.  It is a finite sum of terms, each a reduced rational coefficient
+attached to an integer exponent vector over named parameters (exponents may
+be negative, so monomials are units).  The representation is canonical --
+no zero coefficients are stored and terms are kept in a fixed order --
+which makes equality structural and zero-testing exact.  That is the whole
+point: operator identities are verified by checking that a residual has no
+terms at all, with no tolerance anywhere.  A constant is the one-term
+scalar with an empty exponent vector.
 
-Operators without parameters are kept by ``hombrax.tensor`` as integer
-columns over one denominator, so rational arithmetic rarely reaches this
-class; a constant is the one-term scalar with an empty exponent vector.
+The gallery constructors and the text format build ``Scalar``s, but the
+operator kernels of ``hombrax.tensor`` never multiply them: an operator
+keeps its entries over one common denominator, a constant entry as an
+``int`` and any other as a ``tensor.Laurent``, {packed exponent key: int
+numerator}, the exponent vector packed over the operator's parameter order
+(``param_order``, the order of this module's terms), so multiplying two
+monomials adds two ints, with no sorting and no ``Fraction``.
 
 The text format used in JSON exports writes a scalar as a sum of terms
 ``coef*name^exp*...`` with ``coef`` as ``num`` or ``num/den``, for example
@@ -33,6 +38,11 @@ _PARAM_RANK = {"q": 0, "l": 1, "a": 2, "b": 3, "c": 4, "d": 5}
 
 def _param_key(name: str) -> tuple[int, str]:
     return (_PARAM_RANK.get(name, len(_PARAM_RANK)), name)
+
+
+def param_order(names: Iterable[str]) -> tuple[str, ...]:
+    """Parameter names in the canonical order of exponent vectors."""
+    return tuple(sorted(set(names), key=_param_key))
 
 
 class NotAMonomial(ValueError):
@@ -73,7 +83,7 @@ def _sorted_terms(term_map: Mapping[Exps, Fraction]) -> tuple[tuple[Exps, Fracti
     items = [(exps, coef) for exps, coef in term_map.items() if coef != 0]
     if len(items) <= 1:
         return tuple(items)
-    names = sorted({n for exps, _ in items for n, _ in exps}, key=_param_key)
+    names = param_order(n for exps, _ in items for n, _ in exps)
     pos = {n: i for i, n in enumerate(names)}
 
     def vec(exps: Exps) -> tuple[int, ...]:

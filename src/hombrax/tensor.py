@@ -28,27 +28,39 @@ entry for columns of an operator on V^(tensor m) (JSON, user code,
 ``LinearMap``) and ``as_op`` the one for structure constants given as a
 grid.  Everything else (``compose``, ``tensor_product``, sums, scaling,
 ``lift``, ``invert``, ``rebase``, ``identity_op``, ``swap_op``) builds its
-result with ``TensorOp._trusted`` or ``TensorOp._rational``: the columns are
-canonical and in range by construction or canonicalised in place.
+result with ``TensorOp._trusted``, ``_rational`` or ``_packed``: the columns
+are canonical and in range by construction or canonicalised there.
 
-An operator is stored in one form, fixed when it is built: ``(den, cols)``.
-If every entry is rational, cols are int columns and the operator is
-cols / den, canonical when den > 0 and the gcd of den and all entries is 1
-(the zero operator is ``(1, empty columns)``).  Otherwise cols are
-``Scalar`` (Laurent-polynomial) columns and den is None.  Either way
-equality and hashing are structural on ``(dom, cod, den, cols)``, and
-nothing is written to an operator after it is built.  Kernels on rational
-operands divide the content gcd out of each result once; ``invert``
-eliminates on the integer form fraction-free, in integers.  ``.columns``
-reads the ``Scalar`` columns, built anew from the integer form on each call.
-``mod_p(p)`` is the one reduction to F_p: the dense matrix of a rational
-operator, read from the integer form with one inverse of the denominator.
-Each kernel loop is written once: ``+``, ``*`` and truthiness act alike on
-``int`` and ``Scalar`` entries, and only the denominators differ.  One
-loop, ``_combine_columns``, serves ``compose``, ``+``/``-`` and
-``residual``: it sums chains of factors, pushing each column of a chain's
-last factor through the others into one accumulator, so a composite or a
-residual of rational factors is reduced once, not once per step or side.
+An operator is stored in one form, fixed when it is built: ``(params, den,
+cols)``, the operator cols / den.  params is the parameter order, the names
+that occur in the entries, sorted as ``scalars.param_order`` sorts them; it
+is empty exactly when every entry is rational.  A constant entry is an
+``int``; any other is a ``Laurent``, {packed exponent key: int
+numerator}, its exponent vector over params packed in balanced base-2^16
+digits, so multiplying monomials adds keys.  The form is canonical: den > 0,
+the gcd of den and every numerator is 1 (the zero operator is ``((), 1,
+empty columns)``), and equality and hashing are structural on ``(dom, cod,
+params, den, cols)``.  Nothing is written to an operator after it is built.
+
+Every exponent of a stored entry has |e| < 2^15 (``EXP_LIMIT``);
+building an operator with a wider one raises ValueError.  A kernel call
+raises ValueError before it starts if its factors' largest exponents, summed
+along a product, reach 2^15, so keys never wrap.  Those sums stay at 15 or
+below in the gallery, the benchmark and the tests (but the tests of this
+bound).  ``.columns``, ``dense()`` and the JSON text
+build ``Scalar``s from the stored form on each call; ``map_scalars`` maps
+them and packs the result again, and ``instantiate`` evaluates the packed
+entries.  ``mod_p(p)`` is the one reduction to F_p: the dense matrix of a
+rational operator with one inverse of the denominator.
+
+Each kernel loop is written once, over the packed entries of every factor,
+the factors' keys first packed over the union of their orders: ``+``, ``*``
+and truthiness act alike on ``int`` and ``Laurent`` entries.  One loop,
+``_combine_columns``, serves ``compose``, ``+``/``-`` and ``residual``: it
+sums chains of factors, pushing each column of a chain's last factor
+through the others into one accumulator, so a composite or a residual is
+made canonical once, not once per step or side.  ``invert`` eliminates on
+the stored form fraction-free, dividing pivot rows by monomial units.
 """
 
 from __future__ import annotations
@@ -59,7 +71,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from hombrax.scalars import RationalLike, Scalar, parse_scalar, reduce_mod_p
+from hombrax.scalars import (MissingParameter, RationalLike, Scalar, ZeroAtNegativeExponent,
+                              param_order, parse_scalar, reduce_mod_p)
 
 # The most columns (dim ** arity) an operator read from input or requested
 # on the command line may have.  The largest operators the gallery, the tests
@@ -214,8 +227,86 @@ def _canonical_column(entries: Iterable[tuple[int, Scalar]]) -> Column:
     return tuple(sorted((r, s) for r, s in entries if not s.is_zero()))
 
 
+# An exponent vector (e_0, ..., e_{P-1}) over an operator's parameter order
+# is packed into the one int key sum(e_i * 2^(EXP_BITS * i)): balanced
+# base-2^EXP_BITS digits, each |e_i| < EXP_LIMIT.  Within that range the
+# packing is one-to-one and adding keys adds exponent vectors.
+EXP_BITS = 16
+EXP_LIMIT = 1 << (EXP_BITS - 1)
+_DIGIT_MASK = (1 << EXP_BITS) - 1
+
+
+def key_digits(key: int, count: int) -> list[int]:
+    """The count signed exponents packed in key, lowest parameter first."""
+    out = []
+    for _ in range(count):
+        d = key & _DIGIT_MASK
+        if d >= EXP_LIMIT:
+            d -= 1 << EXP_BITS
+        out.append(d)
+        key = (key - d) >> EXP_BITS
+    return out
+
+
+class Laurent(dict):
+    """A Laurent polynomial entry of a symbolic operator: {packed exponent
+    key: int numerator}, over the operator's parameter order and common
+    denominator.  Kernels keep no zero coefficient and treat it as
+    immutable; an operator stores a constant entry as a plain int instead.
+    ``*`` and ``+`` take another Laurent or an int, on either side.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if other.__class__ is int:
+            if other == 1:
+                return self
+            return Laurent({k: c * other for k, c in self.items()}) if other else 0
+        out = Laurent()
+        for k1, c1 in self.items():
+            for k2, c2 in other.items():
+                k = k1 + k2
+                if k in out:
+                    c = out[k] + c1 * c2
+                    if c:
+                        out[k] = c
+                    else:
+                        del out[k]
+                else:
+                    out[k] = c1 * c2
+        return out
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            if not other:
+                return self
+            other = {0: other}
+        out = Laurent(self)
+        for k, c in other.items():
+            if k in out:
+                c += out[k]
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent({k: -c for k, c in self.items()})
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
 _IntColumn = tuple[tuple[int, int], ...]
 _Integer = tuple[int, tuple[_IntColumn, ...]]
+# (params, den, cols, emax): the stored form of an operator.
+_Stored = tuple[tuple[str, ...], int, tuple, int]
 
 
 def _reduced(den: int, cols: tuple[_IntColumn, ...]) -> _Integer:
@@ -242,16 +333,149 @@ def _integer_columns(cols: Iterable[Iterable[tuple[int, Fraction]]]) -> _Integer
                       for col in cols)
 
 
-def _scalar_column(den: int, col: _IntColumn) -> Column:
-    return tuple((r, Scalar.rational(Fraction(v, den))) for r, v in col)
+def _form(cols: tuple[Column, ...]) -> _Stored:
+    """The stored form of canonical Scalar columns.  Coefficients go over
+    the lcm of their denominators (canonical as in _integer_columns), as
+    plain ints even where a Fraction holds another integer type;
+    ValueError for an exponent outside the packing range."""
+    params = param_order(n for col in cols for _, s in col for exps, _ in s.terms
+                         for n, _ in exps)
+    den = math.lcm(*(c.denominator for col in cols for _, s in col for _, c in s.terms))
+    shift = {n: EXP_BITS * i for i, n in enumerate(params)}
+    emax = 0
+    out = []
+    for col in cols:
+        packed = []
+        for r, s in col:
+            terms = s.terms
+            if len(terms) == 1 and not terms[0][0]:
+                c = terms[0][1]
+                packed.append((r, int(c.numerator * (den // c.denominator))))
+                continue
+            v = Laurent()
+            for exps, c in terms:
+                key = 0
+                for n, e in exps:
+                    if not -EXP_LIMIT < e < EXP_LIMIT:
+                        raise ValueError(f"exponent {e} of {n} is outside the range of "
+                                         f"an operator entry, |exponent| < {EXP_LIMIT}")
+                    emax = max(emax, abs(e))
+                    key += e << shift[n]
+                v[key] = int(c.numerator * (den // c.denominator))
+            packed.append((r, v))
+        out.append(tuple(packed))
+    return params, den, tuple(out), emax
 
 
-def _form(cols: tuple[Column, ...]) -> tuple[int | None, tuple]:
-    """The stored form of canonical Scalar columns: the integer form if every
-    entry is rational, else (None, cols)."""
-    if all(s.is_rational() for col in cols for _, s in col):
-        return _integer_columns([(r, s.constant_value()) for r, s in col] for col in cols)
-    return None, cols
+def _canonical(params: tuple[str, ...], den: int, cols: tuple) -> _Stored:
+    """The stored form of kernel output cols / den over a nonempty params
+    (den > 0): constant entries become ints, parameters that no longer occur
+    leave the order (and the keys are repacked), and the content gcd is
+    divided out."""
+    keys, const = set(), False
+    for col in cols:
+        for _, v in col:
+            if v.__class__ is not int:
+                keys.update(v)
+                const = const or (len(v) == 1 and 0 in v)
+    used = [0] * len(params)
+    for key in keys:
+        for i, d in enumerate(key_digits(key, len(params))):
+            used[i] = max(used[i], abs(d))
+    kept = tuple(n for n, e in zip(params, used) if e)
+    remap = None if kept == params else _remap(params, kept, keys)
+    g = 1 if den == 1 else math.gcd(den, *(c for col in cols for _, v in col
+                                           for c in ((v,) if v.__class__ is int else v.values())))
+    if g != 1 or const or remap is not None:
+        den //= g
+        cols = tuple(tuple((r, _entry(v, g, remap)) for r, v in col) for col in cols)
+    return kept, den, cols, max(used)
+
+
+def _entry(v, g: int, remap: dict | None):
+    """An entry divided by g, its keys renamed by remap; a constant as an int."""
+    if v.__class__ is int:
+        return v // g
+    if remap is not None:
+        v = {remap[k]: c for k, c in v.items()}
+    if len(v) == 1 and 0 in v:
+        return v[0] // g
+    return Laurent({k: c // g for k, c in v.items()})
+
+
+def _remap(old: tuple[str, ...], new: tuple[str, ...], keys) -> dict[int, int]:
+    """Keys over the parameter order old, repacked over the order new, which
+    holds every parameter that occurs in them."""
+    shift = {n: EXP_BITS * i for i, n in enumerate(new)}
+    shifts = [shift.get(n, 0) for n in old]
+    if shifts == list(range(shifts[0], shifts[0] + EXP_BITS * len(old), EXP_BITS)):
+        return {k: k << shifts[0] for k in keys}  # a block of new: every digit moves alike
+    return {k: sum(d << s for d, s in zip(key_digits(k, len(old)), shifts)) for k in keys}
+
+
+def _scalar(params: tuple[str, ...], den: int, v) -> Scalar:
+    """The Scalar of a stored entry."""
+    if v.__class__ is int:
+        return Scalar.rational(Fraction(v, den))
+    return Scalar({tuple((n, d) for n, d in zip(params, key_digits(k, len(params))) if d):
+                   Fraction(c, den) for k, c in v.items()})
+
+
+def _evaluate(params: tuple[str, ...], v: Laurent, values: Mapping[str, Fraction],
+              monomials: dict[int, Fraction]) -> Fraction:
+    """The numerator sum of a Laurent entry at a point, each monomial's value
+    kept in monomials, a memo shared by the entries of one operator."""
+    total = 0
+    for k, c in v.items():
+        x = monomials.get(k)
+        if x is None:
+            x = Fraction(1)
+            for n, e in zip(params, key_digits(k, len(params))):
+                if e:
+                    if values.get(n, 0) == 0 and (e < 0 or n not in values):
+                        _refuse_evaluation(params, v, values)
+                    x *= values[n] ** e
+            monomials[k] = x
+        total += c * x
+    return total
+
+
+def _refuse_evaluation(params: tuple[str, ...], v: Laurent, values: Mapping[str, Fraction]):
+    """Raise for an entry that cannot be evaluated as Scalar.evaluate does: for
+    a missing parameter first, then at the first term, in Scalar order, with a
+    zero parameter at a negative exponent."""
+    terms = sorted(key_digits(k, len(params)) for k in v)
+    missing = {n for digits in terms for n, d in zip(params, digits) if d} - values.keys()
+    if missing:
+        raise MissingParameter(f"no value for {sorted(missing)}")
+    n, e = next((n, e) for digits in terms for n, e in zip(params, digits)
+                if e < 0 and values[n] == 0)
+    raise ZeroAtNegativeExponent(f"{n} = 0 with exponent {e}")
+
+
+def _union(orders: set[tuple[str, ...]]) -> tuple[str, ...]:
+    """The parameter order of a kernel call on operands with these orders."""
+    return orders.pop() if len(orders) == 1 else param_order(n for o in orders for n in o)
+
+
+def _over(op: "TensorOp", params: tuple[str, ...]) -> tuple:
+    """op's stored columns with keys packed over params, a superset of its order."""
+    old = op._params
+    if old == params[:len(old)]:  # a prefix (or no parameter) packs every key alike
+        return op._cols
+    remap = _remap(old, params, {k for col in op._cols for _, v in col
+                                 if v.__class__ is not int for k in v})
+    return tuple(tuple((r, v if v.__class__ is int else
+                        Laurent({remap[k]: c for k, c in v.items()})) for r, v in col)
+                 for col in op._cols)
+
+
+def _check_exponents(total: int) -> None:
+    """Refuse a kernel call whose factors' largest exponents sum to total,
+    so that a product of entries could leave the packing."""
+    if total >= EXP_LIMIT:
+        raise ValueError(f"exponents summed over the factors of a product reach {total}, "
+                         f"outside the range of an operator entry, |exponent| < {EXP_LIMIT}")
 
 
 class TensorOp(_Frozen):
@@ -260,9 +484,10 @@ class TensorOp(_Frozen):
     ``TensorOp(space, arity, columns)`` builds an operator on V^(tensor arity).
     """
 
-    # _den: the denominator of a rational map's int columns _cols, or None
-    # for a symbolic map, whose _cols are Scalar columns.
-    __slots__ = ("dom", "cod", "_den", "_cols")
+    # _params: the parameter order of the keys of Laurent entries, empty for
+    # a rational map; _cols: int and Laurent entries over the denominator
+    # _den; _emax: the largest |exponent| of any entry, 0 for a rational map.
+    __slots__ = ("dom", "cod", "_params", "_den", "_cols", "_emax")
 
     def __init__(self, space: BasedSpace, arity: int,
                  columns: Mapping[int, Iterable[tuple[int, Scalar]]] | Sequence):
@@ -283,16 +508,19 @@ class TensorOp(_Frozen):
                     raise IndexError(f"row {row} out of range")
         self._set(word, word, *_form(cols))
 
-    def _set(self, dom: Word, cod: Word, den: int | None, cols: tuple) -> None:
+    def _set(self, dom: Word, cod: Word, params: tuple[str, ...], den: int,
+             cols: tuple, emax: int) -> None:
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "_params", params)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_emax", emax)
 
     @classmethod
     def _trusted(cls, dom: Word, cod: Word, cols: tuple[Column, ...]) -> "TensorOp":
         """A map from Scalar columns that are canonical and in range by
-        construction, stored in integer form if every entry is rational."""
+        construction."""
         op = object.__new__(cls)
         op._set(dom, cod, *_form(cols))
         return op
@@ -303,21 +531,30 @@ class TensorOp(_Frozen):
         """The map cols / den from integer columns that are canonical and in
         range by construction; the content gcd is divided out here."""
         op = object.__new__(cls)
-        op._set(dom, cod, *_reduced(den, cols))
+        op._set(dom, cod, (), *_reduced(den, cols), 0)
+        return op
+
+    @classmethod
+    def _packed(cls, dom: Word, cod: Word, params: tuple[str, ...], den: int,
+                cols: tuple) -> "TensorOp":
+        """The map cols / den from kernel output over params: rows increasing,
+        no zero entry; made canonical by _canonical."""
+        if not params:
+            return cls._rational(dom, cod, den, cols)
+        op = object.__new__(cls)
+        op._set(dom, cod, *_canonical(params, den, cols))
         return op
 
     # -- the stored form ----------------------------------------------------
 
     @property
     def columns(self) -> tuple[Column, ...]:
-        """The Scalar columns: the stored ones of a symbolic map, built anew
-        from the integer form of a rational one on each call."""
-        den, cols = self._den, self._cols
-        return cols if den is None else tuple(_scalar_column(den, col) for col in cols)
+        """The Scalar columns, built anew from the stored form on each call."""
+        return tuple(map(self.column, range(len(self._cols))))
 
     def _integer(self) -> _Integer | None:
         """(den, int columns) of a rational map; None for a symbolic one."""
-        return None if self._den is None else (self._den, self._cols)
+        return None if self._params else (self._den, self._cols)
 
     # -- basic queries -----------------------------------------------------
 
@@ -343,8 +580,8 @@ class TensorOp(_Frozen):
         return len(self._cols)
 
     def column(self, j: int) -> Column:
-        den, col = self._den, self._cols[j]
-        return col if den is None else _scalar_column(den, col)
+        params, den = self._params, self._den
+        return tuple((r, _scalar(params, den, v)) for r, v in self._cols[j])
 
     def entry(self, row: int, col: int) -> Scalar:
         for r, s in self.column(col):
@@ -371,7 +608,7 @@ class TensorOp(_Frozen):
         return decode_word(self.dom, j), decode_word(self.cod, col[0][0])
 
     def _key(self) -> tuple:
-        return self.dom, self.cod, self._den, self._cols
+        return self.dom, self.cod, self._params, self._den, self._cols
 
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
@@ -414,9 +651,22 @@ class TensorOp(_Frozen):
             _canonical_column((r, fn(s)) for r, s in col) for col in self.columns))
 
     def instantiate(self, assignment: Mapping[str, RationalLike]) -> "TensorOp":
-        """Evaluate every entry at a rational parameter point."""
-        return TensorOp._rational(self.dom, self.cod, *_integer_columns(
-            [(r, s.evaluate(assignment)) for r, s in col] for col in self.columns))
+        """Evaluate every entry at a rational parameter point, raising
+        MissingParameter and ZeroAtNegativeExponent as Scalar.evaluate does
+        on the entries in column order."""
+        values = {n: Fraction(v) for n, v in assignment.items()}
+        params, den = self._params, self._den
+        if not params:
+            return self
+        out, monomials = [], {}
+        for col in self._cols:
+            vals = []
+            for r, v in col:
+                if v.__class__ is not int:
+                    v = _evaluate(params, v, values, monomials)
+                vals.append((r, Fraction(v, den)))
+            out.append(vals)
+        return TensorOp._rational(self.dom, self.cod, *_integer_columns(out))
 
     def dense(self) -> list[list[Scalar]]:
         rows = [[Scalar.zero()] * self.total_dim for _ in range(_size(self.cod))]
@@ -535,10 +785,11 @@ def _combination(chains: Sequence[Sequence[TensorOp]],
     rational coefficients c, in one kernel call; word mismatches raise as
     compose and +/- do.
 
-    With every factor rational the loop runs on integer columns: chain t,
-    with c_t = n_t / m_t, is weighted by n_t * den / d_t, d_t the product of
-    m_t and its denominators and den the lcm of the d_t, and the content gcd
-    is divided out once.  Otherwise every chain runs on Scalar columns.
+    The loop runs on the stored columns, every factor's keys packed over
+    one parameter order: chain t, with c_t = n_t / m_t, is weighted by
+    n_t * den / d_t, d_t the product of m_t and its denominators and den the
+    lcm of the d_t, and the result is made canonical once.  ValueError if a
+    chain's exponents, summed over its factors, could leave the packing.
     """
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
@@ -547,18 +798,18 @@ def _combination(chains: Sequence[Sequence[TensorOp]],
     for chain in chains[1:]:
         _check_words(dom, chain[-1].dom)
         _check_words(cod, chain[0].cod)
+    params = _union({op._params for chain in chains for op in chain})
     terms, den = [], 1
     for c, chain in zip(coeffs, chains):
         d, cols = c.denominator, []
         for op in chain:
-            if op._den is None:
-                return TensorOp._trusted(dom, cod, _combine_columns(
-                    [(t, [op.columns for op in ch]) for t, ch in zip(coeffs, chains)]))
             d *= op._den
-            cols.append(op._cols)
+            cols.append(op._cols if op._params == params else _over(op, params))
+        if params:
+            _check_exponents(sum(op._emax for op in chain))
         terms.append((c.numerator, d, cols))
         den = math.lcm(den, d)
-    return TensorOp._rational(dom, cod, den, _combine_columns(
+    return TensorOp._packed(dom, cod, params, den, _combine_columns(
         [(n * (den // d), cols) for n, d, cols in terms]))
 
 
@@ -589,16 +840,18 @@ def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:
     of ``more``.
 
     Rows rf * ng + rg increase with (rf, rg), and a product of nonzero
-    entries is nonzero, so the columns come out canonical.
+    entries is nonzero, so the columns come out with rows in order and no
+    zero entry.
     """
     if more:
         return tensor_product(tensor_product(f, g), *more)
-    ng = _size(g.cod)
-    dom, cod = f.dom + g.dom, f.cod + g.cod
-    if f._den is not None and g._den is not None:
-        return TensorOp._rational(dom, cod, f._den * g._den,
-                                  _tensor_columns(f._cols, g._cols, ng))
-    return TensorOp._trusted(dom, cod, _tensor_columns(f.columns, g.columns, ng))
+    params = _union({f._params, g._params})
+    if params:
+        _check_exponents(f._emax + g._emax)
+    fcols = f._cols if f._params == params else _over(f, params)
+    gcols = g._cols if g._params == params else _over(g, params)
+    return TensorOp._packed(f.dom + g.dom, f.cod + g.cod, params, f._den * g._den,
+                            _tensor_columns(fcols, gcols, _size(g.cod)))
 
 
 class LinearMap(TensorOp):
@@ -662,26 +915,28 @@ def power(f: TensorOp, k: int) -> TensorOp:
 
 
 def invert(f: TensorOp) -> TensorOp:
-    """Exact inverse by sparse Gauss-Jordan elimination on the rows of [F | I].
+    """Exact inverse by sparse Gauss-Jordan elimination on the rows of [F | I],
+    fraction-free on the stored form F = A / den.
 
-    Column k is cleared by its sparsest unused pivot row: every other row
-    with an entry a there becomes p * row - a * (pivot row), p the pivot.
-    In integer form (F = A / den) that stays in integers: the changed row is
-    divided by the gcd of its entries, rows without an entry in column k
-    stay as they are, and at the end the pivot row of column k reads d e_k
-    on the left and d times row k of A^-1 on the right.  On Scalar entries
-    the pivot must be a unit of the Laurent ring (a monomial) and its row is
-    scaled to p = 1.  Raises Singular if the operator has no inverse and
-    SymbolicNotMonomialInvertible if elimination gets stuck on symbolic
-    entries none of which is a monomial.
+    Column k is cleared by its sparsest unused pivot row.  The pivot must be
+    a monomial c x^e (every nonzero entry of a rational map is one), and its
+    row is first divided by the unit x^e, so the pivot is the int c.  Every
+    other row with an entry a there becomes p * row - a * (pivot row), p and
+    a divided by their common content first, then the row by the gcd of its
+    coefficients; rows without an entry in column k stay as they are.  At
+    the end the pivot row of column k reads d e_k on the left and d times
+    row k of A^-1 on the right.  Raises Singular if the operator has no
+    inverse, SymbolicNotMonomialInvertible if elimination gets stuck on
+    symbolic entries none of which is a monomial, and ValueError if two rows'
+    exponents, summed, could leave the packing.
     """
-    den, cols = f._den, f._cols
-    ints = den is not None
+    params, den, cols = f._params, f._den, f._cols
     n = len(cols)
-    rows = [{n + i: 1 if ints else Scalar.one()} for i in range(n)]
+    rows = [{n + i: 1} for i in range(n)]
     for j, col in enumerate(cols):
         for r, v in col:
             rows[r][j] = v
+    emax = [f._emax] * n
     unused = set(range(n))
     pivots = []
     for k in range(n):
@@ -689,45 +944,64 @@ def invert(f: TensorOp) -> TensorOp:
         free = [i for i in hits if i in unused]
         if not free:
             raise Singular(f"column {k} is dependent")
-        if not ints:
-            free = [i for i in free if rows[i][k].is_monomial()]
+        if params:
+            free = [i for i in free if rows[i][k].__class__ is int or len(rows[i][k]) == 1]
             if not free:
                 raise SymbolicNotMonomialInvertible(f"no monomial pivot in column {k}")
         pr = min(free, key=lambda i: len(rows[i]))
         unused.discard(pr)
         pivots.append(pr)
         prow = rows[pr]
-        if not ints:
-            inv = prow[k].inverse()
-            prow = rows[pr] = {c: inv * v for c, v in prow.items()}
+        pivot = prow[k]
+        if pivot.__class__ is not int:
+            (e, pivot), = pivot.items()
+            if e:
+                _check_exponents(2 * emax[pr])
+                unit = Laurent({-e: 1})
+                prow = rows[pr] = {c: unit * v for c, v in prow.items()}
+                emax[pr] = _emax_of(prow.values(), len(params))
+            prow[k] = pivot
         for i in hits:
             if i == pr:
                 continue
             row = rows[i]
-            p, a = prow[k], row.pop(k)
-            if ints:
-                g = math.gcd(p, a)
-                p, a = p // g, a // g
+            a = row.pop(k)
+            if a.__class__ is int:
+                g = math.gcd(pivot, a)
+            else:
+                _check_exponents(emax[i] + emax[pr])
+                g = math.gcd(pivot, *a.values())
+            p, a = pivot // g, _entry(a, g, None)
             acc = row if p == 1 else {c: p * v for c, v in row.items()}
             for c, v in prow.items():
                 if c != k:
                     t = -(a * v)
                     acc[c] = acc[c] + t if c in acc else t
             acc = {c: v for c, v in acc.items() if v}
-            if ints:
+            if params:
+                g = math.gcd(*(c for v in acc.values()
+                               for c in ((v,) if v.__class__ is int else v.values())))
+                emax[i] = _emax_of(acc.values(), len(params))
+            else:
                 g = math.gcd(*acc.values())
-                if g > 1:
-                    acc = {c: v // g for c, v in acc.items()}
+            if g > 1:
+                acc = {c: _entry(v, g, None) for c, v in acc.items()}
             rows[i] = acc
+    ds = [rows[pr][k] for k, pr in enumerate(pivots)]
+    lcm = math.lcm(*ds)
     out: list[list] = [[] for _ in range(n)]
     for k, pr in enumerate(pivots):
-        d = rows[pr][k]
+        m = den * (lcm // ds[k])
         for c, v in rows[pr].items():
             if c >= n:
-                out[c - n].append((k, Fraction(den * v, d) if ints else v))
-    if ints:
-        return TensorOp._rational(f.cod, f.dom, *_integer_columns(out))
-    return TensorOp._trusted(f.cod, f.dom, tuple(map(tuple, out)))
+                out[c - n].append((k, m * v))
+    return TensorOp._packed(f.cod, f.dom, params, lcm, tuple(map(tuple, out)))
+
+
+def _emax_of(entries: Iterable, count: int) -> int:
+    """The largest |exponent| in entries packed over count parameters."""
+    return max((abs(d) for v in entries if v.__class__ is not int
+                for k in v for d in key_digits(k, count)), default=0)
 
 
 def _on(alpha: TensorOp, space: BasedSpace) -> TensorOp:
@@ -749,7 +1023,7 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
     if arity < 1 or space.dim ** arity != op.total_dim:
         raise DimMismatch(f"cannot regroup dim {old.dim}^{op.arity} as {space.dim}^{arity}")
     out = object.__new__(TensorOp)
-    out._set((space,) * arity, (space,) * arity, op._den, op._cols)
+    out._set((space,) * arity, (space,) * arity, op._params, op._den, op._cols, op._emax)
     return out
 
 
@@ -758,12 +1032,12 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
 # ---------------------------------------------------------------------------
 
 def _text_columns(op: TensorOp) -> tuple:
-    """The columns with entries as text: str(Fraction(v, den)) from the
-    integer form of a rational map, what str of the constant Scalar prints."""
-    den, cols = op._den, op._cols
-    if den is None:
-        return tuple(tuple((r, str(s)) for r, s in col) for col in cols)
-    return tuple(tuple((r, str(Fraction(v, den))) for r, v in col) for col in cols)
+    """The columns with entries as text: str(Fraction(v, den)) for an int
+    entry, what str of the constant Scalar prints, else str of the Scalar."""
+    params, den = op._params, op._den
+    return tuple(tuple((r, str(Fraction(v, den)) if v.__class__ is int
+                        else str(_scalar(params, den, v))) for r, v in col)
+                 for col in op._cols)
 
 
 def op_to_json_dict(op: TensorOp) -> dict:
@@ -902,5 +1176,15 @@ def op_dumps(op: TensorOp) -> str:
     return json.dumps(op_to_json_dict(op), sort_keys=True, separators=(",", ":"))
 
 
+def _json_loads(text: str):
+    """The one JSON reader of the input formats: a repeated key is refused,
+    and so is a document nested too deeply for the parser (ValueError, not
+    RecursionError)."""
+    try:
+        return json.loads(text, object_pairs_hook=_json_object)
+    except RecursionError:
+        raise ValueError("the JSON input is nested too deeply") from None
+
+
 def op_loads(text: str, space: BasedSpace | None = None) -> TensorOp:
-    return op_from_json_dict(json.loads(text, object_pairs_hook=_json_object), space)
+    return op_from_json_dict(_json_loads(text), space)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -451,6 +452,45 @@ def test_malformed_json_exits_2(capsys, monkeypatch, command, kind):
     code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+_DEEP = {"arrays": "[" * 200_000, "objects": '{"a":' * 100_000}
+
+
+@pytest.mark.parametrize("argv", [["verify", "ybe"], ["verify", "hom-jacobi"],
+                                  ["yd", "verify"], ["braid", "eval", "--perm", "2,1"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("kind", sorted(_DEEP))
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv, kind):
+    # Nested past the parser's recursion limit: a refusal, not a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP[kind])
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--in", str(path)])
+    assert (code, out) == (2, "") and time.perf_counter() - start < 1
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("entry, code", [("1*q^99999999999999999999", 2),
+                                         ("1*q^-32768", 2), ("1*q^10923", 2),
+                                         ("1*q^10922", 0)])
+def test_exponents_outside_the_packing_exit_2(capsys, monkeypatch, entry, code):
+    # An entry's exponent must stay below 2^15, and so must the sum over the
+    # three factors of each YBE product: exact, or refused, never wrapped.
+    doc = {"dim": 2, "arity": 2, "columns": {"0": [["0", entry]]}}
+    got, out, err = run(capsys, ["verify", "ybe"], stdin=json.dumps(doc),
+                        monkeypatch=monkeypatch)
+    if code == 2:
+        assert (got, out) == (2, "") and err.startswith("error:") and "outside the range" in err
+    else:
+        assert (got, out, err) == (0, "PASS ybe\n", "")
+
+
+@pytest.mark.parametrize("kind", sorted(_DEEP))
+def test_op_loads_refuses_deeply_nested_json(kind):
+    from hombrax.tensor import op_loads
+    with pytest.raises(ValueError, match="nested too deeply"):
+        op_loads(_DEEP[kind])
 
 
 @pytest.mark.parametrize("n", ["0", "1", "2"])

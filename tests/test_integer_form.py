@@ -1,10 +1,13 @@
-"""The two coefficient paths of TensorOp against dense Fraction oracles.
+"""The stored form of TensorOp against dense Fraction and Scalar oracles.
 
 A rational operator keeps an integer form (den, int columns); a symbolic one
-keeps Scalar columns.  Every kernel result of the integer path is compared
-with the plain dense Fraction matrices of tests/helpers.py, on the rational
-gallery and on seeded random sparse operators, and mixed calls are compared
-with the same calls made after evaluating the symbolic operand.
+keeps its entries over one denominator, constants as ints and the others as
+packed Laurent entries over its parameter order.  Every kernel result on
+rational operators is compared with the plain dense Fraction matrices of
+tests/helpers.py, on the rational gallery and on seeded random sparse
+operators; mixed calls are compared with the same calls made after
+evaluating the symbolic operand; and random Laurent operators and the
+symbolic benchmark operators are compared with dense Scalar folds.
 """
 
 import functools
@@ -14,6 +17,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     GALLERY_POINT,
@@ -28,16 +33,42 @@ from helpers import (
     rational_gallery,
 )
 from hombrax.braid import tensor_power_solution
-from hombrax.homlie import braiding_on_extension, extended_alpha, multiplicativity_residual
-from hombrax.hybe import braid_relation_residuals, build_Bi, compatibility_residual, hybe_residual
-from hombrax.quantum import CompatibleAlpha, bql, induced_solution, maximal_patterns, phi
-from hombrax.scalars import DenominatorDivisibleByP, Scalar, reduce_mod_p
+from hombrax.homlie import (
+    braiding_on_extension,
+    extended_alpha,
+    heisenberg,
+    heisenberg_morphism,
+    multiplicativity_residual,
+    sl2_star,
+    sl2_star_morphism,
+    yau_twist,
+)
+from hombrax.hybe import (
+    braid_relation_residuals,
+    build_Bi,
+    compatibility_residual,
+    hybe_residual,
+    twist,
+)
+from hombrax.quantum import (
+    CompatibleAlpha,
+    SupportPattern,
+    bql,
+    enumerate_patterns,
+    induced_solution,
+    maximal_patterns,
+    phi,
+)
+from hombrax.scalars import DenominatorDivisibleByP, Scalar, param_order, reduce_mod_p
 from hombrax.tensor import (
+    EXP_LIMIT,
     ArityMismatch,
     BasedSpace,
+    Laurent,
     LinearMap,
     Singular,
     SpaceMismatch,
+    SymbolicNotMonomialInvertible,
     TensorOp,
     _sparse_json,
     as_op,
@@ -243,7 +274,7 @@ def test_mixed_calls_agree_with_evaluation_first():
     rational point, what the integer path gives on the evaluated operand."""
     sym, _ = phi_alpha_symbolic()
     rat = GALLERY["phi"]
-    assert rat._integer() is not None and sym._integer() is None
+    assert rat._params == () and sym._params == ("q", "l", "a", "d")
     point = {**GALLERY_POINT, "a": Fraction(2, 3), "d": -5}
     at = sym.instantiate(point)
     for mixed, direct in ((compose(rat, sym), compose(rat, at)),
@@ -253,7 +284,7 @@ def test_mixed_calls_agree_with_evaluation_first():
                           (tensor_product(rat, sym), tensor_product(rat, at)),
                           (rat - sym, rat - at),
                           (sym + rat, at + rat)):
-        assert mixed._integer() is None
+        _check_packed(mixed)
         assert mixed.instantiate(point) == direct
     assert sym != rat and rat != sym
 
@@ -354,7 +385,7 @@ def test_symbolic_and_mixed_residuals_match_their_fold():
     point = {**GALLERY_POINT, "a": Fraction(2, 3), "d": -5}
     at = sym.instantiate(point)
     mixed = residual((rat, sym, rat), (sym, rat))
-    assert mixed._integer() is None
+    _check_packed(mixed)
     assert mixed.instantiate(point) == residual((rat, at, rat), (at, rat))
 
 
@@ -517,7 +548,27 @@ def _check_one_form(op: TensorOp) -> None:
         assert op == copy and hash(op) == hash(copy)
         assert op._integer() == copy._integer()
     else:
-        assert all(isinstance(s, Scalar) for col in op._cols for _, s in col)
+        _check_packed(op)
+
+
+def _check_packed(op: TensorOp) -> None:
+    """A symbolic map's stored form: the parameters that occur, in canonical
+    order; int constants and nonconstant Laurent entries over a positive
+    denominator in lowest terms; the largest |exponent|; and == and hash
+    agree with a copy rebuilt from the Scalar columns."""
+    terms = [t for col in op.columns for _, s in col for t in s.terms]
+    assert op._params == param_order(n for exps, _ in terms for n, _ in exps) != ()
+    assert op._emax == max(abs(e) for exps, _ in terms for _, e in exps)
+    nums = []
+    for col in op._cols:
+        for _, v in col:
+            assert isinstance(v, (int, Laurent)) and v
+            if isinstance(v, Laurent):
+                assert set(v) != {0} and all(isinstance(c, int) and c for c in v.values())
+            nums += [v] if isinstance(v, int) else v.values()
+    assert op._den > 0 and math.gcd(op._den, *nums) == 1
+    copy = TensorOp._trusted(op.dom, op.cod, op.columns)
+    assert op == copy and hash(op) == hash(copy) and op.columns == copy.columns
 
 
 def _grid(alpha: TensorOp) -> list:
@@ -562,7 +613,7 @@ def test_every_way_of_building_stores_one_form():
 def test_symbolic_results_that_cancel_are_stored_as_integers():
     B = phi()
     for op in (B - B, compose(B, invert(B)), residual((B, B), (B, B))):
-        assert B._integer() is None and op._integer() is not None
+        assert B._params == ("q", "l") and op._params == ()
         _check_one_form(op)
     assert B - B == TensorOp(B.space, B.arity, {})
     assert compose(B, invert(B)) == identity_op(B.space, 2)
@@ -575,7 +626,7 @@ def test_reading_an_operator_writes_nothing_to_it():
         copy = TensorOp(op.space, op.arity, op.columns)
         assert op.columns == copy.columns and op == copy and hash(op) == hash(copy)
         op_dumps(op)
-        if den is not None:
+        if op._integer() is not None:
             try:
                 op.mod_p(7)
             except DenominatorDivisibleByP:
@@ -627,3 +678,286 @@ def test_rational_scale_and_negation_build_no_scalar(monkeypatch):
     got = [B.scale(Fraction(2, 3)), -B]
     monkeypatch.undo()
     assert got == want and all(op._integer() for op in got)
+
+
+# -- symbolic operators in packed form against a dense Scalar oracle -----------
+#
+# The oracle multiplies and adds the Scalar matrices the operators were built
+# from, with no kernel of hombrax.tensor in between.
+
+def _smul(a: list, b: list) -> list:
+    """The dense Scalar product of a (r x m) and b (m x c)."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Scalar.zero())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _skron(a: list, b: list) -> list:
+    """The dense Scalar Kronecker product, in the row-major index order."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _ssub(a: list, b: list) -> list:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _sop(rows: list, arity: int = 1) -> TensorOp:
+    """The operator on V2^(x arity) with the dense Scalar matrix rows."""
+    n = len(rows)
+    return TensorOp(V2, arity, [[(r, rows[r][j]) for r in range(n) if rows[r][j]]
+                                for j in range(n)])
+
+
+def _sid(n: int) -> list:
+    return [[Scalar.one() if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
+
+
+# Conventional names and others, which sort after d, alphabetically.
+_NAMES = ("q", "l", "a", "d", "x1", "a11", "b2")
+
+
+@st.composite
+def _laurent(draw) -> Scalar:
+    """Zero to three terms: negative exponents, coefficients over unequal denominators."""
+    total = Scalar.zero()
+    for pairs, num, den in draw(st.lists(st.tuples(
+            st.dictionaries(st.sampled_from(_NAMES), st.integers(-3, 3), max_size=3),
+            st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 12))), max_size=3)):
+        total = total + Scalar.monomial(Fraction(num, den), pairs.items())
+    return total
+
+
+@st.composite
+def _matrix(draw, n: int) -> list:
+    return [[draw(_laurent()) if draw(st.booleans()) else Scalar.zero() for _ in range(n)]
+            for _ in range(n)]
+
+
+def _check_built(op: TensorOp, rows: list) -> None:
+    """op stores one canonical form whose Scalar columns are the matrix rows."""
+    assert op.dense() == rows
+    _check_one_form(op)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from((1, 2)))
+def test_packed_kernels_match_dense_scalar_oracle(data, arity):
+    n = 2 ** arity
+    F, G, H = (data.draw(_matrix(n)) for _ in range(3))
+    f, g, h = _sop(F, arity), _sop(G, arity), _sop(H, arity)
+    for op, rows in ((f, F), (g, G), (h, H)):
+        _check_built(op, rows)
+        assert op_loads(op_dumps(op), V2) == op
+    cases = [(compose(f, g), _smul(F, G)),
+             (compose(f, g, h), _smul(_smul(F, G), H)),
+             (residual((f, g), h), _ssub(_smul(F, G), H)),
+             (residual((f, g), (g, f)), _ssub(_smul(F, G), _smul(G, F))),
+             (f - g, _ssub(F, G))]
+    for c in (Fraction(-3, 4), Scalar.param("x1", -2)):
+        cases.append((f.scale(c), [[x * c for x in r] for r in F]))
+    if arity == 1:
+        cases += [(tensor_product(f, g), _skron(F, G)),
+                  (tensor_product(f, g, h), _skron(_skron(F, G), H))]
+    for result, want in cases:
+        _check_built(result, want)
+
+
+def _check_instantiate(op: TensorOp, rows: list, point: dict) -> None:
+    """op.instantiate(point) evaluates the Scalar matrix rows, or raises what
+    Scalar.evaluate raises at the first entry, in column order, that fails."""
+    n = len(rows)
+    for j in range(n):
+        for i in range(n):
+            try:
+                rows[i][j].evaluate(point)
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as got:
+                    op.instantiate(point)
+                assert str(got.value) == str(exc)
+                return
+    result = op.instantiate(point)
+    assert fraction_matrix(result) == [[x.evaluate(point) for x in row] for row in rows]
+    assert result._integer() is not None
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_instantiate_raises_and_evaluates_as_scalar_evaluate(data):
+    F, G = data.draw(_matrix(4)), data.draw(_matrix(4))
+    names = data.draw(st.sets(st.sampled_from(_NAMES)))
+    point = {n: data.draw(st.sampled_from((0, 2, Fraction(-1, 3), Fraction(5, 2))))
+             for n in names}
+    # A kernel result keeps its terms in no particular order.
+    for op, rows in ((_sop(F, 2), F), (compose(_sop(F, 2), _sop(G, 2)), _smul(F, G))):
+        _check_instantiate(op, rows, point)
+
+
+def test_packed_products_that_cancel_or_reorder_terms():
+    Q, L = Scalar.param("q"), Scalar.param("l")
+    zero, one = Scalar.zero(), Scalar.one()
+    F, G = [[Q + 1, zero], [zero, Q - L]], [[Q - 1, L], [zero, Q + L]]
+    f, g = _sop(F), _sop(G)
+    _check_built(compose(f, g), _smul(F, G))  # q^2 - 1 and q^2 - l^2
+    _check_built(tensor_product(f, g), _skron(F, G))
+    # Entry (0, 0) of F G is q^-1 + q^-2, its terms summed in that order:
+    # at q = 0 Scalar.evaluate names the exponent -2, the first in its order.
+    F, G = [[Q ** -1, Q ** -1], [zero, one]], [[one, zero], [Q ** -1, one]]
+    _check_instantiate(compose(_sop(F), _sop(G)), _smul(F, G), {"q": 0})
+
+
+@st.composite
+def _monomial_invertible(draw, n: int) -> list:
+    """P D U: a permutation, a diagonal of monomials and an upper unitriangular
+    matrix of Laurent entries; elimination finds a monomial pivot in every column."""
+    perm = draw(st.permutations(range(n)))
+    diag = [Scalar.monomial(draw(st.sampled_from((1, -2, Fraction(3, 5)))),
+                            draw(st.dictionaries(st.sampled_from(_NAMES), st.integers(-3, 3),
+                                                 max_size=2)).items()) for _ in range(n)]
+    upper = [[Scalar.one() if i == j else (draw(_laurent()) if j > i else Scalar.zero())
+              for j in range(n)] for i in range(n)]
+    P = [[Scalar.one() if perm[i] == j else Scalar.zero() for j in range(n)] for i in range(n)]
+    D = [[diag[i] if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
+    return _smul(_smul(P, D), upper)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from((1, 2)))
+def test_invert_on_monomial_pivots_matches_dense_scalar_oracle(data, arity):
+    n = 2 ** arity
+    M = data.draw(_monomial_invertible(n))
+    f = _sop(M, arity)
+    inv = invert(f)
+    _check_one_form(inv)
+    assert _smul(M, inv.dense()) == _sid(n) == _smul(inv.dense(), M)
+    assert compose(f, inv) == identity_op(V2, arity) == compose(inv, f)
+
+
+def test_invert_keeps_its_errors_on_packed_entries():
+    Q, L = Scalar.param("q"), Scalar.param("l")
+    with pytest.raises(SymbolicNotMonomialInvertible):
+        invert(_sop([[Q + 1, Scalar.zero()], [Scalar.zero(), L]]))
+    with pytest.raises(Singular):
+        invert(_sop([[Q, Q * L], [Scalar.zero(), Scalar.zero()]]))
+    with pytest.raises(Singular):
+        invert(_sop([[Q, Q ** 2], [Scalar.one(), Q]]))
+
+
+def test_exponents_are_exact_or_refused():
+    limit = EXP_LIMIT
+    Q, X = Scalar.param("q"), Scalar.param("x1")
+    zero = Scalar.zero()
+
+    def diag(s):
+        return _sop([[s, zero], [zero, s + 1]])
+
+    # Balanced digits: q^k x1^-k packs both exponents next to each other, and
+    # three factors of 10,000 add up to 30,000 in each digit with no carry.
+    f = diag(Q ** 10000 * X ** -10000)
+    want = [[Q ** 30000 * X ** -30000, zero], [zero, (Q ** 10000 * X ** -10000 + 1) ** 3]]
+    assert compose(f, f, f).dense() == want
+    assert invert(_sop([[Q ** 10000, zero], [zero, X]])).dense() == \
+        [[Q ** -10000, zero], [zero, X ** -1]]
+    big = diag(Q ** 20000)
+    for call in (lambda: compose(f, f, f, f),            # 40,000 in a chain of four
+                 lambda: compose(big, diag(Q ** -20000)),  # cancels, but its factors reach 40,000
+                 lambda: residual((big, big), big),
+                 lambda: tensor_product(big, big),
+                 lambda: invert(_sop([[Q ** 20000, zero], [zero, Scalar.one()]]))):
+        with pytest.raises(ValueError, match="outside the range"):
+            call()
+    assert diag(Q ** (limit - 1)).dense()[0][0] == Q ** (limit - 1)
+    assert diag(Q ** (1 - limit)).dense()[0][0] == Q ** (1 - limit)
+    for e in (limit, -limit, 10 ** 20):
+        with pytest.raises(ValueError, match="outside the range"):
+            diag(Q ** e)
+    with pytest.raises(ValueError, match="outside the range"):
+        op_loads('{"dim":2,"arity":2,"columns":{"0":[["0","1*q^99999999999999999999"]]}}')
+
+
+def _extension_fold(L) -> list:
+    """The braiding on C (+) L by its formula, on Scalar matrices:
+    (a, x) (x) (b, y) -> (b, alpha y) (x) (a, alpha x) + (1, 0) (x) (0, [x, y])."""
+    n, m = L.dim, L.dim + 1
+    one, zero = Scalar.one(), Scalar.zero()
+    A, C = L.alpha.dense(), L.bracket.dense()
+    ext = [[one] + [zero] * n] + [[zero] + row for row in A]
+    swap = [[one if (r // m, r % m) == (c % m, c // m) else zero for c in range(m * m)]
+            for r in range(m * m)]
+    fold = _smul(swap, _skron(ext, ext))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                fold[k + 1][(i + 1) * m + j + 1] += C[k][i * n + j]
+    return fold
+
+
+def _strand_fold(B: list, A: list, n: int, i: int) -> list:
+    """alpha^(x)(i-1) (x) B (x) alpha^(x)(n-i-1) on Scalar matrices."""
+    return functools.reduce(_skron, [A] * (i - 1) + [B] + [A] * (n - i - 1))
+
+
+def _bql_formula(N: int) -> list:
+    """bql(N) by its formula: e_i (x) e_i -> l q e_i (x) e_i, and for i != j
+    e_i (x) e_j -> l e_j (x) e_i, plus l (q - q^-1) e_i (x) e_j when i > j."""
+    Q, L = Scalar.param("q"), Scalar.param("l")
+    rows = [[Scalar.zero()] * (N * N) for _ in range(N * N)]
+    for i in range(N):
+        for j in range(N):
+            rows[j * N + i][i * N + j] = L * Q if i == j else L
+            if i > j:
+                rows[i * N + j][i * N + j] = L * (Q - Q ** -1)
+    return rows
+
+
+def _symbolic_workload_operators() -> list:
+    """(name, operator, its dense Scalar fold) for the symbolic gallery and
+    the symbolic operators the symbolic benchmark workload builds from it:
+    twists of phi and bql, induced solutions, extension braidings and
+    strands."""
+    a, b, c, d = (Scalar.param(n) for n in "abcd")
+    Q, L = Scalar.param("q"), Scalar.param("l")
+    zero = Scalar.zero()
+    cases = [("phi", phi(), [[L, zero, zero, zero], [zero, L - Q ** 2 * L, Q * L, zero],
+                             [zero, Q * L, zero, zero], [zero, zero, zero, L]])]
+    cases += [(f"bql{N}", bql(N), _bql_formula(N)) for N in (2, 3, 4)]
+    twists = [("phi-diag", phi(), [[a, zero], [zero, d]]),
+              ("phi-b", phi(), [[zero, b], [zero, zero]]),
+              ("phi-c", phi(), [[zero, zero], [c, zero]])]
+    for N in (3, 4):
+        diagonal = SupportPattern(N, {i: i for i in range(1, N + 1)})
+        alpha = CompatibleAlpha.symbolic(diagonal).to_linear_map()
+        twists.append((f"bql{N}-diag", bql(N), alpha.dense()))
+    for name, B, A in twists:
+        alpha = as_op([list(col) for col in zip(*A)], B.dom[:1], B.dom[:1])
+        fold = _smul(_skron(A, A), B.dense())
+        cases.append((name, twist(B, alpha), fold))
+        if B.space.dim == 2:
+            for i in (1, 2, 3):
+                cases.append((f"{name}/strand{i}", build_Bi(twist(B, alpha), alpha, 4, i),
+                              _strand_fold(fold, A, 4, i)))
+    bql3 = bql(3).dense()
+    for pattern in enumerate_patterns(3):
+        ca = CompatibleAlpha.symbolic(pattern)
+        A = ca.to_linear_map().dense()
+        cases.append((f"induced{pattern.column_rows}", induced_solution(ca),
+                      _smul(_skron(A, A), bql3)))
+    for name, L in (("sl2star", yau_twist(sl2_star(), sl2_star_morphism(
+                        1, a21=a, a22=c, a23=b, a33=d))),
+                    ("heisenberg", yau_twist(heisenberg(), heisenberg_morphism(
+                        b, c, a, 0, 0, d)))):
+        B, alpha = braiding_on_extension(L), extended_alpha(L)
+        fold = _extension_fold(L)
+        cases.append((f"ext-{name}", B, fold))
+        for n in (3, 4):
+            for i in range(1, n):
+                cases.append((f"ext-{name}/strand{n}.{i}", build_Bi(B, alpha, n, i),
+                              _strand_fold(fold, alpha.dense(), n, i)))
+    return cases
+
+
+SYMBOLIC = _symbolic_workload_operators()
+
+
+@pytest.mark.parametrize("name, op, fold", SYMBOLIC, ids=[c[0] for c in SYMBOLIC])
+def test_symbolic_operators_match_the_scalar_fold(name, op, fold):
+    assert op.dense() == fold
+    _check_one_form(op)

@@ -274,6 +274,21 @@ def test_scan_matrices_in_index_order():
     assert empty.shape == (0, 2, 2)
 
 
+@pytest.mark.scan
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_decode_matches_unravel_index(n, p):
+    import numpy as np
+    total = p ** (n * n)
+    # The first chunk and the last, a short one, of the scan's chunks.
+    for start in {0, (total - 1) // runtime._CHUNK * runtime._CHUNK}:
+        idx = np.arange(start, min(start + runtime._CHUNK, total), dtype=np.int64)
+        want = np.stack(np.unravel_index(idx, (p,) * (n * n)), axis=-1).reshape(-1, n, n)
+        got = runtime._decode(idx, n, p)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_brute_force_refuses_before_building_bql(monkeypatch):
     from hombrax import quantum
 
