@@ -69,13 +69,15 @@ class HomLieAlgebra(_OnSpace):
     """Based space + skew bracket L (x) L -> L (a c[i][j][k] grid or operator) + alpha,
     a self-map of a space of the same dimension, held as a self-map of L."""
 
-    __slots__ = ("space", "bracket", "alpha")
+    # _valid: set once validate() has passed; a failure is never remembered.
+    __slots__ = ("space", "bracket", "alpha", "_valid")
 
     def __init__(self, labels: Sequence[str], brackets, alpha: TensorOp):
         space = BasedSpace(labels)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "bracket", as_op(brackets, (space, space), (space,)))
         object.__setattr__(self, "alpha", _on(alpha, space))
+        object.__setattr__(self, "_valid", False)
 
     def bracket_vec(self, i: int, j: int) -> tuple[Scalar, ...]:
         """[x_i, x_j] as a coordinate vector."""
@@ -85,6 +87,10 @@ class HomLieAlgebra(_OnSpace):
         return skew_residual(self).is_zero()
 
     def validate(self) -> None:
+        """Raise InvariantViolated unless the algebra is Hom-Lie; checked once
+        per object."""
+        if self._valid:
+            return
         if not self.is_skew():
             raise InvariantViolated("bracket is not skew-symmetric")
         hit = multiplicativity_residual(self).first_nonzero()
@@ -95,6 +101,7 @@ class HomLieAlgebra(_OnSpace):
         hit = hom_jacobi_residual(self).first_nonzero()
         if hit:
             raise InvariantViolated(f"twisted Jacobi fails at {hit[0]}")
+        object.__setattr__(self, "_valid", True)
 
     def __eq__(self, other):
         if not isinstance(other, HomLieAlgebra):

@@ -59,8 +59,14 @@ and truthiness act alike on ``int`` and ``Laurent`` entries.  One loop,
 ``_combine_columns``, serves ``compose``, ``+``/``-`` and ``residual``: it
 sums chains of factors, pushing each column of a chain's last factor
 through the others into one accumulator, so a composite or a residual is
-made canonical once, not once per step or side.  ``invert`` eliminates on
-the stored form fraction-free, dividing pivot rows by monomial units.
+made canonical once, not once per step or side.  Its work follows the
+stored entries: an empty column is not pushed, a vector that ends a step
+empty is pushed no further, a column empty on one side of a sum is the
+other side's vector, and only columns with entries are filtered and
+sorted.  An all-zero result, such as the residual of every identity that
+holds, is returned as the canonical zero with no column rebuilt.
+``invert`` eliminates on the stored form fraction-free, dividing pivot rows
+by monomial units.
 """
 
 from __future__ import annotations
@@ -310,9 +316,12 @@ _Stored = tuple[tuple[str, ...], int, tuple, int]
 
 
 def _reduced(den: int, cols: tuple[_IntColumn, ...]) -> _Integer:
-    """The canonical integer form of the operator cols / den (den != 0)."""
+    """The canonical integer form of the operator cols / den (den != 0); the
+    zero operator is (1, cols) as given, with no column rebuilt."""
     if den != 1:
-        g = math.gcd(den, *(v for col in cols for _, v in col))
+        if not any(cols):
+            return 1, cols
+        g = math.gcd(den, *[v for col in cols for _, v in col])
         if den < 0:
             g = -g
         if g != 1:
@@ -371,7 +380,9 @@ def _canonical(params: tuple[str, ...], den: int, cols: tuple) -> _Stored:
     """The stored form of kernel output cols / den over a nonempty params
     (den > 0): constant entries become ints, parameters that no longer occur
     leave the order (and the keys are repacked), and the content gcd is
-    divided out."""
+    divided out.  The zero operator is ((), 1, cols, 0) with cols as given."""
+    if not any(cols):
+        return (), 1, cols, 0
     keys, const = set(), False
     for col in cols:
         for _, v in col:
@@ -704,37 +715,48 @@ def _combine_columns(terms: Sequence[tuple[int, Sequence[tuple]]]) -> tuple:
     Term by term, each column of a chain's last factor, times c, is pushed
     through the other factors as one sparse vector (an entry that cancelled
     to zero is not pushed further) and added into the first term's column;
-    zeros are dropped and the rows sorted once, at the end.
+    zeros are dropped and the rows sorted once, at the end.  The work
+    follows the stored entries: an empty column is not pushed, a vector
+    that ends a step empty is pushed no further, a column that is empty on
+    one side of a sum is the other side's vector, and only columns with
+    entries on both sides are merged.
     """
     out = None
     for c, (*outer, last) in terms:
         outer.reverse()
         vecs = []
         for j, vec in enumerate(last):
-            if c != 1:
-                vec = [(i, c * s) for i, s in vec]
-            for fcols in outer:
-                acc = {}
-                for i, s in vec:
-                    if s:
-                        for r, t in fcols[i]:
-                            p = s * t
-                            acc[r] = acc[r] + p if r in acc else p
-                vec = acc.items()
+            if vec:
+                if c != 1:
+                    vec = [(i, c * s) for i, s in vec]
+                for fcols in outer:
+                    acc = {}
+                    for i, s in vec:
+                        if s:
+                            for r, t in fcols[i]:
+                                p = s * t
+                                acc[r] = acc[r] + p if r in acc else p
+                    vec = acc.items()
+                    if not acc:
+                        break
             if out is not None:
-                acc = dict(out[j])
-                for r, s in vec:
-                    acc[r] = acc[r] + s if r in acc else s
-                vec = acc.items()
+                prev = out[j]
+                if not vec:
+                    vec = prev
+                elif prev:
+                    acc = dict(prev)
+                    for r, s in vec:
+                        acc[r] = acc[r] + s if r in acc else s
+                    vec = acc.items()
             vecs.append(vec)
         out = vecs
     # Rows are distinct dict keys, so sorting never compares entries.
-    return tuple(tuple(sorted(e for e in vec if e[1])) for vec in out)
+    return tuple([tuple(sorted([e for e in vec if e[1]])) if vec else () for vec in out])
 
 
 def _tensor_columns(fcols: tuple, gcols: tuple, ng: int) -> tuple:
-    return tuple(tuple((rf * ng + rg, sf * sg) for rf, sf in fcol for rg, sg in gcol)
-                 for fcol in fcols for gcol in gcols)
+    return tuple([tuple([(rf * ng + rg, sf * sg) for rf, sf in fcol for rg, sg in gcol])
+                  for fcol in fcols for gcol in gcols])
 
 
 def as_op(data, dom: Word, cod: Word) -> TensorOp:

@@ -60,7 +60,8 @@ class Bialgebra(_OnSpace):
     a covector.  Each is held as an operator (grids or operators accepted).
     """
 
-    __slots__ = ("space", "mult", "unit", "comult", "counit")
+    # _valid: set once check_axioms() has passed; a failure is never remembered.
+    __slots__ = ("space", "mult", "unit", "comult", "counit", "_valid")
 
     def __init__(self, labels: Sequence[str], mult, unit, comult, counit):
         H = BasedSpace(labels)
@@ -69,6 +70,7 @@ class Bialgebra(_OnSpace):
         object.__setattr__(self, "unit", as_op(unit, (), (H,)))
         object.__setattr__(self, "comult", as_op(comult, (H,), (H, H)))
         object.__setattr__(self, "counit", as_op(counit, (H,), ()))
+        object.__setattr__(self, "_valid", False)
 
     def algebra_mult(self, k: int) -> TensorOp:
         """The multiplication of H^(x)k: (x1..xk)(y1..yk) = x1 y1 (x) ... (x) xk yk."""
@@ -101,7 +103,11 @@ class Bialgebra(_OnSpace):
         ]
 
     def check_axioms(self) -> None:
-        _check(self.axioms())
+        """Raise AxiomViolation at the first failing axiom; checked once per
+        object."""
+        if not self._valid:
+            _check(self.axioms())
+            object.__setattr__(self, "_valid", True)
 
     def is_cocommutative(self) -> bool:
         return residual((swap_op(self.space), self.comult), self.comult).is_zero()

@@ -456,3 +456,34 @@ def test_algebra_json_round_trip():
     again = algebra_from_json_dict(json.loads(text))
     assert again == twisted
     assert json.dumps(algebra_to_json_dict(again), sort_keys=True) == text
+
+
+def test_validation_runs_once_per_algebra_and_never_remembers_a_failure(monkeypatch):
+    import hombrax.homlie as homlie_module
+
+    calls = []
+    real = homlie_module.hom_jacobi_residual
+
+    def counted(L):
+        calls.append(L)
+        return real(L)
+
+    monkeypatch.setattr(homlie_module, "hom_jacobi_residual", counted)
+    for L in (heisenberg(), *extension_instances(random.Random(5), 3)):
+        calls.clear()
+        braiding_on_extension(L)
+        braiding_inverse_on_extension(L)
+        L.validate()
+        assert calls == [L]
+    # [a, b] = a, [b, c] = b fails twisted Jacobi: each call checks it again.
+    bad = lie_algebra(("a", "b", "c"), {(0, 1): {0: 1}, (1, 2): {1: 1}})
+    calls.clear()
+    for check in (braiding_on_extension, braiding_inverse_on_extension, HomLieAlgebra.validate):
+        with pytest.raises(InvariantViolated, match="twisted Jacobi fails at"):
+            check(bad)
+    assert calls == [bad] * 3
+    broken = HomLieAlgebra(sl2().labels, sl2().bracket,
+                           LinearMap(sl2().space, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    for _ in range(2):
+        with pytest.raises(InvariantViolated, match="not multiplicative"):
+            braiding_on_extension(broken)

@@ -70,6 +70,8 @@ from hombrax.tensor import (
     SpaceMismatch,
     SymbolicNotMonomialInvertible,
     TensorOp,
+    _canonical,
+    _reduced,
     _sparse_json,
     as_op,
     compose,
@@ -961,3 +963,131 @@ SYMBOLIC = _symbolic_workload_operators()
 def test_symbolic_operators_match_the_scalar_fold(name, op, fold):
     assert op.dense() == fold
     _check_one_form(op)
+
+
+# -- the kernel's sparse paths -------------------------------------------------
+#
+# The chain loop skips empty columns, stops pushing a vector that ends a step
+# empty, takes a column that is empty on one side of a sum from the other
+# side, and reduces an all-zero result to the canonical zero without
+# rebuilding it.  Each case is checked against the fold and a dense oracle.
+
+def _rational_op(cols: list) -> TensorOp:
+    return TensorOp(V2, 2, [[(r, Scalar.rational(x)) for r, x in col] for col in cols])
+
+
+# NIL is nilpotent (NIL^2 = 0): columns 2 and 3 are empty and every image
+# lies in their span.  LOW has entries only where NIL has none.
+NIL = _rational_op([[(2, Fraction(2, 3)), (3, -1)], [(3, 5)], [], []])
+LOW = _rational_op([[], [], [(0, Fraction(3, 4)), (1, -2)], [(2, Fraction(1, 5))]])
+
+
+def _check_zero(op: TensorOp, like: TensorOp) -> None:
+    """op is the canonical zero map of like's shape."""
+    assert op._params == () and op._den == 1 and op._emax == 0
+    assert op._integer() == (1, ((),) * like.total_dim)
+    zero = TensorOp(like.space, like.arity, {})
+    assert op == zero and hash(op) == hash(zero) and op.is_zero()
+
+
+def test_chains_through_a_nilpotent_factor_match_fold_and_fraction_oracle():
+    _check_zero(compose(NIL, NIL), NIL)
+    for k in range(4):
+        a, b = RANDOM[k], RANDOM[k + 5]
+        for ops in ([NIL, NIL, a], [a, NIL, NIL], [NIL, a, NIL], [a, NIL, b, NIL],
+                    [NIL, NIL, a, b], [NIL, a, NIL, NIL, b], [b, NIL, a, NIL, NIL]):
+            _check_chain(ops)
+
+
+def test_symbolic_chains_through_a_nilpotent_factor_match_the_scalar_oracle():
+    Q, L = Scalar.param("q"), Scalar.param("l")
+    zero, one = Scalar.zero(), Scalar.one()
+    N = [[zero, zero], [Q * L, zero]]
+    F = [[Q + 1, L], [one, Q ** -1]]
+    G = [[L, zero], [Q, Scalar.rational(2)]]
+    mats = {"N": N, "F": F, "G": G}
+    ops = {name: _sop(rows) for name, rows in mats.items()}
+    for word in ("NNF", "FNN", "NFN", "FNGN", "NNFG", "NFGNF", "GFNNF"):
+        chain = [ops[c] for c in word]
+        result = compose(*chain)
+        assert result == functools.reduce(compose, chain)
+        _check_built(result, functools.reduce(_smul, (mats[c] for c in word)))
+
+
+def test_residuals_with_one_side_empty_in_a_column_match_fold_and_fraction_oracle():
+    a = RANDOM[2]
+    for lhs, rhs in (((NIL,), (LOW,)), ((LOW,), (NIL,)), ((NIL, a), (LOW,)),
+                     ((LOW,), (NIL, a)), ((a, NIL), (LOW, a, LOW)), ((NIL, NIL), (LOW,)),
+                     ((LOW,), (NIL, NIL)), ((NIL, LOW), (a,))):
+        _check_residual(lhs, rhs)
+    _check_pair(NIL, LOW)
+    _check_pair(LOW, NIL)
+    # A column empty on one side is the other side's column, signed.
+    res = residual(NIL, LOW)
+    assert res.column(0) == NIL.column(0) and res.column(2) == (-LOW).column(2)
+
+
+def test_symbolic_residuals_with_one_side_empty_in_a_column_match_the_scalar_oracle():
+    Q, L, zero = Scalar.param("q"), Scalar.param("l"), Scalar.zero()
+    N = [[zero, zero], [Q, zero]]
+    M = [[zero, L ** -2], [zero, Q + L]]
+    n, m = _sop(N), _sop(M)
+    for lhs, rhs, want in ((n, m, _ssub(N, M)), (m, n, _ssub(M, N)),
+                           ((n, m), m, _ssub(_smul(N, M), M)),
+                           (m, (m, n), _ssub(M, _smul(M, N)))):
+        result = residual(lhs, rhs)
+        assert result == _side(lhs) - _side(rhs)
+        _check_built(result, want)
+    _check_built(n + m, [[x + y for x, y in zip(rn, rm)] for rn, rm in zip(N, M)])
+
+
+def test_scale_by_zero_is_the_canonical_zero():
+    sym = phi_alpha_symbolic()[0]
+    for op in (NIL, LOW, RANDOM[2], GALLERY["bql3"], sym, sym.scale(Fraction(1, 3))):
+        _check_zero(op.scale(0), op)
+        _check_zero(op.scale(Scalar.zero()), op)
+
+
+def test_symbolic_chain_whose_entry_cancels_partway_matches_the_scalar_oracle():
+    Q, L = Scalar.param("q"), Scalar.param("l")
+    zero, one = Scalar.zero(), Scalar.one()
+    F = [[one, zero], [one, L]]  # column 0 is (1, 1)
+    # Row 0 of G sends (1, 1) to q - q = 0; row 1 of G sends it to l + q^-1
+    # or, in H, to 0 as well: the whole vector cancels there.
+    G = [[Q, -Q], [L, Q ** -1]]
+    H = [[Q, -Q], [Q ** -1, -(Q ** -1)]]
+    K = [[L + 1, Q], [Q ** 2, one]]
+    mats = {"F": F, "G": G, "H": H, "K": K}
+    ops = {name: _sop(rows) for name, rows in mats.items()}
+    for word in ("KGF", "GF", "KHF", "KKHF", "GKHF"):
+        chain = [ops[c] for c in word]
+        result = compose(*chain) if len(chain) > 1 else chain[0]
+        want = functools.reduce(_smul, (mats[c] for c in word))
+        assert result == functools.reduce(compose, chain)
+        _check_built(result, want)
+    assert compose(ops["H"], ops["F"]).column(0) == ()
+    assert compose(ops["G"], ops["F"]).column(0) == ((1, L + Q ** -1),)
+    # On either side of a residual the cancelled vector adds nothing: the
+    # column is the other side's, signed.
+    cancelled, f = (ops["K"], ops["H"], ops["F"]), ops["F"]
+    for lhs, rhs, want in ((cancelled, f, (-f).column(0)), (f, cancelled, f.column(0))):
+        result = residual(lhs, rhs)
+        assert result == _side(lhs) - _side(rhs) and result.column(0) == want
+
+
+def test_all_zero_results_are_the_canonical_zero():
+    sym, alpha = phi_alpha_symbolic()
+    third, lifted = sym.scale(Fraction(1, 3)), lift(alpha, 2)
+    assert third._den > 1 and third._params
+    for op in (residual((third, lifted), (third, lifted)), third - third,
+               compose(third, lifted) - compose(third, lifted), residual(third, third)):
+        _check_zero(op, sym)
+    f, g = RANDOM[0], RANDOM[4]
+    assert f._den > 1 and g._den > 1
+    for op in (residual((f, g), (f, g)), f - f, compose(NIL, g, NIL, NIL), residual(f, f)):
+        _check_zero(op, f)
+    # The reductions return the kernel's all-empty columns as they are.
+    cols = ((),) * 4
+    assert _reduced(6, cols) == (1, cols) and _reduced(6, cols)[1] is cols
+    assert _canonical(("q", "l"), 6, cols) == ((), 1, cols, 0)
+    assert _canonical(("q", "l"), 6, cols)[2] is cols

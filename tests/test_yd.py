@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from hombrax.cli import main
 from hombrax.hybe import hybe_residual, ybe_residual
 from hombrax.scalars import Scalar
 from hombrax.tensor import LinearMap, swap_op
 from hombrax.yd import (
     AxiomViolation,
+    Bialgebra,
     DualQuasiTriangularStructure,
     NotYD,
     QuasiTriangularStructure,
@@ -207,3 +209,41 @@ def test_module_json_round_trip():
     again = module_from_json_dict(json.loads(text))
     assert again.action == V.action and again.coaction == V.coaction
     assert json.dumps(module_to_json_dict(again), sort_keys=True) == text
+
+
+def _count_axiom_checks(monkeypatch) -> list:
+    """The hosts whose Bialgebra.axioms are built, one entry per build."""
+    calls = []
+    real = Bialgebra.axioms
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Bialgebra, "axioms", counted)
+    return calls
+
+
+def test_bialgebra_axioms_are_checked_once_per_object(monkeypatch):
+    calls = _count_axiom_checks(monkeypatch)
+    module = z2_sign_module()
+    H = module.host
+    V = comodule_from_qt(module.labels, module.action, trivial_qt(H))
+    yd_condition_residual(V)
+    yd_braiding(V)
+    H.check_axioms()
+    assert calls == [H]
+    # A counit of zero breaks the counit law: each call checks it again.
+    broken = Bialgebra(H.labels, H.mult, H.unit, H.comult, [ZERO, ZERO])
+    for _ in range(3):
+        with pytest.raises(AxiomViolation, match="counit law"):
+            broken.check_axioms()
+    assert calls == [H] + [broken] * 3
+
+
+@pytest.mark.parametrize("gallery", ["z2", "trivial"])
+def test_yd_verify_checks_the_host_once(monkeypatch, capsys, gallery):
+    calls = _count_axiom_checks(monkeypatch)
+    assert main(["yd", "verify", "--gallery", gallery]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(calls) == 1
