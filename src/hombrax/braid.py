@@ -8,7 +8,7 @@ decomposition depends only on the permutation, so a twisted braiding B
 with twisting map alpha assigns to each permutation gamma a well-defined
 operator B^gamma: the composite of the strand operators B_i along any
 reduced word of gamma.  ``theta_operator`` builds it as one ``compose``
-chain of those strands, once the word is checked to be a reduced word of
+chain along the word, once the word is checked to be a reduced word of
 gamma.
 
 The block swap chi(n, n) in Sigma_2n, pushed through this construction,
@@ -19,8 +19,16 @@ the product space.
 
 A pair (B, alpha) is validated once per object identity: ``theta_operator``
 checks the twisted braid identity and invertibility the first time it sees
-a pair and then reuses the pair's strand operators until it is passed a
-different pair.
+a pair and then remembers, for that pair only, the product of every word it
+has composed (a strand operator being the product of a one-letter word).  A
+new word is composed as one chain from the product of its longest
+remembered prefix, so a sweep over Sigma_n builds each strand once and
+shares the prefixes its words have in common.  The memo is keyed by word,
+never by permutation: two reduced words of one gamma are each composed
+along their own letters.  It holds one operator per distinct word asked for
+(about 2.4 MB for both bubble-sort words of every gamma in Sigma_5: 4
+strands and 218 longer words, operators on V^(x)5 for a rational pair on a
+2-dim V) and is dropped when a different pair is passed.
 """
 
 from __future__ import annotations
@@ -121,8 +129,11 @@ def reduced_word(gamma: Permutation, strategy: str = "smallest") -> tuple[int, .
     Repeatedly pick a descent position i of the one-line word (the smallest;
     the largest under strategy='largest', kept for perfbench), record it,
     and swap; each swap removes exactly one inversion, and the reversed
-    record is a reduced word whose transposition product is gamma.
+    record is a reduced word whose transposition product is gamma.  Any
+    other strategy raises ValueError.
     """
+    if strategy not in ("smallest", "largest"):
+        raise ValueError(f"strategy must be 'smallest' or 'largest', not {strategy!r}")
     w = list(gamma.images)
     recorded = []
     while True:
@@ -188,19 +199,24 @@ def _check_invertible(B: TensorOp, alpha: TensorOp) -> None:
         raise NotInvertible(str(exc)) from exc
 
 
-# The last validated pair and its strand operators: (B, alpha, {n: {i: B_i}}).
-# The strong references keep both ids from being reused while the entry
-# lives, and operators are immutable, so an identity hit is sound.
-_validated: tuple[TensorOp, TensorOp, dict[int, dict[int, TensorOp]]] | None = None
+# The last validated pair and the products of the words composed for it:
+# (B, alpha, {n: {word: product}}), a strand B_i being the product of the
+# word (i,).  The strong references keep both ids from being reused while
+# the entry lives, and operators are immutable, so an identity hit is sound.
+_validated: tuple[TensorOp, TensorOp,
+                  dict[int, dict[tuple[int, ...], TensorOp]]] | None = None
 
 
-def _strands(B: TensorOp, alpha: TensorOp, n: int) -> dict[int, TensorOp]:
-    """The strand operators of a validated pair on V^(x)n, built on first use.
+def _strands(B: TensorOp, alpha: TensorOp, n: int) -> dict[tuple[int, ...], TensorOp]:
+    """The word products of a validated pair on V^(x)n, filled in as words
+    are composed: each strand B_i under (i,), and each longer word asked of
+    ``theta_operator`` under its tuple of letters.
 
-    The pair is checked when it is not the very objects checked last;
-    strands are cached per n, so mixing strand counts does not re-check.
-    The entry is read once, so a concurrent call that replaces it cannot
-    hand this pair another pair's strands.
+    The pair is checked when it is not the very objects checked last, and
+    the products of the previous pair go with its entry; products are kept
+    per n, so mixing strand counts does not re-check.  The entry is read
+    once, so a concurrent call that replaces it cannot hand this pair
+    another pair's products.
     """
     global _validated
     entry = _validated
@@ -213,8 +229,7 @@ def _strands(B: TensorOp, alpha: TensorOp, n: int) -> dict[int, TensorOp]:
 
 def theta_operator(gamma: Permutation, B: TensorOp, alpha: TensorOp,
                    word: Sequence[int] | None = None) -> TensorOp:
-    """B^gamma: the strand operators composed along a reduced word of gamma,
-    as one ``compose`` chain.
+    """B^gamma: the strand operators composed along a reduced word of gamma.
 
     Iwahori well-definedness makes the result independent of the word; pass
     one explicitly, as letters in 1..n-1, to exercise that.  ``build_Bi``
@@ -222,21 +237,33 @@ def theta_operator(gamma: Permutation, B: TensorOp, alpha: TensorOp,
     not ``length(gamma)`` or whose transposition product is not gamma is
     refused with ValueError.  Requires (B, alpha) to be an invertible
     solution of the twisted braid identity.
+
+    The word's product is remembered with the pair (see ``_strands``): a
+    word asked for again costs a lookup, and a new one is one ``compose``
+    chain of its longest remembered prefix's product and the strands of the
+    remaining letters.  Only whole words are remembered, so a word that is
+    asked for once costs the one chain it always did.
     """
     n = gamma.n
-    strands = _strands(B, alpha, n)
-    if word is None:
-        word = reduced_word(gamma)
+    products = _strands(B, alpha, n)
+    word = reduced_word(gamma) if word is None else tuple(word)
     images = list(range(1, n + 1))
     for i in word:
-        if i not in strands:  # build_Bi refuses a letter outside 1..n-1 before the swap
-            strands[i] = build_Bi(B, alpha, n, i)
+        if (i,) not in products:  # build_Bi refuses a letter outside 1..n-1 before the swap
+            products[(i,)] = build_Bi(B, alpha, n, i)
         images[i - 1], images[i] = images[i], images[i - 1]
     if len(word) != length(gamma) or tuple(images) != gamma.images:
-        raise ValueError(f"{tuple(word)} is not a reduced word of {gamma}")
+        raise ValueError(f"{word} is not a reduced word of {gamma}")
     if not word:
         return identity_op(B.space, n)
-    return strands[word[0]] if len(word) == 1 else compose(*(strands[i] for i in word))
+    product = products.get(word)
+    if product is None:
+        k = len(word) - 1
+        while word[:k] not in products:  # stops at k = 1: every strand is remembered
+            k -= 1
+        product = products[word] = compose(products[word[:k]],
+                                           *(products[(i,)] for i in word[k:]))
+    return product
 
 
 def alpha_n(alpha: TensorOp, n: int) -> TensorOp:

@@ -64,7 +64,9 @@ stored entries: an empty column is not pushed, a vector that ends a step
 empty is pushed no further, a column empty on one side of a sum is the
 other side's vector, and only columns with entries are filtered and
 sorted.  An all-zero result, such as the residual of every identity that
-holds, is returned as the canonical zero with no column rebuilt.
+holds, is returned as the canonical zero with no column rebuilt, and a
+difference of two single operators with equal stored forms (``a - b``,
+``residual(a, b)``) is that zero with no kernel call.
 ``invert`` eliminates on the stored form fraction-free, dividing pivot rows
 by monomial units.
 """
@@ -642,7 +644,7 @@ class TensorOp(_Frozen):
         return _combination(((self,), (other,)), (1, 1))
 
     def __sub__(self, other: "TensorOp") -> "TensorOp":
-        return _combination(((self,), (other,)), (1, -1))
+        return _difference((self,), (other,))
 
     def __neg__(self) -> "TensorOp":
         return self.scale(-1)
@@ -852,9 +854,21 @@ def residual(lhs: TensorOp | Sequence[TensorOp],
     compose(*lhs) - compose(*rhs), raising as that fold does, in one kernel
     call.  Both sides go into one accumulator over the lcm of their
     denominator products and are reduced once, so a residual whose entries
-    all cancel does no big-integer reduction.
+    all cancel does no big-integer reduction.  When each side is a single
+    map and their stored forms are equal, the result is the canonical zero
+    with no kernel call at all: the stored form is canonical, so equal forms
+    are equal maps.
     """
-    return _combination([(x,) if isinstance(x, TensorOp) else x for x in (lhs, rhs)], (1, -1))
+    return _difference(*[(x,) if isinstance(x, TensorOp) else x for x in (lhs, rhs)])
+
+
+def _difference(lhs: Sequence[TensorOp], rhs: Sequence[TensorOp]) -> TensorOp:
+    """compose(*lhs) - compose(*rhs); the canonical zero, without entering the
+    kernel loop, for two single maps with equal stored forms."""
+    if len(lhs) == 1 == len(rhs) and lhs[0]._key() == rhs[0]._key():
+        op = lhs[0]
+        return TensorOp._rational(op.dom, op.cod, 1, ((),) * len(op._cols))
+    return _combination((lhs, rhs), (1, -1))
 
 
 def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:

@@ -1,5 +1,7 @@
 """Permutations, reduced words, theta operators, tensor-power braidings."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -88,6 +90,14 @@ def test_reduced_word_properties():
         for w in (reduced_word(g), words[0], words[-1]):
             assert len(w) == length(g)
             assert word_permutation(6, w) == g
+
+
+def test_reduced_word_refuses_unknown_strategy():
+    g = Permutation((3, 2, 1))
+    assert (reduced_word(g, "smallest"), reduced_word(g, "largest")) == ((1, 2, 1), (2, 1, 2))
+    for strategy in ("smalest", "Largest", ""):
+        with pytest.raises(ValueError, match="strategy"):
+            reduced_word(g, strategy)
 
 
 def test_chi_images():
@@ -291,3 +301,78 @@ def test_theta_equals_letter_by_letter_product_on_sigma4():
             for i in reversed(word):
                 want = compose(build_Bi(b, alpha, 4, i), want)
             assert theta_operator(gamma, b, alpha, word=word) == want
+
+
+# -- the word memo of a validated pair ----------------------------------------
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """The factor count of each compose call made by theta_operator, starting
+    from an empty memo."""
+    from hombrax import braid
+    calls = []
+    real = braid.compose
+
+    def counting(*ops):
+        calls.append(len(ops))
+        return real(*ops)
+
+    monkeypatch.setattr(braid, "compose", counting)
+    monkeypatch.setattr(braid, "_validated", None)
+    return calls
+
+
+@pytest.mark.parametrize("longest_first", [False, True])
+def test_theta_memo_matches_uncached_fold_on_sigma4(compose_calls, longest_first):
+    b, alpha = phi_alpha_rational()
+    strands = {i: build_Bi(b, alpha, 4, i) for i in (1, 2, 3)}
+    requests = [(Permutation(images), word)
+                for images in itertools.permutations(range(1, 5))
+                for word in all_reduced_words(Permutation(images))]
+    requests.sort(key=lambda r: len(r[1]), reverse=longest_first)
+    for gamma, word in requests:
+        want = (functools.reduce(compose, [strands[i] for i in word]) if word
+                else identity_op(b.space, 4))
+        assert theta_operator(gamma, b, alpha, word=word) == want, word
+    # Every word of length >= 2 is composed once, as one chain.
+    assert len(compose_calls) == sum(len(w) >= 2 for _, w in requests)
+
+
+def test_theta_memo_composes_each_word_once(compose_calls):
+    b, alpha = phi_alpha_rational()
+    longest3 = Permutation((3, 2, 1))
+    theta_operator(longest3, b, alpha, word=(1, 2, 1))
+    assert compose_calls == [3]  # a one-off word: one chain of its strands
+    theta_operator(longest3, b, alpha, word=(1, 2, 1))
+    assert compose_calls == [3]  # a repeated word: a lookup
+    theta_operator(longest3, b, alpha, word=(2, 1, 2))
+    assert compose_calls == [3, 3]  # no shared prefix: its own letters, one chain
+    theta_operator(Permutation((3, 2, 1, 4)), b, alpha, word=(1, 2, 1))
+    assert compose_calls == [3, 3, 3]  # another strand count has its own memo
+    w0 = (1, 2, 1, 3, 2, 1)
+    theta_operator(word_permutation(4, w0), b, alpha, word=w0)
+    assert compose_calls == [3, 3, 3, 4]  # the product of (1, 2, 1) and 3 strands
+
+
+def test_theta_memo_keys_a_list_word_by_its_tuple(compose_calls):
+    from hombrax import braid
+    b, alpha = phi_alpha_rational()
+    longest3 = Permutation((3, 2, 1))
+    got = theta_operator(longest3, b, alpha, word=[2, 1, 2])
+    assert braid._validated[2][3][(2, 1, 2)] is got
+    assert theta_operator(longest3, b, alpha, word=(2, 1, 2)) is got
+    assert compose_calls == [3]
+
+
+def test_theta_memo_goes_with_its_pair(compose_calls):
+    from hombrax import braid
+    b, alpha = phi_alpha_rational()
+    other_b, other_alpha = phi_alpha_rational(a=2, d=3)
+    longest3 = Permutation((3, 2, 1))
+    want = theta_operator(longest3, b, alpha)
+    theta_operator(longest3, other_b, other_alpha)
+    entry = braid._validated
+    assert entry[0] is other_b and entry[1] is other_alpha
+    assert all(p is not want for products in entry[2].values() for p in products.values())
+    assert theta_operator(longest3, b, alpha) == want
+    assert compose_calls == [3, 3, 3]

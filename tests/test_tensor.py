@@ -19,7 +19,7 @@ from helpers import (
     rational_gallery,
 )
 from hombrax.braid import Permutation
-from hombrax.quantum import CompatibleAlpha, SupportPattern, bql
+from hombrax.quantum import CompatibleAlpha, SupportPattern, bql, phi
 from hombrax.scalars import Scalar
 from hombrax.tensor import (
     ArityMismatch,
@@ -44,6 +44,7 @@ from hombrax.tensor import (
     power,
     product_space,
     rebase,
+    residual,
     swap_op,
     tensor_product,
 )
@@ -154,6 +155,69 @@ def test_residual_and_is_zero():
     assert (b - b).is_zero()
     assert not identity_op(V2, 1).is_zero()
     assert (compose(swap_op(V2), swap_op(V2)) - identity_op(V2, 2)).is_zero()
+
+
+def _equal_operand_case(name: str) -> TensorOp:
+    if name == "rational":
+        return bql(2).instantiate({"q": 2, "l": 1})
+    if name == "symbolic":
+        return phi()
+    H = BasedSpace.of_dim(2, prefix="h")
+    return as_op([[1, Fraction(1, 2), 0], [0, 3, -1]], (H,), (V3,))  # H -> V3
+
+
+@pytest.mark.parametrize("name", ["rational", "symbolic", "between words"])
+def test_equal_operands_subtract_to_zero_without_a_kernel_call(monkeypatch, name):
+    from hombrax import tensor
+    x = _equal_operand_case(name)
+    zero = x.scale(0)
+    copy = x + zero
+    assert copy == x and copy is not x
+    calls = []
+    real = tensor._combine_columns
+    monkeypatch.setattr(tensor, "_combine_columns",
+                        lambda terms: calls.append(terms) or real(terms))
+    for got in (x - x, residual(x, x), x - copy, residual((copy,), [x])):
+        assert got == zero and hash(got) == hash(zero) and got.is_zero()
+        assert (got.dom, got.cod) == (x.dom, x.cod)
+    assert calls == []
+
+
+def test_equal_stored_columns_on_other_words_still_raise():
+    other = BasedSpace(["x", "y"])
+    a, b = identity_op(V2, 1), identity_op(other, 1)
+    assert a.columns == b.columns
+    cases = ((a, b, SpaceMismatch), (a, identity_op(V2, 2), ArityMismatch),
+             (a.scale(0), identity_op(V2, 2).scale(0), ArityMismatch))
+    for lhs, rhs, exc in cases:
+        with pytest.raises(exc):
+            lhs - rhs
+        with pytest.raises(exc):
+            residual(lhs, rhs)
+
+
+def _perturbed(op: TensorOp, row: int, col: int, delta: Scalar) -> TensorOp:
+    cols = list(op.columns)
+    cols[col] = cols[col] + ((row, delta),)
+    return TensorOp(op.space, op.arity, cols)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_entry_perturbed_difference_matches_dense_oracle(seed):
+    rng = random.Random(seed)
+    x = random_op(rng, V2, 2)
+    site = rng.randrange(4), rng.randrange(4)
+    y = _perturbed(x, *site, Scalar.rational(rand_fraction(rng, nonzero=True)))
+    want = [[a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(fraction_matrix(x), fraction_matrix(y))]
+    assert fraction_matrix(x - y) == want
+    assert fraction_matrix(residual(x, y)) == want
+    s = phi()
+    t = _perturbed(s, *site, Scalar.param("q", rng.choice((-1, 1))) * rand_fraction(rng, True))
+    want = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(s.dense(), t.dense())]
+    assert dense_equal((s - t).dense(), want)
+    assert dense_equal(residual(s, t).dense(), want)
+    assert not (s - t).is_zero()
 
 
 def _random_rows(rng: random.Random) -> list[list[Fraction]]:
