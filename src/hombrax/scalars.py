@@ -25,7 +25,7 @@ The text format used in JSON exports writes a scalar as a sum of terms
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
@@ -319,8 +319,50 @@ def _coerce(x) -> Scalar:
     return NotImplemented
 
 
+# The most decimal digits a number in scalar text may spell out, the limit
+# int() puts on a plain literal: "1e4299" is read, "1e4300" and "1e-4300"
+# are refused before 10**4300 is formed.
+_MAX_DIGITS = 4300
+
+
+def _number(tok: str) -> Fraction:
+    """The rational a coefficient token denotes, in the grammar of
+    ``Fraction(tok)`` (matched with its own pattern): ValueError if tok is
+    not a number, ZeroDivisionError for a zero denominator, and
+    ScalarParseError for a number whose numerator or denominator, written
+    out in full (the digits of the mantissa, then the power of ten),
+    exceeds _MAX_DIGITS."""
+    m = _RATIONAL_FORMAT.match(tok)
+    if m is None:
+        raise ValueError(f"not a number: {tok!r}")
+    sign, num, denom, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
+    n, d = int(num or "0"), 1
+    if denom:
+        d = int(denom)
+    elif decimal or exp:
+        decimal = (decimal or "").replace("_", "")
+        n = n * 10 ** len(decimal) + int(decimal or "0")
+        shift = (int(exp) if exp else 0) - len(decimal)
+        digits = len(num.replace("_", "")) + len(decimal)
+        if max(digits + shift, digits, 1 - shift) > _MAX_DIGITS:
+            raise ScalarParseError(f"{tok!r} spells out a number of more than "
+                                   f"{_MAX_DIGITS} digits")
+        if shift >= 0:
+            n *= 10 ** shift
+        else:
+            d = 10 ** -shift
+    if sign == "-":
+        n = -n
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar text format; inverse of ``str(scalar)``."""
+    """Parse the scalar text format; inverse of ``str(scalar)``.
+
+    A term's first number is its coefficient (any further one multiplies
+    it), and a term is added into the total only when its exponents repeat
+    those of an earlier term, so a coefficient is one ``Fraction`` built
+    once.  Raises ScalarParseError for text that is not in the format."""
     if not isinstance(text, str):
         raise ScalarParseError(f"scalar text must be a string, not {text!r}")
     text = text.strip()
@@ -331,18 +373,21 @@ def parse_scalar(text: str) -> Scalar:
         part = part.strip()
         if not part:
             raise ScalarParseError(f"empty term in {text!r}")
-        factors = part.split("*")
-        coef = Fraction(1)
+        coef = None
         pairs: list[tuple[str, int]] = []
-        for i, tok in enumerate(factors):
+        for i, tok in enumerate(part.split("*")):
             tok = tok.strip()
             try:
-                coef *= Fraction(tok)
-                continue
+                x = _number(tok)
+            except ScalarParseError:
+                raise
             except ValueError:
                 pass
             except ZeroDivisionError:
                 raise ScalarParseError(f"zero denominator in {tok!r}") from None
+            else:
+                coef = x if coef is None else coef * x
+                continue
             if i == 0 and tok and (tok[0].isdigit() or tok[0] in "+-"):
                 raise ScalarParseError(f"bad coefficient {tok!r}")
             name, caret, exp = tok.partition("^")
@@ -353,9 +398,12 @@ def parse_scalar(text: str) -> Scalar:
             except ValueError:
                 raise ScalarParseError(f"bad exponent in {tok!r}") from None
             pairs.append((name, e))
-        exps = _canonical_exps(pairs)
-        if coef != 0:
-            total[exps] = total.get(exps, Fraction(0)) + coef
+        if coef is None:
+            coef = Fraction(1)
+        elif not coef:
+            continue
+        exps = _canonical_exps(pairs) if pairs else ()
+        total[exps] = total[exps] + coef if exps in total else coef
     return Scalar(total)
 
 

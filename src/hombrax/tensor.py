@@ -61,12 +61,17 @@ sums chains of factors, pushing each column of a chain's last factor
 through the others into one accumulator, so a composite or a residual is
 made canonical once, not once per step or side.  Its work follows the
 stored entries: an empty column is not pushed, a vector that ends a step
-empty is pushed no further, a column empty on one side of a sum is the
-other side's vector, and only columns with entries are filtered and
-sorted.  An all-zero result, such as the residual of every identity that
-holds, is returned as the canonical zero with no column rebuilt, and a
-difference of two single operators with equal stored forms (``a - b``,
-``residual(a, b)``) is that zero with no kernel call.
+empty is pushed no further, and a column empty on one side of a sum is the
+other side's vector.  The reduction happens in the kernel's final pass:
+the accumulators go as they are to ``_reduced``, the one reduction of
+every kernel, which takes the content gcd over the accumulated values and
+then builds each column once, dropping zeros, dividing by the content and
+sorting in one comprehension (over parameters it also drops those that no
+longer occur and stores constants as ``int``s in the same pass).  An
+all-zero result, such as the residual of every identity that holds, is
+the canonical zero with no gcd and no division, and a difference of two
+single operators with equal stored forms (``a - b``, ``residual(a, b)``)
+is that zero with no kernel call.
 ``invert`` eliminates on the stored form fraction-free, dividing pivot rows
 by monomial units.
 """
@@ -317,19 +322,60 @@ _Integer = tuple[int, tuple[_IntColumn, ...]]
 _Stored = tuple[tuple[str, ...], int, tuple, int]
 
 
-def _reduced(den: int, cols: tuple[_IntColumn, ...]) -> _Integer:
-    """The canonical integer form of the operator cols / den (den != 0); the
-    zero operator is (1, cols) as given, with no column rebuilt."""
-    if den != 1:
-        if not any(cols):
-            return 1, cols
-        g = math.gcd(den, *[v for col in cols for _, v in col])
-        if den < 0:
-            g = -g
-        if g != 1:
-            den //= g
-            cols = tuple(tuple((r, v // g) for r, v in col) for col in cols)
-    return den, cols
+def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) -> _Stored:
+    """The stored form of the operator cols / den over params (den != 0).
+
+    With raw, cols are the kernel's accumulators: per column, (row, value)
+    pairs with distinct rows in any order, zeros allowed.  Otherwise they
+    are columns with rows increasing and no zero entry, kept as they are
+    when nothing changes.  The content gcd of den and every numerator is
+    divided out; over a nonempty params, a parameter that no longer occurs
+    leaves the order (the keys are repacked) and a constant entry becomes an
+    int.  Each column is built once, in one comprehension that drops zeros,
+    divides and sorts.  The zero operator is ((), 1, empty columns, 0): cols
+    as given, or ((),) * len(cols) for raw accumulators.
+    """
+    kept, remap, const, emax = (), None, False, 0
+    if params:
+        keys, nums = set(), []
+        for col in cols:
+            for _, v in col:
+                if v.__class__ is int:
+                    nums.append(v)
+                else:
+                    keys.update(v)
+                    nums.extend(v.values())
+                    const = const or (len(v) == 1 and 0 in v)
+        used = [0] * len(params)
+        for key in keys:
+            for i, d in enumerate(key_digits(key, len(params))):
+                used[i] = max(used[i], abs(d))
+        kept = tuple(n for n, e in zip(params, used) if e)
+        remap = None if kept == params else _remap(params, kept, keys)
+        emax = max(used)
+    else:
+        # Over 1 the content is 1, and the zeros of a zero result go below.
+        nums = [v for col in cols for _, v in col] if den != 1 else (1,)
+    if not any(nums):
+        return (), 1, ((),) * len(cols) if raw else cols, 0
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    den //= g
+    change = g != 1 or const or remap is not None
+    # The rows of a raw column are distinct, so sorting never compares entries.
+    if not raw:
+        if change:
+            cols = tuple([tuple([(r, _entry(v, g, remap)) for r, v in col]) for col in cols])
+    elif not change:
+        cols = tuple([tuple(sorted([e for e in col if e[1]])) if col else () for col in cols])
+    elif params:
+        cols = tuple([tuple(sorted([(r, _entry(v, g, remap)) for r, v in col if v]))
+                      if col else () for col in cols])
+    else:
+        cols = tuple([tuple(sorted([(r, v // g) for r, v in col if v])) if col else ()
+                      for col in cols])
+    return kept, den, cols, emax
 
 
 def _integer_columns(cols: Iterable[Iterable[tuple[int, Fraction]]]) -> _Integer:
@@ -378,33 +424,6 @@ def _form(cols: tuple[Column, ...]) -> _Stored:
     return params, den, tuple(out), emax
 
 
-def _canonical(params: tuple[str, ...], den: int, cols: tuple) -> _Stored:
-    """The stored form of kernel output cols / den over a nonempty params
-    (den > 0): constant entries become ints, parameters that no longer occur
-    leave the order (and the keys are repacked), and the content gcd is
-    divided out.  The zero operator is ((), 1, cols, 0) with cols as given."""
-    if not any(cols):
-        return (), 1, cols, 0
-    keys, const = set(), False
-    for col in cols:
-        for _, v in col:
-            if v.__class__ is not int:
-                keys.update(v)
-                const = const or (len(v) == 1 and 0 in v)
-    used = [0] * len(params)
-    for key in keys:
-        for i, d in enumerate(key_digits(key, len(params))):
-            used[i] = max(used[i], abs(d))
-    kept = tuple(n for n, e in zip(params, used) if e)
-    remap = None if kept == params else _remap(params, kept, keys)
-    g = 1 if den == 1 else math.gcd(den, *(c for col in cols for _, v in col
-                                           for c in ((v,) if v.__class__ is int else v.values())))
-    if g != 1 or const or remap is not None:
-        den //= g
-        cols = tuple(tuple((r, _entry(v, g, remap)) for r, v in col) for col in cols)
-    return kept, den, cols, max(used)
-
-
 def _entry(v, g: int, remap: dict | None):
     """An entry divided by g, its keys renamed by remap; a constant as an int."""
     if v.__class__ is int:
@@ -427,9 +446,9 @@ def _remap(old: tuple[str, ...], new: tuple[str, ...], keys) -> dict[int, int]:
 
 
 def _scalar(params: tuple[str, ...], den: int, v) -> Scalar:
-    """The Scalar of a stored entry."""
+    """The Scalar of a stored entry, its one Fraction per term built once."""
     if v.__class__ is int:
-        return Scalar.rational(Fraction(v, den))
+        return Scalar({(): Fraction(v, den)})
     return Scalar({tuple((n, d) for n, d in zip(params, key_digits(k, len(params))) if d):
                    Fraction(c, den) for k, c in v.items()})
 
@@ -510,16 +529,16 @@ class TensorOp(_Frozen):
             stray = [j for j in columns if not 0 <= j < n]
             if stray:
                 raise IndexError(f"column keys {stray} out of range for {n}")
-            cols = tuple(_canonical_column(columns.get(j, ())) for j in range(n))
-        else:
-            if len(columns) != n:
-                raise ValueError(f"expected {n} columns, got {len(columns)}")
-            cols = tuple(_canonical_column(c) for c in columns)
-        for col in cols:
+            columns = [columns.get(j, ()) for j in range(n)]
+        elif len(columns) != n:
+            raise ValueError(f"expected {n} columns, got {len(columns)}")
+        # Every row is checked, a zero entry's too, before zeros are dropped.
+        columns = [tuple(c) for c in columns]
+        for col in columns:
             for row, _ in col:
                 if not 0 <= row < n:
                     raise IndexError(f"row {row} out of range")
-        self._set(word, word, *_form(cols))
+        self._set(word, word, *_form(tuple(map(_canonical_column, columns))))
 
     def _set(self, dom: Word, cod: Word, params: tuple[str, ...], den: int,
              cols: tuple, emax: int) -> None:
@@ -543,19 +562,16 @@ class TensorOp(_Frozen):
                   cols: tuple[_IntColumn, ...]) -> "TensorOp":
         """The map cols / den from integer columns that are canonical and in
         range by construction; the content gcd is divided out here."""
-        op = object.__new__(cls)
-        op._set(dom, cod, (), *_reduced(den, cols), 0)
-        return op
+        return cls._packed(dom, cod, (), den, cols)
 
     @classmethod
     def _packed(cls, dom: Word, cod: Word, params: tuple[str, ...], den: int,
-                cols: tuple) -> "TensorOp":
-        """The map cols / den from kernel output over params: rows increasing,
-        no zero entry; made canonical by _canonical."""
-        if not params:
-            return cls._rational(dom, cod, den, cols)
+                cols: tuple, raw: bool = False) -> "TensorOp":
+        """The map cols / den from kernel output over params, made canonical
+        by _reduced: columns with rows increasing and no zero entry, or, with
+        raw, the kernel loop's accumulators."""
         op = object.__new__(cls)
-        op._set(dom, cod, *_canonical(params, den, cols))
+        op._set(dom, cod, *_reduced(params, den, cols, raw))
         return op
 
     # -- the stored form ----------------------------------------------------
@@ -708,16 +724,18 @@ class TensorOp(_Frozen):
         return rows
 
 
-# The kernel loops.  Each runs on Scalar columns and on integer columns alike.
+# The kernel loops, on the stored int and Laurent entries.
 
-def _combine_columns(terms: Sequence[tuple[int, Sequence[tuple]]]) -> tuple:
-    """The columns of the sum of c * (f_1 after ... after f_k) over the terms
-    (c, (f_1, ..., f_k)), each factor given by its columns.
+def _combine_columns(terms: Sequence[tuple[int, Sequence[tuple]]]) -> list:
+    """The accumulators of the sum of c * (f_1 after ... after f_k) over the
+    terms (c, (f_1, ..., f_k)), each factor given by its columns: per
+    column, (row, value) pairs with distinct rows, in no order, zeros kept.
 
     Term by term, each column of a chain's last factor, times c, is pushed
     through the other factors as one sparse vector (an entry that cancelled
-    to zero is not pushed further) and added into the first term's column;
-    zeros are dropped and the rows sorted once, at the end.  The work
+    to zero is not pushed further) and added into the first term's column.
+    The accumulators are handed to _reduced as they are, which drops the
+    zeros, divides by the content and sorts the rows in one pass.  The work
     follows the stored entries: an empty column is not pushed, a vector
     that ends a step empty is pushed no further, a column that is empty on
     one side of a sum is the other side's vector, and only columns with
@@ -752,8 +770,7 @@ def _combine_columns(terms: Sequence[tuple[int, Sequence[tuple]]]) -> tuple:
                     vec = acc.items()
             vecs.append(vec)
         out = vecs
-    # Rows are distinct dict keys, so sorting never compares entries.
-    return tuple([tuple(sorted([e for e in vec if e[1]])) if vec else () for vec in out])
+    return out
 
 
 def _tensor_columns(fcols: tuple, gcols: tuple, ng: int) -> tuple:
@@ -834,7 +851,7 @@ def _combination(chains: Sequence[Sequence[TensorOp]],
         terms.append((c.numerator, d, cols))
         den = math.lcm(den, d)
     return TensorOp._packed(dom, cod, params, den, _combine_columns(
-        [(n * (den // d), cols) for n, d, cols in terms]))
+        [(n * (den // d), cols) for n, d, cols in terms]), raw=True)
 
 
 def compose(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:

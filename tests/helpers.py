@@ -33,7 +33,7 @@ from hombrax.quantum import (
     maximal_patterns,
     phi,
 )
-from hombrax.scalars import Scalar
+from hombrax.scalars import Scalar, ScalarParseError, _canonical_exps
 from hombrax.tensor import BasedSpace, LinearMap, TensorOp
 
 
@@ -226,3 +226,47 @@ def rational_gallery() -> dict[str, TensorOp]:
         gallery[f"extension{k}_inverse"] = braiding_inverse_on_extension(twisted)
     gallery["phi_power2"] = tensor_power_solution(b, alpha, 2)[0]
     return gallery
+
+
+# -- the reference scalar text parser -------------------------------------------
+
+def reference_parse_scalar(text: str) -> Scalar:
+    """The scalar text parser as first written, one Fraction product and sum
+    per token and term: the oracle of scalars.parse_scalar (same Scalar, or
+    the same exception type and message)."""
+    if not isinstance(text, str):
+        raise ScalarParseError(f"scalar text must be a string, not {text!r}")
+    text = text.strip()
+    if not text:
+        raise ScalarParseError("empty scalar text")
+    total: dict = {}
+    for part in text.split("+"):
+        part = part.strip()
+        if not part:
+            raise ScalarParseError(f"empty term in {text!r}")
+        factors = part.split("*")
+        coef = Fraction(1)
+        pairs: list[tuple[str, int]] = []
+        for i, tok in enumerate(factors):
+            tok = tok.strip()
+            try:
+                coef *= Fraction(tok)
+                continue
+            except ValueError:
+                pass
+            except ZeroDivisionError:
+                raise ScalarParseError(f"zero denominator in {tok!r}") from None
+            if i == 0 and tok and (tok[0].isdigit() or tok[0] in "+-"):
+                raise ScalarParseError(f"bad coefficient {tok!r}")
+            name, caret, exp = tok.partition("^")
+            if not name.isidentifier():
+                raise ScalarParseError(f"bad factor {tok!r} in {text!r}")
+            try:
+                e = int(exp) if caret else 1
+            except ValueError:
+                raise ScalarParseError(f"bad exponent in {tok!r}") from None
+            pairs.append((name, e))
+        exps = _canonical_exps(pairs)
+        if coef != 0:
+            total[exps] = total.get(exps, Fraction(0)) + coef
+    return Scalar(total)

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +23,7 @@ from hombrax.braid import (
     theta_operator,
 )
 from hombrax.homlie import extension_space, lie_algebra, braiding_on_extension
-from hombrax.hybe import IndexOutOfRange, build_Bi, hybe_residual
+from hombrax.hybe import IndexOutOfRange, build_Bi, hybe_residual, twist
 from hombrax.quantum import PHI_SPACE, phi
 from hombrax.tensor import (
     LinearMap,
@@ -336,6 +338,34 @@ def test_theta_memo_matches_uncached_fold_on_sigma4(compose_calls, longest_first
         assert theta_operator(gamma, b, alpha, word=word) == want, word
     # Every word of length >= 2 is composed once, as one chain.
     assert len(compose_calls) == sum(len(w) >= 2 for _, w in requests)
+
+
+
+def test_theta_stores_the_fold_form_on_sigma4_with_contents(monkeypatch):
+    from hombrax import tensor
+    alpha = LinearMap.diagonal(PHI_SPACE, [Fraction(2, 3), Fraction(-5, 7)])
+    b = twist(phi(), alpha).instantiate({"q": Fraction(3, 2), "l": Fraction(5, 4)})
+    strands = {i: build_Bi(b, alpha, 4, i) for i in (1, 2, 3)}
+    divided = []
+    real = tensor._reduced
+
+    def recording(params, den, cols, raw=False):
+        out = real(params, den, cols, raw)
+        divided.append(raw and out[1] < den and any(out[2]))
+        return out
+
+    monkeypatch.setattr(tensor, "_reduced", recording)
+    for images in itertools.permutations(range(1, 5)):
+        gamma = Permutation(images)
+        for word in all_reduced_words(gamma):
+            got = theta_operator(gamma, b, alpha, word=word)
+            want = (functools.reduce(compose, [strands[i] for i in word]) if word
+                    else identity_op(b.space, 4))
+            assert got._key() == want._key(), word
+            den, cols = got._integer()
+            assert den > 0 and math.gcd(den, *(v for col in cols for _, v in col)) == 1
+    # Kernel results with a content greater than 1 were among them.
+    assert any(divided)
 
 
 def test_theta_memo_composes_each_word_once(compose_calls):

@@ -486,6 +486,35 @@ def test_exponents_outside_the_packing_exit_2(capsys, monkeypatch, entry, code):
         assert (got, out, err) == (0, "PASS ybe\n", "")
 
 
+@pytest.mark.parametrize("row, entry", [("99", "0"), ("-5", "0/7"), ("99", "1")])
+def test_an_entry_at_an_out_of_range_row_exits_2(capsys, monkeypatch, row, entry):
+    # A zero entry is refused as a nonzero one is: the row is checked first.
+    doc = {"dim": 2, "arity": 2, "columns": {"0": [[row, entry]]}}
+    code, out, err = run(capsys, ["verify", "ybe"], stdin=json.dumps(doc),
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"row {row} out of range" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, code", [("1e4300", 2), ("1e-4300", 2), ("-2.5E4300", 2),
+                                         ("1e4299", 0), ("1e2", 0), ("1.5", 0)])
+def test_numbers_past_the_digit_limit_exit_2(capsys, monkeypatch, entry, code):
+    # Exponent notation is bounded as a plain literal is: 10**4300 is never
+    # formed, so a missing refusal fails here at once instead of hanging on
+    # an exponent such as 1e999999999.
+    doc = {"dim": 2, "arity": 2, "columns": {"0": [["0", entry]]}}
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["verify", "ybe"], stdin=json.dumps(doc),
+                        monkeypatch=monkeypatch)
+    assert time.perf_counter() - start < 5
+    if code == 2:
+        assert (got, out) == (2, "") and err.startswith("error:") and "4300 digits" in err
+        assert "Traceback" not in err
+    else:
+        assert (got, out, err) == (0, "PASS ybe\n", "")
+
+
 @pytest.mark.parametrize("kind", sorted(_DEEP))
 def test_op_loads_refuses_deeply_nested_json(kind):
     from hombrax.tensor import op_loads

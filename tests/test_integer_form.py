@@ -70,7 +70,6 @@ from hombrax.tensor import (
     SpaceMismatch,
     SymbolicNotMonomialInvertible,
     TensorOp,
-    _canonical,
     _reduced,
     _sparse_json,
     as_op,
@@ -1086,8 +1085,98 @@ def test_all_zero_results_are_the_canonical_zero():
     assert f._den > 1 and g._den > 1
     for op in (residual((f, g), (f, g)), f - f, compose(NIL, g, NIL, NIL), residual(f, f)):
         _check_zero(op, f)
-    # The reductions return the kernel's all-empty columns as they are.
+    # The reduction returns all-empty columns as they are.
     cols = ((),) * 4
-    assert _reduced(6, cols) == (1, cols) and _reduced(6, cols)[1] is cols
-    assert _canonical(("q", "l"), 6, cols) == ((), 1, cols, 0)
-    assert _canonical(("q", "l"), 6, cols)[2] is cols
+    assert _reduced((), 6, cols) == ((), 1, cols, 0) and _reduced((), 6, cols)[2] is cols
+    assert _reduced(("q", "l"), 6, cols) == ((), 1, cols, 0)
+    assert _reduced(("q", "l"), 6, cols)[2] is cols
+
+
+# -- kernel output reduced in the kernel's final pass ---------------------------
+
+def _dense_fractions(op: TensorOp) -> list:
+    """The dense Fraction matrix of a rational map between any two words."""
+    out = [[Fraction(0)] * len(op._cols) for _ in range(len(op.dense()))]
+    for j, col in enumerate(op.columns):
+        for r, s in col:
+            out[r][j] = s.constant_value()
+    return out
+
+
+def _check_reduced(op: TensorOp, want: list) -> None:
+    """A rational kernel result: the dense Fraction oracle's matrix, over a
+    positive denominator in lowest terms, rows increasing, no zero entry."""
+    den, cols = op._integer()
+    assert den > 0 and math.gcd(den, *(v for col in cols for _, v in col)) == 1
+    for col in cols:
+        assert all(v for _, v in col)
+        assert [r for r, _ in col] == sorted({r for r, _ in col})
+    assert _dense_fractions(op) == want
+
+
+def test_kernel_results_with_a_content_match_the_fraction_oracle():
+    half = Fraction(1, 2)
+    row = as_op([half, half], (V2,), ())  # [[1, 1]] over 2
+    ones, halves = as_op([1, 1], (), (V2,)), as_op([half, half], (), (V2,))
+    neg = as_op([-half, -half], (V2,), ())
+    # [[1, 1]] . [[1], [1]] over 2: the kernel sums 2 over 2, stored as 1 / 1.
+    cases = [(compose(row, ones), [[Fraction(1)]], 1),
+             (compose(row, halves), [[half]], 2),
+             (compose(neg, ones), [[Fraction(-1)]], 1),
+             (compose(neg, halves), [[-half]], 2),
+             (compose(neg, ones, row, halves), [[-half]], 2),
+             (residual((neg, ones), (row, ones)), [[Fraction(-2)]], 1)]
+    # Column 0 cancels, column 1 keeps 3 - 1 over 2, the second row 3 - 1 - 2.
+    a = LinearMap(V2, [[half, 0], [0, Fraction(3, 2)]])
+    b = LinearMap(V2, [[half, 0], [Fraction(1, 2), half]])
+    c = LinearMap(V2, [[0, 0], [-half, Fraction(5, 2)]])
+    cases += [(a - b, [[0, 0], [-half, Fraction(1)]], 2),
+              (a - b - c, [[0, 0], [0, Fraction(-3, 2)]], 2),
+              (residual((a, b), (b, a)), [[0, 0], [Fraction(1, 2), 0]], 2),
+              (a.scale(-4) - b.scale(-2), [[-1, 0], [Fraction(1), Fraction(-5)]], 1)]
+    for op, want, den in cases:
+        _check_reduced(op, [[Fraction(x) for x in r] for r in want])
+        assert op._den == den
+
+
+def test_symbolic_kernel_results_with_a_content_match_the_scalar_oracle():
+    q, half = Scalar.param("q"), Fraction(1, 2)
+    f = [[q * half, Scalar.zero()], [Scalar.zero(), q * half]]
+    g = [[Scalar.rational(2), Scalar.zero()], [Scalar.rational(2), 2 * q ** -1]]
+    F, G = _sop(f), _sop(g)
+    # 2q / 2 and 2 / 2: the content goes, and the constant becomes an int.
+    result = compose(F, G)
+    assert result.dense() == _smul(f, g)
+    assert result._den == 1 and result._params == ("q",)
+    assert 1 in [v for col in result._cols for _, v in col]
+    _check_packed(result)
+    # Every parameter cancels: the result is the rational identity.
+    inv = _sop([[2 * q ** -1, Scalar.zero()], [Scalar.zero(), 2 * q ** -1]])
+    ident = compose(F, inv)
+    assert ident._integer() == (1, (((0, 1),), ((1, 1),)))
+    assert ident == identity_op(V2)
+    # A sum with a content, a cancelled column and a kept one.
+    total = F + F - _sop([[q, Scalar.zero()], [Scalar.zero(), Scalar.zero()]])
+    assert total.dense() == [[Scalar.zero(), Scalar.zero()], [Scalar.zero(), q]]
+    assert total._den == 1
+    _check_packed(total)
+
+
+def test_reduction_builds_raw_accumulators_in_one_pass():
+    raw = [{3: 0, 1: 6}.items(), [], [(2, -4), (0, 0)], ((0, 2),)]
+    assert _reduced((), 4, raw, raw=True) == ((), 2, (((1, 3),), (), ((2, -2),), ((0, 1),)), 0)
+    assert _reduced((), 1, raw, raw=True) == ((), 1, (((1, 6),), (), ((2, -4),), ((0, 2),)), 0)
+    zeros = [{0: 0}.items(), [(1, 0)], ()]
+    assert _reduced((), 6, zeros, raw=True) == ((), 1, ((),) * 3, 0)
+    assert _reduced(("q", "l"), 6, [[(0, Laurent())], [(1, 0)]], raw=True) == \
+        ((), 1, ((),) * 2, 0)
+    # Over (q, l): l no longer occurs, the constant Laurent becomes an int,
+    # the content 2 goes and the rows are sorted.
+    sym = [[(1, Laurent({1: 4})), (0, Laurent({0: 6}))], [(0, 0), (1, Laurent())]]
+    params, den, cols, emax = _reduced(("q", "l"), 2, sym, raw=True)
+    assert (params, den, emax) == (("q",), 1, 1)
+    assert cols == (((0, 3), (1, Laurent({1: 2}))), ())
+    assert cols[0][0][1].__class__ is int and isinstance(cols[0][1][1], Laurent)
+    # Canonical columns are kept as they are when nothing divides.
+    canonical = (((0, 1), (1, 3)), ())
+    assert _reduced((), 2, canonical)[2] is canonical

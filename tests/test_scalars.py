@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import phi_alpha_symbolic, rational_gallery, reference_parse_scalar
+from hombrax.quantum import bql, phi
 from hombrax.scalars import (
     DenominatorDivisibleByP,
     MissingParameter,
@@ -183,3 +185,81 @@ def test_fast_path_matches_term_map_path(x, y):
     _same_terms(x + y, _term_map_add(x, y))
     _same_terms(x - y, _term_map_add(x, _term_map_neg(y)))
     _same_terms(-x, _term_map_neg(x))
+
+
+# -- the parser against its reference copy -------------------------------------
+
+def _parses_as_reference(text) -> None:
+    """parse_scalar gives the reference parser's Scalar, with Fraction
+    coefficients, or raises its exception type with its message."""
+    try:
+        want = reference_parse_scalar(text)
+    except Exception as exc:  # noqa: BLE001 - the reference's own exception
+        with pytest.raises(type(exc)) as info:
+            parse_scalar(text)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = parse_scalar(text)
+    assert got == want
+    _same_terms(got, want)
+
+
+def _gallery_texts() -> list:
+    ops = list(rational_gallery().values()) + [phi(), bql(3), phi_alpha_symbolic()[0]]
+    return sorted({str(s) for op in ops for col in op.columns for _, s in col})
+
+
+def test_parser_matches_reference_on_gallery_entries():
+    texts = _gallery_texts()
+    assert len(texts) > 50 and any("/" in t for t in texts) and any("^-" in t for t in texts)
+    for text in texts:
+        _parses_as_reference(text)
+
+
+# The texts of the rejection tests, and of the hostile JSON and CLI inputs.
+_REJECTED = ["q^", "1*q^", "q^ + 1", "2*q*l^", "1/0", "", "  ", "1 +", "+ q", "q + + l",
+             "3x", "-q", "q*-", "2*q^1.5", "q^^2", "1//2", "2*1/0", "x y", "1*q^ab"]
+
+
+@pytest.mark.parametrize("text", ["q + q", "2*3/4*q", "1/2 + -1/2", " 2 ", "-0", "1.5",
+                                  "1e2", "1_000", "q*2", "q^-1 + -1*q^-1", "0*q + 0",
+                                  "1*q^99999999999999999999", "+3/6*l^2*q", "2.5E-1*a*a^-1"]
+                         + _REJECTED)
+def test_parser_matches_reference_on_listed_texts(text):
+    _parses_as_reference(text)
+
+
+@pytest.mark.parametrize("value", [None, 5, 1.5, ["1"]])
+def test_parser_matches_reference_on_non_strings(value):
+    _parses_as_reference(value)
+
+
+_TOKENS = st.sampled_from(["0", "1", "-1", "+2", "3/6", "-2/3", "1/0", "0/5", "1.5", "-.5",
+                           "1e2", "2E-1", "1_0", "q", "l", "a", "q^-1", "l^2", "q^0", "x1",
+                           "q^", "^2", "", "1 / 2", "1e", "nan", "1x"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(["", " "]), _TOKENS), min_size=1,
+                         max_size=4), min_size=1, max_size=4),
+       st.sampled_from(["+", " + "]))
+def test_parser_matches_reference_on_sums_of_products(terms, plus):
+    _parses_as_reference(plus.join("*".join(pad + tok for pad, tok in factors)
+                                   for factors in terms))
+
+
+# -- the digit limit of a number -----------------------------------------------
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "-1E4300", "1.5e4300", "10e4299",
+                                  ".1e-4299", "2*1e-4300*q", "q*1e4300", "1 + 1e4300"])
+def test_parse_refuses_a_number_past_the_digit_limit(text):
+    with pytest.raises(ScalarParseError, match="more than 4300 digits"):
+        parse_scalar(text)
+
+
+def test_parse_reads_a_number_at_the_digit_limit():
+    assert parse_scalar("1e4299") == Scalar.rational(10 ** 4299)
+    assert parse_scalar("-1e-4299*q") == Scalar.monomial(Fraction(-1, 10 ** 4299), [("q", 1)])
+    assert parse_scalar("1.5e4299") == Scalar.rational(15 * 10 ** 4298)
+    assert parse_scalar("1e2") == Scalar.rational(100)
+    assert parse_scalar("1.5") == Scalar.rational(Fraction(3, 2))

@@ -20,7 +20,7 @@ from helpers import (
 )
 from hombrax.braid import Permutation
 from hombrax.quantum import CompatibleAlpha, SupportPattern, bql, phi
-from hombrax.scalars import Scalar
+from hombrax.scalars import Scalar, parse_scalar
 from hombrax.tensor import (
     ArityMismatch,
     BasedSpace,
@@ -500,6 +500,21 @@ def test_kernels_keep_random_sparse_ops_canonical(data, dim, arity):
 def test_json_rejects_wrong_types_with_value_error(doc):
     with pytest.raises(ValueError):
         op_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("row, text", [(99, "0"), (-5, "0/7"), (4, "0*q"), (99, "1")])
+def test_every_row_is_checked_before_zeros_are_dropped(row, text):
+    entry = parse_scalar(text)
+    for columns in ({0: [(row, entry)]}, [[(row, entry)], [], [], []],
+                    {1: [(0, Scalar.one()), (row, entry)]}):
+        with pytest.raises(IndexError, match=f"row {row} out of range"):
+            TensorOp(V2, 2, columns)
+    doc = {"dim": 2, "arity": 2, "columns": {"0": [["0", "1"], [str(row), text]]}}
+    with pytest.raises(IndexError, match=f"row {row} out of range"):
+        op_from_json_dict(doc)
+    # In range, a zero entry is still dropped.
+    doc["columns"]["0"][1][0] = "3"
+    assert op_from_json_dict(doc).column(0) == ((0, Scalar.one()),) + ((3, entry),) * bool(entry)
 
 
 class _NoPower(int):
