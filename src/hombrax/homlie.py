@@ -25,7 +25,6 @@ cover all morphism solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -270,14 +269,20 @@ def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
 # Finite-field completeness oracles.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ClassificationReport:
-    algebra: str
-    prime: int
-    total_solutions: int
-    family_counts: dict[str, int]
-    overlap_count: int
-    unclassified: list[tuple[int, ...]] = field(default_factory=list)
+    """The outcome of one finite-field classification: how many morphisms
+    the scan found, how many each family covers, how many lie in more than
+    one family and the ones no family covers."""
+
+    def __init__(self, algebra: str, prime: int, total_solutions: int,
+                 family_counts: dict[str, int], overlap_count: int,
+                 unclassified: list[tuple[int, ...]] | None = None):
+        self.algebra = algebra
+        self.prime = prime
+        self.total_solutions = total_solutions
+        self.family_counts = family_counts
+        self.overlap_count = overlap_count
+        self.unclassified = [] if unclassified is None else unclassified
 
     @property
     def complete(self) -> bool:

@@ -15,14 +15,21 @@ sense when B commutes with alpha (x) alpha; that compatibility is enforced
 with a hard error, not silently assumed.  It is the braid relation
 x y x = y x y of the two strands x = alpha (x) B and y = B (x) alpha on
 V^(x)3, and the Yang-Baxter identity is its case alpha = Id.  One
-expression, ``_braid``, builds that relation's residual for both, and for
-each pair of adjacent strands in ``braid_relation_residuals``.
+expression, ``_braid``, builds that relation's residual for both, and the
+n = 3 relation of the strands B (x) alpha and alpha (x) B.
+
+``braid_relation_residuals`` builds no strand on V^(x)n.  Each braid
+relation there is a tensor product of operators on at most three strands:
+an adjacent one is that n = 3 residual between powers of alpha^3, and a far
+commutation is B (alpha (x) alpha) and (alpha (x) alpha) B, in both orders,
+between powers of alpha^2.  A pair whose n = 3 residual is zero and whose B
+commutes with alpha (x) alpha gets every residual as the zero map at once.
 """
 
 from __future__ import annotations
 
-from hombrax.tensor import (DimMismatch, TensorOp, compose, identity_op, lift, residual,
-                            tensor_product)
+from hombrax.tensor import (DimMismatch, TensorOp, _zero, compose, identity_op, lift, power,
+                            residual, tensor_product)
 
 
 class IncompatiblePair(ValueError):
@@ -110,12 +117,55 @@ def braid_relation_residuals(B: TensorOp, alpha: TensorOp,
 
     Far commutations B_i B_j - B_j B_i for |i - j| > 1 come first (ordered
     by (i, j)), then the adjacent residuals
-    B_i B_{i+1} B_i - B_{i+1} B_i B_{i+1}.
+    B_i B_{i+1} B_i - B_{i+1} B_i B_{i+1}.  There are none at n = 2, and
+    n < 2 raises IndexOutOfRange once the pair is checked.
+
+    No strand on V^(x)n is built: by (f (x) g)(h (x) k) = fh (x) gk and
+    bilinearity, the adjacent residual at i is
+    (alpha^3)^(x)(i-1) (x) R (x) (alpha^3)^(x)(n-i-2), R the relation at
+    n = 3, and the far commutation at (i, j) is S (x) (U (x) T (x) W -
+    W (x) T (x) U) (x) S', where U = B (alpha (x) alpha), W = (alpha (x)
+    alpha) B and S, T, S' are the powers (alpha^2)^(x)(i-1),
+    (alpha^2)^(x)(j-i-2) and (alpha^2)^(x)(n-j-1).  A zero R makes every
+    adjacent residual zero, and U = W every far one, with no lift built.
     """
-    ops = {i: build_Bi(B, alpha, n, i) for i in range(1, n)}
+    _check_pair(B, alpha)
+    if n < 2:
+        raise IndexOutOfRange(f"n = {n}: braid relations need at least 2 strands")
+    word = (B.space,) * n
+    far = [(i, j) for i in range(1, n) for j in range(i + 2, n)]
     out = []
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            out.append(residual((ops[i], ops[j]), (ops[j], ops[i])))
-    out.extend(_braid(ops[i], ops[i + 1]) for i in range(1, n - 1))
+    if far:
+        a2 = lift(alpha, 2)
+        U, W = compose(B, a2), compose(a2, B)
+        if U == W:
+            out = [_zero(word, word)] * len(far)
+        else:
+            sq = _lifts(alpha, 2, n - 4)
+            mid = [_tensor(U, T, W) - _tensor(W, T, U) for T in sq]
+            out = [_tensor(sq[i - 1], mid[j - i - 2], sq[n - j - 1]) for i, j in far]
+    if n > 2:
+        R = _braid(build_Bi(B, alpha, 3, 1), build_Bi(B, alpha, 3, 2))
+        if R.is_zero():
+            out += [_zero(word, word)] * (n - 2)
+        else:
+            cubes = _lifts(alpha, 3, n - 3)
+            out += [_tensor(cubes[i - 1], R, cubes[n - i - 2]) for i in range(1, n - 1)]
     return out
+
+
+def _lifts(alpha: TensorOp, k: int, m: int) -> list[TensorOp | None]:
+    """[None, a, a (x) a, ..., a^(x)m] for a = alpha^k; None is the empty factor."""
+    out = [None]
+    if m:
+        a = power(alpha, k)
+        out.append(a)
+        for _ in range(m - 1):
+            out.append(tensor_product(out[-1], a))
+    return out
+
+
+def _tensor(*factors: TensorOp | None) -> TensorOp:
+    """The tensor product of the factors that are not None."""
+    first, *rest = [f for f in factors if f is not None]
+    return tensor_product(first, *rest) if rest else first

@@ -118,7 +118,7 @@ class Scalar:
 
     @staticmethod
     def rational(value: RationalLike) -> "Scalar":
-        c = Fraction(value)
+        c = value if value.__class__ is Fraction else Fraction(value)
         return Scalar({(): c}) if c else _ZERO
 
     @staticmethod

@@ -883,9 +883,13 @@ def _difference(lhs: Sequence[TensorOp], rhs: Sequence[TensorOp]) -> TensorOp:
     """compose(*lhs) - compose(*rhs); the canonical zero, without entering the
     kernel loop, for two single maps with equal stored forms."""
     if len(lhs) == 1 == len(rhs) and lhs[0]._key() == rhs[0]._key():
-        op = lhs[0]
-        return TensorOp._rational(op.dom, op.cod, 1, ((),) * len(op._cols))
+        return _zero(lhs[0].dom, lhs[0].cod)
     return _combination((lhs, rhs), (1, -1))
+
+
+def _zero(dom: Word, cod: Word) -> TensorOp:
+    """The canonical zero map dom -> cod."""
+    return TensorOp._rational(dom, cod, 1, ((),) * _size(dom))
 
 
 def tensor_product(f: TensorOp, g: TensorOp, *more: TensorOp) -> TensorOp:

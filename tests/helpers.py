@@ -24,7 +24,7 @@ from hombrax.homlie import (
     sl2_star_morphism,
     yau_twist,
 )
-from hombrax.hybe import twist
+from hombrax.hybe import _braid, build_Bi, twist
 from hombrax.quantum import (
     PHI_SPACE,
     CompatibleAlpha,
@@ -34,7 +34,7 @@ from hombrax.quantum import (
     phi,
 )
 from hombrax.scalars import Scalar, ScalarParseError, _canonical_exps
-from hombrax.tensor import BasedSpace, LinearMap, TensorOp
+from hombrax.tensor import BasedSpace, LinearMap, TensorOp, residual
 
 
 def rand_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -145,6 +145,21 @@ def random_op(rng: random.Random, space: BasedSpace, arity: int,
         cols[j] = [(r, Scalar.rational(rand_fraction(rng)))
                    for r in range(n) if rng.random() < density]
     return TensorOp(space, arity, cols)
+
+
+def strand_braid_relation_residuals(B: TensorOp, alpha: TensorOp,
+                                    n: int) -> list[TensorOp]:
+    """The braid-relation residuals computed strand by strand on V^(x)n:
+    every strand B_i is built there and each relation is one residual of
+    2- or 3-factor chains of them (the oracle of
+    hybe.braid_relation_residuals, far commutations first, by (i, j))."""
+    ops = {i: build_Bi(B, alpha, n, i) for i in range(1, n)}
+    out = []
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            out.append(residual((ops[i], ops[j]), (ops[j], ops[i])))
+    out.extend(_braid(ops[i], ops[i + 1]) for i in range(1, n - 1))
+    return out
 
 
 # -- galleries ---------------------------------------------------------------

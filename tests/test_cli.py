@@ -431,6 +431,16 @@ def test_numpy_loads_only_when_a_scan_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Together they cost several milliseconds of every fresh process.
+    probe = ("import sys, hombrax.cli\n"
+             "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+             "assert not loaded, f'importing hombrax.cli loaded {loaded}'\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- hostile input ------------------------------------------------------------
 
 _NON_STRING_SCALAR = {

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from fractions import Fraction
+
 from helpers import (
+    GALLERY_POINT,
     dense_matmul,
     dense_kron,
     dense_equal,
@@ -13,11 +16,17 @@ from helpers import (
     random_heisenberg_twist,
     random_sl2_star_twist,
     random_sl2_twist,
+    strand_braid_relation_residuals,
 )
 from hombrax.homlie import (
     braiding_inverse_on_extension,
     braiding_on_extension,
     extended_alpha,
+    heisenberg,
+    heisenberg_morphism,
+    sl2_star,
+    sl2_star_morphism,
+    yau_twist,
 )
 from hombrax.hybe import (
     IncompatiblePair,
@@ -36,12 +45,16 @@ from hombrax.quantum import (
     SupportPattern,
     bql,
     enumerate_patterns,
+    induced_solution,
+    maximal_patterns,
     phi,
 )
 from hombrax.scalars import Scalar
 from hombrax.tensor import (
     BasedSpace,
+    DimMismatch,
     LinearMap,
+    TensorOp,
     as_op,
     compose,
     identity_op,
@@ -169,6 +182,25 @@ def test_build_Bi_shapes():
         build_Bi(b, alpha, 2, 0)
 
 
+@pytest.mark.parametrize("n", [1, 0, -3, 2, 4])
+def test_braid_relations_check_the_pair_before_n(n):
+    for bad in (lift(LinearMap.identity(PHI_SPACE), 2), identity_op(_W)):
+        with pytest.raises(DimMismatch):
+            braid_relation_residuals(phi(), bad, n)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_braid_relations_refuse_fewer_than_two_strands(n):
+    b, alpha = phi_alpha_rational()
+    with pytest.raises(IndexOutOfRange):
+        braid_relation_residuals(b, alpha, n)
+
+
+def test_braid_relations_at_two_strands_are_none():
+    b, alpha = phi_alpha_rational()
+    assert braid_relation_residuals(b, alpha, 2) == []
+
+
 def test_braid_relations_tau():
     residuals = braid_relation_residuals(swap_op(V2), LinearMap.identity(V2), 3)
     assert all(r.is_zero() for r in residuals)
@@ -218,3 +250,114 @@ def test_gallery_braid_relations_follow_from_hybe():
         assert hybe_residual(b, alpha).is_zero()
         for n in strand_counts:
             assert all(r.is_zero() for r in braid_relation_residuals(b, alpha, n))
+
+
+# -- braid relations against the strand-by-strand oracle ------------------------
+
+def _perturbed(B, j, r, delta):
+    """B with delta added to its entry in column j, row r."""
+    return B + TensorOp(B.space, B.arity, {j: [(r, Scalar.rational(delta))]})
+
+
+def _induced_pair(k):
+    """The bql(3) solution induced by the k-th maximal N = 3 pattern at a
+    seeded rational point, with its alpha."""
+    rng = random.Random(k)
+    pattern = maximal_patterns(3)[k]
+    values = {c: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for c in pattern.support}
+    ca = CompatibleAlpha(pattern, values)
+    point = {"q": Fraction(rng.randint(2, 9), rng.randint(1, 9)), "l": Fraction(rng.randint(1, 9), 7)}
+    return induced_solution(ca).instantiate(point), ca.to_linear_map()
+
+
+def _extension_pair(L):
+    return braiding_on_extension(L), extended_alpha(L)
+
+
+def _symbolic_poincare_pair():
+    a, b, c, d = (Scalar.param(n) for n in "abcd")
+    return _extension_pair(yau_twist(sl2_star(), sl2_star_morphism(1, a21=a, a22=c, a23=b, a33=d)))
+
+
+def _untwisted_phi():
+    return phi().instantiate(GALLERY_POINT), LinearMap.diagonal(PHI_SPACE, [1, 3])
+
+
+def _dense_alpha_phi():
+    # alpha is not diagonal, so B does not commute with alpha (x) alpha and
+    # the far commutations are nonzero as well.
+    return (phi().instantiate(GALLERY_POINT),
+            LinearMap(PHI_SPACE, [[1, Fraction(1, 3)], [0, 2]]))
+
+
+def _perturbed_phi():
+    b, alpha = phi_alpha_rational()
+    return _perturbed(b, 1, 2, Fraction(3, 5)), alpha
+
+
+# (name, pair builder, largest n, whether every relation holds)
+_BRAID_PAIRS = [
+    ("phi twisted", phi_alpha_rational, 6, True),
+    ("induced0", lambda: _induced_pair(0), 5, True),
+    ("induced1", lambda: _induced_pair(1), 5, True),
+    ("heisenberg extension", lambda: _extension_pair(
+        random_heisenberg_twist(random.Random(5))), 4, True),
+    ("sl2 extension", lambda: _extension_pair(random_sl2_twist(random.Random(6))), 4, True),
+    ("phi symbolic", phi_alpha_symbolic, 5, True),
+    ("poincare symbolic", _symbolic_poincare_pair, 4, True),
+    ("phi untwisted", _untwisted_phi, 6, False),
+    ("phi perturbed", _perturbed_phi, 5, False),
+    ("phi dense alpha", _dense_alpha_phi, 6, False),
+]
+
+
+@pytest.mark.parametrize("name, make, top, holds", _BRAID_PAIRS,
+                         ids=[p[0] for p in _BRAID_PAIRS])
+def test_braid_relations_match_the_strand_oracle(name, make, top, holds):
+    B, alpha = make()
+    for n in range(2, top + 1):
+        got = braid_relation_residuals(B, alpha, n)
+        want = strand_braid_relation_residuals(B, alpha, n)
+        assert len(got) == len(want) == (n - 2) * (n - 1) // 2
+        for r, w in zip(got, want):
+            assert (r.dom, r.cod) == (w.dom, w.cod) == ((B.space,) * n,) * 2
+            assert r._key() == w._key()
+        if n > 2:
+            assert all(r.is_zero() for r in got) == holds
+
+
+def test_braid_relations_far_commutations_fail_for_a_dense_alpha():
+    B, alpha = _dense_alpha_phi()
+    assert not any(r.is_zero() for r in braid_relation_residuals(B, alpha, 5))
+
+
+def test_heisenberg_extension_alpha_is_a_full_block():
+    B, alpha = _extension_pair(yau_twist(heisenberg(), heisenberg_morphism(1, 2, 3, 4, 5, 6)))
+    assert sum(len(col) for col in alpha.columns) > alpha.total_dim
+    assert all(r.is_zero() for r in braid_relation_residuals(B, alpha, 4))
+
+
+@pytest.mark.parametrize("e", [2500, 2800, 3600, 3700, 5500])
+def test_braid_relations_near_the_exponent_limit(e):
+    # Exponents of a and d near 2^15 / 12: a kernel call either refuses
+    # with ValueError or its result matches the strand oracle.  Where only
+    # the oracle refuses (its chains sum larger exponents), the twisted
+    # pair's relations hold, so its residuals must all be zero.
+    alpha = LinearMap.diagonal(PHI_SPACE, [Scalar.param("a", e), Scalar.param("d", e)])
+    pairs = [(phi(), False)]
+    try:
+        pairs.append((twist(phi(), alpha), True))
+    except ValueError:
+        pass
+    for B, holds in pairs:
+        for n in (3, 4, 5):
+            try:
+                got = braid_relation_residuals(B, alpha, n)
+            except ValueError:
+                continue
+            try:
+                want = strand_braid_relation_residuals(B, alpha, n)
+            except ValueError:
+                assert holds and all(r.is_zero() for r in got)
+                continue
+            assert [r._key() for r in got] == [w._key() for w in want]

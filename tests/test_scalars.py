@@ -33,6 +33,14 @@ def test_additive_inverse_is_structurally_zero():
     assert (x + (-x)).terms == ()
 
 
+def test_rational_keeps_a_fraction_as_it_is():
+    f = Fraction(2 ** 600 + 1, 3 ** 300)
+    assert Scalar.rational(f).terms == (((), f),)
+    assert Scalar.rational(f).terms[0][1] is f
+    assert Scalar.rational(Fraction(0)) is Scalar.zero()
+    assert Scalar.rational(-4).terms == (((), Fraction(-4)),)
+
+
 def test_exponent_cancellation():
     assert Q ** -1 * (Q * L) == L
 
