@@ -334,7 +334,7 @@ def test_braid_relations_far_commutations_fail_for_a_dense_alpha():
 
 @pytest.mark.parametrize("e", [2500, 2800, 3600, 3700, 5500])
 def test_braid_relations_near_the_exponent_limit(e):
-    # Exponents of a and d near 2^15 / 12: a kernel call either refuses
+    # Exponents of a and d from about 2^15 / 13 to 2^15 / 6: a kernel call refuses
     # with ValueError or its result matches the strand oracle.  Where only
     # the oracle refuses (its chains sum larger exponents), the twisted
     # pair's relations hold, so its residuals must all be zero.
