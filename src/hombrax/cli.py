@@ -185,12 +185,14 @@ def cmd_verify(args) -> int:
         compat = hybe.compatibility_residual(op, alpha)
         lines.append(_pass_or_fail("compat", compat))
         if compat.is_zero():
-            direct = hybe.hybe_residual(op, alpha)
+            # Each residual of the pair is built once (hybe_residual and twist
+            # would check again); the twist commutes with alpha (x) alpha too.
+            direct = hybe._twisted_braid(op, alpha)
             if direct.is_zero():
                 lines.append("PASS hybe")
             elif hybe.ybe_residual(op).is_zero():
                 # A plain Yang-Baxter solution: verify the induced twist.
-                induced = hybe.hybe_residual(hybe.twist(op, alpha), alpha)
+                induced = hybe._twisted_braid(tensor.compose(tensor.lift(alpha, 2), op), alpha)
                 if induced.is_zero():
                     lines.append("PASS hybe (induced twist)")
                 else:

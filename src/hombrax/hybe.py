@@ -80,6 +80,11 @@ def hybe_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:
     """
     if not compatibility_residual(B, alpha).is_zero():
         raise IncompatiblePair("B does not commute with alpha (x) alpha")
+    return _twisted_braid(B, alpha)
+
+
+def _twisted_braid(B: TensorOp, alpha: TensorOp) -> TensorOp:
+    """The twisted braid residual of a pair already found to commute."""
     return _braid(tensor_product(alpha, B), tensor_product(B, alpha))
 
 

@@ -64,8 +64,9 @@ stored entries: an empty column is not pushed, a vector that ends a step
 empty is pushed no further, and a column empty on one side of a sum is the
 other side's vector.  The reduction happens in the kernel's final pass:
 the accumulators go as they are to ``_reduced``, the one reduction of
-every kernel, which takes the content gcd over the accumulated values and
-then builds each column once, dropping zeros, dividing by the content and
+every kernel, which takes the content gcd over the accumulated values (as
+``_content``: gcd(gcd(den, sum), *numerators), exact and cheap where the
+numerators share a wide factor with den) and then builds each column once, dropping zeros, dividing by the content and
 sorting in one comprehension (over parameters it also drops those that no
 longer occur and stores constants as ``int``s in the same pass).  An
 all-zero result, such as the residual of every identity that holds, is
@@ -73,7 +74,7 @@ the canonical zero with no gcd and no division, and a difference of two
 single operators with equal stored forms (``a - b``, ``residual(a, b)``)
 is that zero with no kernel call.
 ``invert`` eliminates on the stored form fraction-free, dividing pivot rows
-by monomial units.
+by monomial units and each row by its content, taken by ``_content`` too.
 """
 
 from __future__ import annotations
@@ -316,6 +317,22 @@ class Laurent(dict):
         return hash(frozenset(self.items()))
 
 
+def _content(den: int, nums: Sequence[int]) -> int:
+    """gcd(den, *nums), taken as gcd(gcd(den, sum(nums)), *nums).
+
+    The sum lies in the ideal the numerators generate, so the content
+    divides gcd(den, sum) and the two forms are equal.  A kernel's
+    numerators over one denominator are x * den for its entries x, so each
+    shares the large factor den / den_x with den, and the plain chain
+    gcd(den, n_1, n_2, ...) stays hundreds of bits wide for many steps.  The
+    sum makes the running gcd small from the first step (usually 1, which
+    ends the work), so each later step costs one remainder of a big int by a
+    small one.
+    """
+    g = math.gcd(den, sum(nums))
+    return math.gcd(g, *nums) if g != 1 else 1
+
+
 _IntColumn = tuple[tuple[int, int], ...]
 _Integer = tuple[int, tuple[_IntColumn, ...]]
 # (params, den, cols, emax): the stored form of an operator.
@@ -358,7 +375,7 @@ def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) 
         nums = [v for col in cols for _, v in col] if den != 1 else (1,)
     if not any(nums):
         return (), 1, ((),) * len(cols) if raw else cols, 0
-    g = math.gcd(den, *nums)
+    g = _content(den, nums)
     if den < 0:
         g = -g
     den //= g
@@ -385,7 +402,7 @@ def _integer_columns(cols: Iterable[Iterable[tuple[int, Fraction]]]) -> _Integer
     power in the denominator of some entry, whose scaled numerator it does
     not divide, so the form needs no further reduction."""
     cols = [[(r, x) for r, x in col if x] for col in cols]
-    den = math.lcm(*(x.denominator for col in cols for _, x in col))
+    den = math.lcm(*{x.denominator for col in cols for _, x in col})
     return den, tuple(tuple((r, x.numerator * (den // x.denominator)) for r, x in col)
                       for col in cols)
 
@@ -397,7 +414,7 @@ def _form(cols: tuple[Column, ...]) -> _Stored:
     ValueError for an exponent outside the packing range."""
     params = param_order(n for col in cols for _, s in col for exps, _ in s.terms
                          for n, _ in exps)
-    den = math.lcm(*(c.denominator for col in cols for _, s in col for _, c in s.terms))
+    den = math.lcm(*{c.denominator for col in cols for _, s in col for _, c in s.terms})
     shift = {n: EXP_BITS * i for i, n in enumerate(params)}
     emax = 0
     out = []
@@ -1035,12 +1052,11 @@ def invert(f: TensorOp) -> TensorOp:
                     t = -(a * v)
                     acc[c] = acc[c] + t if c in acc else t
             acc = {c: v for c, v in acc.items() if v}
+            nums = list(acc.values())
             if params:
-                g = math.gcd(*(c for v in acc.values()
-                               for c in ((v,) if v.__class__ is int else v.values())))
+                nums = [c for v in nums for c in ((v,) if v.__class__ is int else v.values())]
                 emax[i] = _emax_of(acc.values(), len(params))
-            else:
-                g = math.gcd(*acc.values())
+            g = _content(nums[0], nums)
             if g > 1:
                 acc = {c: _entry(v, g, None) for c, v in acc.items()}
             rows[i] = acc
@@ -1092,9 +1108,15 @@ def _text_columns(op: TensorOp) -> tuple:
     """The columns with entries as text: str(Fraction(v, den)) for an int
     entry, what str of the constant Scalar prints, else str of the Scalar."""
     params, den = op._params, op._den
-    return tuple(tuple((r, str(Fraction(v, den)) if v.__class__ is int
+    return tuple(tuple((r, _fraction_text(v, den) if v.__class__ is int
                         else str(_scalar(params, den, v))) for r, v in col)
                  for col in op._cols)
+
+
+def _fraction_text(v: int, den: int) -> str:
+    """str(Fraction(v, den)) for den > 0, from one gcd and two divisions."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
 def op_to_json_dict(op: TensorOp) -> dict:

@@ -6,6 +6,7 @@ and tensor-product code paths so they can serve as oracles for them.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -160,6 +161,12 @@ def strand_braid_relation_residuals(B: TensorOp, alpha: TensorOp,
             out.append(residual((ops[i], ops[j]), (ops[j], ops[i])))
     out.extend(_braid(ops[i], ops[i + 1]) for i in range(1, n - 1))
     return out
+
+
+def gcd_chain_content(den: int, nums) -> int:
+    """The reference content of a stored form: the plain chain
+    gcd(den, n_1, n_2, ...), to stand in for tensor._content."""
+    return math.gcd(den, *nums)
 
 
 # -- galleries ---------------------------------------------------------------

@@ -82,6 +82,23 @@ def test_verify_pipelines(capsys, monkeypatch):
     assert (code, out.strip()) == (1, f"FAIL ybe {residual}")
 
 
+def test_verify_hybe_builds_each_residual_of_the_pair_once(capsys, monkeypatch):
+    """On the induced-twist path the pair's compatibility and YBE residuals
+    are built once each, and the report is unchanged."""
+    from hombrax import hybe
+    calls = {"compatibility_residual": 0, "ybe_residual": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(hybe, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hybe, name, counted)
+    _, phi_json, _ = run(capsys, ["construct", "phi"])
+    code, out, _ = run(capsys, ["verify", "hybe", "--alpha", "a,0;0,d"],
+                       stdin=phi_json, monkeypatch=monkeypatch)
+    assert (code, out.splitlines()) == (0, ["PASS compat", "PASS hybe (induced twist)"])
+    assert calls == {"compatibility_residual": 1, "ybe_residual": 1}
+
+
 def test_verify_braid_on_extension_braiding(capsys, monkeypatch):
     from hombrax.homlie import (braiding_on_extension, extended_alpha, sl2,
                                 sl2_morphism, yau_twist)

@@ -1,11 +1,13 @@
 """Sparse operators: composition, tensor products, inversion, JSON."""
 
 import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +16,7 @@ from helpers import (
     dense_matmul,
     fraction_matmul,
     fraction_matrix,
+    gcd_chain_content,
     rand_fraction,
     random_op,
     rational_gallery,
@@ -543,3 +546,86 @@ def test_size_limit_refuses_before_allocating(monkeypatch):
     tensor._check_size(1, 14)  # dim counted as 2
     with pytest.raises(ValueError, match="exceeds the limit"):
         tensor._check_size(1, 10 ** 18)  # one column, but 10^18 factors
+
+
+_WIDE = st.integers(-(1 << 1100), 1 << 1100)
+_NUMERATOR = st.one_of(st.integers(-50, 50), _WIDE)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.integers(-50, 50), _WIDE), st.lists(_NUMERATOR, min_size=1, max_size=8),
+       st.integers(1, 1 << 70), st.booleans())
+@example(7, [21], 1, False)  # a single value
+@example(5, [0, 0, 0], 1, False)  # every numerator zero
+@example(-12, [8, -20], 1, False)  # a negative den
+@example(6, [4, -4], 1, False)  # a sum that vanishes
+def test_content_is_the_gcd_of_den_and_every_numerator(den, nums, factor, vanish):
+    """_content equals the gcd chain, also when the values share a wide
+    factor (so the first gcd is not 1) and when their sum vanishes."""
+    from hombrax.tensor import _content
+    den, nums = den * factor, [x * factor for x in nums]
+    if vanish:
+        nums.append(-sum(nums))
+    assert _content(den, nums) == math.gcd(den, *nums)
+
+
+def _fractional_phi_pair():
+    """phi twisted by diag(2/3, 5/7) at q = 11/13, l = 17/19: its Sigma_5
+    products have denominators of hundreds of bits."""
+    from hombrax.hybe import twist
+    from hombrax.quantum import PHI_SPACE
+    alpha = LinearMap.diagonal(PHI_SPACE, [Fraction(2, 3), Fraction(5, 7)])
+    point = {"q": Fraction(11, 13), "l": Fraction(17, 19)}
+    return twist(phi(), alpha).instantiate(point), alpha
+
+
+def _stored_forms():
+    """Stored forms whose reductions divide out contents: the Sigma_5 sweep
+    products (both words of every permutation) of a rational phi pair, the
+    inverse of its n = 3 tensor-power braiding, and, over parameters, a
+    strand chain on V^(x)4 of phi twisted by diag(a/3, 5d/7) and the inverse
+    of that braiding."""
+    from hombrax import braid
+    from hombrax.hybe import build_Bi, twist
+    B, alpha = _fractional_phi_pair()
+    keys = []
+    for images in itertools.permutations(range(1, 6)):
+        gamma = Permutation(images)
+        for strategy in ("smallest", "largest"):
+            word = braid.reduced_word(gamma, strategy)
+            keys.append(braid.theta_operator(gamma, B, alpha, word=word)._key())
+    keys.append(invert(braid.tensor_power_solution(B, alpha, 3)[0])._key())
+    alpha = LinearMap.diagonal(alpha.space, [Scalar.param("a") * Fraction(1, 3),
+                                             Scalar.param("d") * Fraction(5, 7)])
+    B = twist(phi(), alpha)
+    keys.append(compose(*(build_Bi(B, alpha, 4, i) for i in (1, 2, 3, 2, 1)))._key())
+    keys.append(invert(B)._key())
+    return keys
+
+
+def test_stored_forms_match_the_gcd_chain_reduction(monkeypatch):
+    from hombrax import braid, tensor
+    monkeypatch.setattr(braid, "_validated", None)
+    keys = _stored_forms()
+    assert max(den for _, _, _, den, _ in keys[:240]).bit_length() > 200
+    assert keys[-2][2] == ("q", "l", "a", "d")
+    monkeypatch.setattr(braid, "_validated", None)
+    monkeypatch.setattr(tensor, "_content", gcd_chain_content)
+    assert _stored_forms() == keys
+
+
+def test_entry_text_is_the_fraction_text():
+    wide = 3 ** 380  # 603 bits
+    cols = (((0, 5 * wide), (1, -(1 << 600) - 1)), ((0, -7 * 3 ** 379), (1, -wide)))
+    op = TensorOp._rational((V2,), (V2,), wide, cols)
+    texts = [text for col in op_to_json_dict(op)["columns"].values() for _, text in col]
+    assert texts == [str(Fraction(v, op._den)) for col in op._cols for _, v in col]
+    assert texts[0] == "5" and texts[2:] == ["-7/3", "-1"]
+    assert texts[1] == f"{-(1 << 600) - 1}/{wide}"
+
+
+@settings(deadline=None, max_examples=200)
+@given(_NUMERATOR.filter(bool), st.one_of(st.integers(1, 50), st.integers(1, 1 << 700)))
+def test_fraction_text_is_str_of_the_fraction(v, den):
+    from hombrax.tensor import _fraction_text
+    assert _fraction_text(v, den) == str(Fraction(v, den))
