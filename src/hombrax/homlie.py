@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
-from hombrax.scalars import RationalLike, Scalar
+from hombrax.scalars import RationalLike, Scalar, as_scalar
 from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
                             SymbolicNotMonomialInvertible, TensorOp, _json_dense, _json_dim,
                             _json_labels, _json_sparse, _on, _OnSpace, _sparse_json, as_op,
@@ -58,10 +58,6 @@ class InvariantViolated(ValueError):
 
 class AlphaSingular(ValueError):
     """The twisting map is not invertible."""
-
-
-def _coerce_scalar(x) -> Scalar:
-    return x if isinstance(x, Scalar) else Scalar.rational(x)
 
 
 class HomLieAlgebra(_OnSpace):
@@ -121,7 +117,7 @@ def lie_algebra(labels: Sequence[str],
         if i == j:
             raise InvariantViolated(f"[x_{i}, x_{i}] must be zero")
         for k, coef in vec.items():
-            s = _coerce_scalar(coef)
+            s = as_scalar(coef)
             c[i][j][k] = c[i][j][k] + s
             c[j][i][k] = c[j][i][k] - s
     return HomLieAlgebra(labels, c, alpha or identity_op(BasedSpace(labels)))
@@ -188,7 +184,7 @@ _SPACE3 = BasedSpace(("X", "Y", "Z"))
 
 def heisenberg_morphism(a12, a13, a22, a23, a32, a33) -> LinearMap:
     """The general Heisenberg self-morphism; X scales by the Y,Z-block determinant."""
-    a12, a13, a22, a23, a32, a33 = map(_coerce_scalar, (a12, a13, a22, a23, a32, a33))
+    a12, a13, a22, a23, a32, a33 = map(as_scalar, (a12, a13, a22, a23, a32, a33))
     delta = a22 * a33 - a23 * a32
     zero = Scalar.zero()
     return LinearMap(_SPACE3, [[delta, a12, a13],
@@ -205,13 +201,13 @@ def sl2_star_morphism(kind: int, **params) -> LinearMap:
     """
     zero = Scalar.zero()
     if kind == 1:
-        a21, a31, a22, a23, a32, a33 = (_coerce_scalar(params.get(k, 0)) for k in
+        a21, a31, a22, a23, a32, a33 = (as_scalar(params.get(k, 0)) for k in
                                         ("a21", "a31", "a22", "a23", "a32", "a33"))
         return LinearMap(_SPACE3, [[Scalar.one(), zero, zero],
                                      [a21, a22, a23],
                                      [a31, a32, a33]])
     if kind == 2:
-        a11, a21, a31 = (_coerce_scalar(params.get(k, 0)) for k in ("a11", "a21", "a31"))
+        a11, a21, a31 = (as_scalar(params.get(k, 0)) for k in ("a11", "a21", "a31"))
         if (a11 - Scalar.one()).is_zero():
             raise ConstraintViolated("kind 2 needs a11 != 1")
         return LinearMap(_SPACE3, [[a11, zero, zero],
@@ -226,7 +222,7 @@ def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
     kind 0 is the zero map.  Kinds 1 and 2 need b != 0 and ac = 0; kind 3
     needs ab != 0 and c != +-1.  All three nonzero kinds have determinant 1.
     """
-    a, b, c = map(_coerce_scalar, (a, b, c))
+    a, b, c = map(as_scalar, (a, b, c))
     zero, one = Scalar.zero(), Scalar.one()
     if kind == 0:
         return LinearMap(_SPACE3, [[zero] * 3] * 3)

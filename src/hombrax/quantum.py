@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping
 
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
-from hombrax.scalars import Scalar
+from hombrax.scalars import Scalar, as_scalar
 from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, TensorOp, _Frozen, compose,
                             lift, rebase)
 
@@ -205,8 +205,7 @@ class CompatibleAlpha(_Frozen):
     __slots__ = ("pattern", "values")
 
     def __init__(self, pattern: SupportPattern, values: Mapping[int, Scalar]):
-        vals = {c: (v if isinstance(v, Scalar) else Scalar.rational(v))
-                for c, v in values.items()}
+        vals = {c: as_scalar(v) for c, v in values.items()}
         if set(vals) != set(pattern.support):
             raise InvalidPattern(
                 f"values keyed by {sorted(vals)}, support is {pattern.support}")

@@ -1,30 +1,33 @@
 """Exact coefficient arithmetic: multivariate Laurent polynomials over Q.
 
-A ``Scalar`` is the coefficient every operator entry is read and written
-as.  It is a finite sum of terms, each a reduced rational coefficient
-attached to an integer exponent vector over named parameters (exponents may
-be negative, so monomials are units).  The representation is canonical --
-no zero coefficients are stored and terms are kept in a fixed order --
-which makes equality structural and zero-testing exact.  That is the whole
-point: operator identities are verified by checking that a residual has no
-terms at all, with no tolerance anywhere.  A constant is the one-term
-scalar with an empty exponent vector.
+Every coefficient, of a ``Scalar`` or of an operator entry, is held in one
+form: ``(params, den, v)``, the polynomial v / den.  params is the parameter
+order, the names that occur, sorted as ``param_order`` sorts them; v is an
+``int`` when params is empty and otherwise a ``Laurent``, {packed exponent
+key: int numerator}, its exponent vectors over params packed in balanced
+base-2^16 digits, so multiplying two monomials adds two ints.  The form is
+canonical (den > 0, the gcd of den and every numerator is 1, no zero
+coefficient), which makes equality structural and zero-testing exact: an
+identity holds when its residual has no terms at all, with no tolerance
+anywhere.  Exponents may be negative, so monomials are units; every one has
+|e| < 2^15 (``EXP_LIMIT``), and building a wider one raises ValueError.
 
-The gallery constructors and the text format build ``Scalar``s, but the
-operator kernels of ``hombrax.tensor`` never multiply them: an operator
-keeps its entries over one common denominator, a constant entry as an
-``int`` and any other as a ``tensor.Laurent``, {packed exponent key: int
-numerator}, the exponent vector packed over the operator's parameter order
-(``param_order``, the order of this module's terms), so multiplying two
-monomials adds two ints, with no sorting and no ``Fraction``.
+A ``Scalar`` is one such entry; a ``hombrax.tensor`` operator keeps all of
+its entries over one order and one denominator.  Scalar ``+``, ``-``, ``*``,
+``**`` and ``inverse`` repack both operands over the union of their orders
+and use ``Laurent``'s one product and one sum, which the kernels use too;
+``Scalar.evaluate`` and ``TensorOp.instantiate`` share ``_evaluate``.
 
-The text format used in JSON exports writes a scalar as a sum of terms
-``coef*name^exp*...`` with ``coef`` as ``num`` or ``num/den``, for example
-``1*q^-1 + -1*q``.  ``parse_scalar`` round-trips the output of ``str()``.
+The text format writes a scalar as a sum of terms ``coef*name^exp*...``,
+``coef`` as ``num`` or ``num/den``, in the order of ``.terms`` (exponent
+vectors compared from the first parameter), for example ``1*q^-1 + -1*q``.
+``parse_scalar`` round-trips the output of ``str()``.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from fractions import _RATIONAL_FORMAT, Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
@@ -65,43 +68,157 @@ class ScalarParseError(ValueError):
     """Text is not in the scalar term format."""
 
 
-# A term's exponent vector: ((name, exp), ...) with nonzero exps, sorted by
-# the canonical parameter order.
+# An exponent vector (e_0, ..., e_{P-1}) over a parameter order is packed
+# into the one int key sum(e_i * 2^(EXP_BITS * i)): balanced base-2^EXP_BITS
+# digits, each |e_i| < EXP_LIMIT.  Within that range the packing is
+# one-to-one and adding keys adds exponent vectors.
+EXP_BITS = 16
+EXP_LIMIT = 1 << (EXP_BITS - 1)
+_DIGIT_MASK = (1 << EXP_BITS) - 1
+
+
+def key_digits(key: int, count: int) -> list[int]:
+    """The count signed exponents packed in key, lowest parameter first."""
+    out = []
+    for _ in range(count):
+        d = key & _DIGIT_MASK
+        if d >= EXP_LIMIT:
+            d -= 1 << EXP_BITS
+        out.append(d)
+        key = (key - d) >> EXP_BITS
+    return out
+
+
+def _range_error(name: str, e: int) -> ValueError:
+    return ValueError(f"exponent {e} of {name} is outside the range of an operator entry, "
+                      f"|exponent| < {EXP_LIMIT}")
+
+
+class Laurent(dict):
+    """A Laurent polynomial entry: {packed exponent key: int numerator}, over
+    a parameter order and a denominator kept beside it.  No zero coefficient
+    is kept and it is treated as immutable; a constant is a plain int
+    instead.  ``*`` and ``+`` take another Laurent or an int, on either side.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if other.__class__ is int:
+            if other == 1:
+                return self
+            return Laurent({k: c * other for k, c in self.items()}) if other else 0
+        out = Laurent()
+        for k1, c1 in self.items():
+            for k2, c2 in other.items():
+                k = k1 + k2
+                if k in out:
+                    c = out[k] + c1 * c2
+                    if c:
+                        out[k] = c
+                    else:
+                        del out[k]
+                else:
+                    out[k] = c1 * c2
+        return out
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            if not other:
+                return self
+            other = {0: other}
+        out = Laurent(self)
+        for k, c in other.items():
+            if k in out:
+                c += out[k]
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent({k: -c for k, c in self.items()})
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
+def _remap(old: tuple[str, ...], new: tuple[str, ...], keys) -> dict[int, int]:
+    """Keys over the parameter order old, repacked over the order new, which
+    holds every parameter that occurs in them."""
+    shift = {n: EXP_BITS * i for i, n in enumerate(new)}
+    shifts = [shift.get(n, 0) for n in old]
+    if shifts == list(range(shifts[0], shifts[0] + EXP_BITS * len(old), EXP_BITS)):
+        return {k: k << shifts[0] for k in keys}  # a block of new: every digit moves alike
+    return {k: sum(d << s for d, s in zip(key_digits(k, len(old)), shifts)) for k in keys}
+
+
+def _union(orders: set[tuple[str, ...]]) -> tuple[str, ...]:
+    """The parameter order of an operation on operands with these orders."""
+    return orders.pop() if len(orders) == 1 else param_order(n for o in orders for n in o)
+
+
+def _repacked(v, old: tuple[str, ...], new: tuple[str, ...]):
+    """An entry packed over old, repacked over new, a superset of old."""
+    if v.__class__ is int or old == new[:len(old)]:  # a prefix packs every key alike
+        return v
+    remap = _remap(old, new, v)
+    return Laurent({remap[k]: c for k, c in v.items()})
+
+
+def _occurring(params: tuple[str, ...], keys) -> tuple[tuple[str, ...], dict | None, int]:
+    """For keys packed over params: the parameters that occur in them, the
+    map repacking the keys over those (None if every one occurs) and the
+    largest |exponent|."""
+    digits = [key_digits(key, len(params)) for key in keys]
+    used = [max(map(abs, col)) for col in zip(*digits)] or [0] * len(params)
+    kept = tuple(n for n, e in zip(params, used) if e)
+    return kept, None if kept == params else _remap(params, kept, keys), max(used, default=0)
+
+
+def _entry(v, g: int, remap: dict | None):
+    """An entry divided by g, its keys renamed by remap; a constant as an int."""
+    if v.__class__ is int:
+        return v // g
+    if remap is not None:
+        v = {remap[k]: c for k, c in v.items()}
+    if len(v) == 1 and 0 in v:
+        return v[0] // g
+    return Laurent({k: c // g for k, c in v.items()})
+
+
+def _check_product(params: tuple[str, ...], a: Laurent, b: Laurent) -> None:
+    """Refuse a product of a and b, packed over params, with an exponent
+    outside the packing.  Per parameter, the exponents of a product reach
+    exactly the sums of the factors' extremes: the extreme terms of a
+    product of polynomials cannot cancel."""
+    bounds = [[(min(col), max(col)) for col in zip(*(key_digits(k, len(params)) for k in v))]
+              for v in (a, b)]
+    for n, (lo1, hi1), (lo2, hi2) in zip(params, *bounds):
+        for e in (lo1 + lo2, hi1 + hi2):
+            if not -EXP_LIMIT < e < EXP_LIMIT:
+                raise _range_error(n, e)
+
+
+# A term's exponent vector in .terms: ((name, exp), ...), nonzero exps, in order.
 Exps = tuple[tuple[str, int], ...]
 
 
-def _canonical_exps(pairs: Iterable[tuple[str, int]]) -> Exps:
-    merged: dict[str, int] = {}
-    for name, e in pairs:
-        merged[name] = merged.get(name, 0) + e
-    return tuple(sorted(((n, e) for n, e in merged.items() if e != 0),
-                        key=lambda p: _param_key(p[0])))
-
-
-def _sorted_terms(term_map: Mapping[Exps, Fraction]) -> tuple[tuple[Exps, Fraction], ...]:
-    # Lexicographic on dense exponent vectors over the union of names.
-    items = [(exps, coef) for exps, coef in term_map.items() if coef != 0]
-    if len(items) <= 1:
-        return tuple(items)
-    names = param_order(n for exps, _ in items for n, _ in exps)
-    pos = {n: i for i, n in enumerate(names)}
-
-    def vec(exps: Exps) -> tuple[int, ...]:
-        dense = [0] * len(names)
-        for n, e in exps:
-            dense[pos[n]] = e
-        return tuple(dense)
-
-    return tuple(sorted(items, key=lambda t: vec(t[0])))
-
-
 class Scalar:
-    """Immutable multivariate Laurent polynomial with Fraction coefficients."""
+    """Immutable multivariate Laurent polynomial over Q, one stored entry
+    (params, den, v) with its largest |exponent|.
 
-    __slots__ = ("_terms",)
+    ``Scalar(term_map)`` builds one from {exponent pairs: coefficient}."""
 
-    def __init__(self, term_map: Mapping[Exps, Fraction] | None = None):
-        object.__setattr__(self, "_terms", _sorted_terms(term_map or {}))
+    __slots__ = ("_params", "_den", "_v", "_emax")
+
+    def __new__(cls, term_map: Mapping[Exps, RationalLike] | None = None):
+        return _from_terms(term_map.items() if term_map else ())
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -119,48 +236,49 @@ class Scalar:
     @staticmethod
     def rational(value: RationalLike) -> "Scalar":
         c = value if value.__class__ is Fraction else Fraction(value)
-        return Scalar({(): c}) if c else _ZERO
+        return _make((), int(c.denominator), int(c.numerator), 0) if c else _ZERO
 
     @staticmethod
     def param(name: str, exp: int = 1) -> "Scalar":
         if not name.isidentifier():
             raise ScalarParseError(f"bad parameter name {name!r}")
-        return Scalar({_canonical_exps([(name, exp)]): Fraction(1)})
+        return _from_terms([(((name, exp),), 1)])
 
     @staticmethod
     def monomial(coef: RationalLike, pairs: Iterable[tuple[str, int]]) -> "Scalar":
-        coef = Fraction(coef)
-        if coef == 0:
-            return _ZERO
-        return Scalar({_canonical_exps(pairs): coef})
+        return _from_terms([(pairs, Fraction(coef))])
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> tuple[tuple[Exps, Fraction], ...]:
-        return self._terms
+        """(exponent pairs, coefficient) per term, built from the stored entry."""
+        params, den, v = self._params, self._den, self._v
+        if v.__class__ is int:
+            return (((), Fraction(v, den)),) if v else ()
+        return tuple((tuple((n, d) for n, d in zip(params, digits) if d), Fraction(c, den))
+                     for digits, c in _in_order(params, v))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._v
 
     def is_one(self) -> bool:
-        return self._terms == _ONE._terms
+        return self._v == 1 and self._den == 1
 
     def is_monomial(self) -> bool:
-        return len(self._terms) == 1
+        v = self._v
+        return v != 0 if v.__class__ is int else len(v) == 1
 
     def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and not self._terms[0][0])
+        return not self._params
 
     def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_rational():
+        if self._params:
             raise ValueError(f"scalar {self} is not a plain rational")
-        return self._terms[0][1]
+        return Fraction(self._v, self._den)
 
     def parameters(self) -> set[str]:
-        return {n for exps, _ in self._terms for n, _ in exps}
+        return set(self._params)
 
     # -- ring operations ---------------------------------------------------
 
@@ -168,21 +286,20 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if not a:
-            return other
-        if not b:
+        if not other._v:
             return self
-        merged = dict(a)
-        for exps, coef in b:
-            merged[exps] = merged.get(exps, Fraction(0)) + coef
-        out = Scalar(merged)
-        return out if out._terms else _ZERO  # a sum that cancels is the shared zero
+        if not self._v:
+            return other
+        params = _union({self._params, other._params})
+        da, db = self._den, other._den
+        den = da * db // math.gcd(da, db)
+        return _view(params, den, _repacked(self._v, self._params, params) * (den // da)
+                     + _repacked(other._v, other._params, params) * (den // db))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({exps: -coef for exps, coef in self._terms})
+        return _make(self._params, self._den, -self._v, self._emax)
 
     def __sub__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -197,23 +314,12 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self is _ONE:
-            return other
-        if other is _ONE:
-            return self
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return _ZERO
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
-        out: dict[Exps, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = _canonical_exps(e1 + e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Scalar(out)
+        params = _union({self._params, other._params})
+        a = _repacked(self._v, self._params, params)
+        b = _repacked(other._v, other._params, params)
+        if self._emax + other._emax >= EXP_LIMIT:
+            _check_product(params, a, b)
+        return _view(params, self._den * other._den, a * b)
 
     __rmul__ = __mul__
 
@@ -222,46 +328,39 @@ class Scalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = _ONE
-        base = self
-        k = n
-        while k:
-            if k & 1:
+        out, base = _ONE, self
+        while n:
+            if n & 1:
                 out = out * base
-            base = base * base
-            k >>= 1
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self) -> "Scalar":
         """Monomial inverse: only single-term scalars are units."""
-        if len(self._terms) != 1:
-            raise NotAMonomial(f"{self} has {len(self._terms)} terms, cannot invert")
-        exps, coef = self._terms[0]
-        return Scalar({tuple((n, -e) for n, e in exps): 1 / coef})
+        v = self._v
+        if not self.is_monomial():
+            raise NotAMonomial(f"{self} has {len(v) if v else 0} terms, cannot invert")
+        if v.__class__ is int:
+            return _view((), v, self._den)
+        (k, c), = v.items()
+        return _view(self._params, c, Laurent({-k: self._den}))
 
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Fraction:
         """Exact rational value at a point covering every parameter."""
         values = {n: Fraction(v) for n, v in assignment.items()}
-        missing = self.parameters() - values.keys()
-        if missing:
-            raise MissingParameter(f"no value for {sorted(missing)}")
-        total = Fraction(0)
-        for exps, coef in self._terms:
-            term = coef
-            for n, e in exps:
-                v = values[n]
-                if v == 0 and e < 0:
-                    raise ZeroAtNegativeExponent(f"{n} = 0 with exponent {e}")
-                term *= v ** e
-            total += term
-        return total
+        v = self._v
+        if v.__class__ is not int:
+            v = _evaluate(self._params, v, values, {})
+        return Fraction(v, self._den)
 
     def substitute(self, mapping: Mapping[str, "Scalar"]) -> "Scalar":
         """Replace parameters by scalars (Laurent: negative powers need monomials)."""
         out = _ZERO
-        for exps, coef in self._terms:
+        for exps, coef in self.terms:
             term = Scalar.rational(coef)
             for n, e in exps:
                 base = mapping.get(n)
@@ -274,20 +373,7 @@ class Scalar:
     # -- text format ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exps, coef in self._terms:
-            factors = [str(coef.numerator) if coef.denominator == 1
-                       else f"{coef.numerator}/{coef.denominator}"]
-            for n, e in exps:
-                factors.append(n if e == 1 else f"{n}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        return parse_scalar(text)
+        return _text(self._params, self._den, self._v)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -295,10 +381,10 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return (self._v, self._den, self._params) == (other._v, other._den, other._params)
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash((self._params, self._den, self._v))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -307,8 +393,41 @@ class Scalar:
         return f"Scalar({self})"
 
 
-_ZERO = Scalar()
-_ONE = Scalar({(): Fraction(1)})
+def _make(params: tuple[str, ...], den: int, v, emax: int) -> Scalar:
+    """The one place a Scalar object is made: the canonical entry (params,
+    den, v) with its largest |exponent| emax, stored as given."""
+    s = object.__new__(Scalar)
+    _set_params(s, params)
+    _set_den(s, den)
+    _set_v(s, v)
+    _set_emax(s, emax)
+    return s
+
+
+# The slot setters, which Scalar.__setattr__ refuses to stand in for.
+_set_params, _set_den, _set_v, _set_emax = (getattr(Scalar, n).__set__ for n in Scalar.__slots__)
+
+
+def _view(params: tuple[str, ...], den: int, v) -> Scalar:
+    """The Scalar v / den (den != 0) of an entry v, an int or a Laurent over
+    a nonempty params, made canonical.  ``.columns``, ``entry`` and
+    ``dense()`` wrap an operator's stored entries with it."""
+    if not v:
+        return _ZERO
+    if v.__class__ is int:
+        params, remap, emax, g = (), None, 0, math.gcd(v, den)
+    else:
+        params, remap, emax = _occurring(params, v)
+        g = math.gcd(den, *v.values())
+    if den < 0:
+        g = -g
+    if g != 1 or remap is not None:
+        v = _entry(v, g, remap)
+    return _make(params, den // g, v, emax)
+
+
+_ZERO = _make((), 1, 0, 0)
+_ONE = _make((), 1, 1, 0)
 
 
 def _coerce(x) -> Scalar:
@@ -317,6 +436,108 @@ def _coerce(x) -> Scalar:
     if isinstance(x, (int, Fraction)):
         return Scalar.rational(x)
     return NotImplemented
+
+
+def as_scalar(x) -> Scalar:
+    """x as a Scalar: a Scalar as it is, a rational number (a numpy integer
+    too) exactly.  TypeError for anything else, a float included: a float is
+    not the rational it was written as."""
+    if isinstance(x, Scalar):
+        return x
+    if isinstance(x, numbers.Rational):
+        return Scalar.rational(x)
+    raise TypeError(f"a scalar must be a Scalar or a rational number, not {x!r}")
+
+
+def _from_terms(items: Iterable[tuple[Iterable[tuple[str, int]], RationalLike]]) -> Scalar:
+    """The Scalar of (exponent pairs, coefficient) terms: repeated names and
+    repeated exponent vectors add up.  ValueError for a nonzero term with an
+    exponent outside the packing, the first in term order and then in
+    parameter order."""
+    terms, names = [], set()
+    for pairs, c in items:
+        if c:
+            exps: dict[str, int] = {}
+            for n, e in pairs:
+                exps[n] = exps.get(n, 0) + e
+            terms.append((exps, c if isinstance(c, (int, Fraction)) else Fraction(c)))
+            names.update(n for n, e in exps.items() if e)
+    params = param_order(names)
+    shift = {n: EXP_BITS * i for i, n in enumerate(params)}
+    den = math.lcm(*[int(c.denominator) for _, c in terms])
+    v, emax, merged = Laurent(), 0, False
+    for exps, c in terms:
+        bad = [(n, e) for n, e in exps.items() if not -EXP_LIMIT < e < EXP_LIMIT]
+        if bad:
+            raise _range_error(*min(bad, key=lambda b: _param_key(b[0])))
+        k = sum(e << shift[n] for n, e in exps.items() if e)
+        emax = max([emax, *map(abs, exps.values())])
+        merged = merged or k in v
+        c = v.pop(k, 0) + int(c.numerator) * (den // int(c.denominator))
+        if c:
+            v[k] = c
+    if not params:
+        return _view((), den, v.get(0, 0))
+    # Terms with distinct exponent vectors and reduced coefficients are
+    # canonical over the lcm as they stand; a merge may cancel or share content.
+    return _view(params, den, v) if merged else _make(params, den, v, emax)
+
+
+def _in_order(params: tuple[str, ...], v: Laurent) -> list[tuple[list[int], int]]:
+    """(exponent digits, numerator) per term of v, sorted by exponent vector
+    with the first parameter most significant: the order of .terms and
+    str.  Integer order of the keys is not that order."""
+    return sorted((key_digits(k, len(params)), c) for k, c in v.items())
+
+
+def _text(params: tuple[str, ...], den: int, v) -> str:
+    """The scalar text of the entry v / den over params: for an int, the
+    text of str(Fraction(v, den)), from one gcd and two divisions."""
+    if v.__class__ is int:
+        g = math.gcd(v, den)
+        return str(v // g) if g == den else f"{v // g}/{den // g}"
+    parts = []
+    for digits, c in _in_order(params, v):
+        g = math.gcd(c, den)
+        factors = [str(c // g) if g == den else f"{c // g}/{den // g}"]
+        for n, e in zip(params, digits):
+            if e:
+                factors.append(n if e == 1 else f"{n}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _evaluate(params: tuple[str, ...], v: Laurent, values: Mapping[str, Fraction],
+              monomials: dict[int, Fraction]) -> Fraction:
+    """The numerator sum of a Laurent entry at a point, each monomial's value
+    kept in monomials, a memo shared by the entries of one operator: the one
+    evaluator of Scalar.evaluate and TensorOp.instantiate."""
+    total = 0
+    for k, c in v.items():
+        x = monomials.get(k)
+        if x is None:
+            x = Fraction(1)
+            for n, e in zip(params, key_digits(k, len(params))):
+                if e:
+                    if values.get(n, 0) == 0 and (e < 0 or n not in values):
+                        _refuse_evaluation(params, v, values)
+                    x *= values[n] ** e
+            monomials[k] = x
+        total += c * x
+    return total
+
+
+def _refuse_evaluation(params: tuple[str, ...], v: Laurent, values: Mapping[str, Fraction]):
+    """Raise for an entry that cannot be evaluated: MissingParameter for every
+    missing parameter first, then ZeroAtNegativeExponent at the first term,
+    in the order of .terms, with a zero parameter at a negative exponent."""
+    terms = [digits for digits, _ in _in_order(params, v)]
+    missing = {n for digits in terms for n, d in zip(params, digits) if d} - values.keys()
+    if missing:
+        raise MissingParameter(f"no value for {sorted(missing)}")
+    n, e = next((n, e) for digits in terms for n, e in zip(params, digits)
+                if e < 0 and values[n] == 0)
+    raise ZeroAtNegativeExponent(f"{n} = 0 with exponent {e}")
 
 
 # The most decimal digits a number in scalar text may spell out, the limit
@@ -361,50 +582,53 @@ def parse_scalar(text: str) -> Scalar:
 
     A term's first number is its coefficient (any further one multiplies
     it), and a term is added into the total only when its exponents repeat
-    those of an earlier term, so a coefficient is one ``Fraction`` built
-    once.  Raises ScalarParseError for text that is not in the format."""
+    those of an earlier term; the total is packed once.  Raises
+    ScalarParseError for text that is not in the format, and ValueError for
+    an exponent outside the packing."""
     if not isinstance(text, str):
         raise ScalarParseError(f"scalar text must be a string, not {text!r}")
     text = text.strip()
     if not text:
         raise ScalarParseError("empty scalar text")
-    total: dict[Exps, Fraction] = {}
+    total: dict[frozenset, Fraction] = {}
     for part in text.split("+"):
         part = part.strip()
         if not part:
             raise ScalarParseError(f"empty term in {text!r}")
         coef = None
-        pairs: list[tuple[str, int]] = []
+        exps: dict[str, int] = {}
         for i, tok in enumerate(part.split("*")):
             tok = tok.strip()
+            # An identifier never spells a number, so a factor is tried as a
+            # number only when its name part is not one.
+            name, caret, exp = tok.partition("^")
+            if name.isidentifier():
+                try:
+                    e = int(exp) if caret else 1
+                except ValueError:
+                    raise ScalarParseError(f"bad exponent in {tok!r}") from None
+                exps[name] = exps.get(name, 0) + e
+                continue
             try:
                 x = _number(tok)
             except ScalarParseError:
                 raise
             except ValueError:
-                pass
+                if i == 0 and tok and (tok[0].isdigit() or tok[0] in "+-"):
+                    raise ScalarParseError(f"bad coefficient {tok!r}") from None
+                raise ScalarParseError(f"bad factor {tok!r} in {text!r}") from None
             except ZeroDivisionError:
                 raise ScalarParseError(f"zero denominator in {tok!r}") from None
-            else:
-                coef = x if coef is None else coef * x
-                continue
-            if i == 0 and tok and (tok[0].isdigit() or tok[0] in "+-"):
-                raise ScalarParseError(f"bad coefficient {tok!r}")
-            name, caret, exp = tok.partition("^")
-            if not name.isidentifier():
-                raise ScalarParseError(f"bad factor {tok!r} in {text!r}")
-            try:
-                e = int(exp) if caret else 1
-            except ValueError:
-                raise ScalarParseError(f"bad exponent in {tok!r}") from None
-            pairs.append((name, e))
+            coef = x if coef is None else coef * x
         if coef is None:
             coef = Fraction(1)
         elif not coef:
             continue
-        exps = _canonical_exps(pairs) if pairs else ()
-        total[exps] = total[exps] + coef if exps in total else coef
-    return Scalar(total)
+        key = frozenset((n, e) for n, e in exps.items() if e) if exps else frozenset()
+        total[key] = total[key] + coef if key in total else coef
+    if not any(total):  # a rational: one term or none
+        return Scalar.rational(total.popitem()[1] if total else 0)
+    return _from_terms(total.items())
 
 
 # ---------------------------------------------------------------------------

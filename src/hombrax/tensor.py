@@ -31,50 +31,38 @@ grid.  Everything else (``compose``, ``tensor_product``, sums, scaling,
 result with ``TensorOp._trusted``, ``_rational`` or ``_packed``: the columns
 are canonical and in range by construction or canonicalised there.
 
-An operator is stored in one form, fixed when it is built: ``(params, den,
-cols)``, the operator cols / den.  params is the parameter order, the names
-that occur in the entries, sorted as ``scalars.param_order`` sorts them; it
-is empty exactly when every entry is rational.  A constant entry is an
-``int``; any other is a ``Laurent``, {packed exponent key: int
-numerator}, its exponent vector over params packed in balanced base-2^16
-digits, so multiplying monomials adds keys.  The form is canonical: den > 0,
-the gcd of den and every numerator is 1 (the zero operator is ``((), 1,
-empty columns)``), and equality and hashing are structural on ``(dom, cod,
-params, den, cols)``.  Nothing is written to an operator after it is built.
-
-Every exponent of a stored entry has |e| < 2^15 (``EXP_LIMIT``);
-building an operator with a wider one raises ValueError.  A kernel call
-raises ValueError before it starts if its factors' largest exponents, summed
-along a product, reach 2^15, so keys never wrap.  Those sums stay at 15 or
-below in the gallery, the benchmark and the tests (but the tests of this
-bound).  ``.columns``, ``dense()`` and the JSON text
-build ``Scalar``s from the stored form on each call; ``map_scalars`` maps
-them and packs the result again, and ``instantiate`` evaluates the packed
-entries.  ``mod_p(p)`` is the one reduction to F_p: the dense matrix of a
+An operator stores its entries in the one coefficient form of
+``hombrax.scalars`` (an ``int`` or a packed ``Laurent``), over one parameter
+order and one denominator for all of them: ``(params, den, cols)``, the
+operator cols / den, canonical as a Scalar is (den > 0, content 1, only the
+parameters that occur; the zero operator is ``((), 1, empty columns)``).
+Equality and hashing are structural on ``(dom, cod, params, den, cols)``,
+and nothing is written to an operator after it is built.  Scalar columns
+are stored by repacking each Scalar's entry over the union of their orders
+and the lcm of their denominators; ``.columns``, ``entry`` and ``dense()``
+wrap stored entries as Scalars and JSON writes their text, re-sorting
+nothing.  A kernel call raises ValueError before it starts if its factors'
+largest exponents, summed along a product, reach ``EXP_LIMIT``, so keys never
+wrap.  ``mod_p(p)`` is the one reduction to F_p: the dense matrix of a
 rational operator with one inverse of the denominator.
 
 Each kernel loop is written once, over the packed entries of every factor,
-the factors' keys first packed over the union of their orders: ``+``, ``*``
-and truthiness act alike on ``int`` and ``Laurent`` entries.  One loop,
+the factors' keys first packed over the union of their orders.  One loop,
 ``_combine_columns``, serves ``compose``, ``+``/``-`` and ``residual``: it
-sums chains of factors, pushing each column of a chain's last factor
-through the others into one accumulator, so a composite or a residual is
-made canonical once, not once per step or side.  Its work follows the
-stored entries: an empty column is not pushed, a vector that ends a step
-empty is pushed no further, and a column empty on one side of a sum is the
-other side's vector.  The reduction happens in the kernel's final pass:
-the accumulators go as they are to ``_reduced``, the one reduction of
-every kernel, which takes the content gcd over the accumulated values (as
-``_content``: gcd(gcd(den, sum), *numerators), exact and cheap where the
-numerators share a wide factor with den) and then builds each column once, dropping zeros, dividing by the content and
-sorting in one comprehension (over parameters it also drops those that no
-longer occur and stores constants as ``int``s in the same pass).  An
-all-zero result, such as the residual of every identity that holds, is
-the canonical zero with no gcd and no division, and a difference of two
-single operators with equal stored forms (``a - b``, ``residual(a, b)``)
-is that zero with no kernel call.
-``invert`` eliminates on the stored form fraction-free, dividing pivot rows
-by monomial units and each row by its content, taken by ``_content`` too.
+sums chains of factors, pushing each column of a chain's last factor through
+the others into one accumulator, so a composite or a residual is made
+canonical once.  Its work follows the stored entries: an empty column is not
+pushed, a vector that ends a step empty is pushed no further, and a column
+empty on one side of a sum is the other side's vector.  The accumulators go
+as they are to ``_reduced``, the one reduction of every kernel, which takes
+the content as ``_content`` does (gcd(gcd(den, sum), *numerators), cheap
+where the numerators share a wide factor with den) and builds each column
+once.  An all-zero result, such as the residual of every identity that
+holds, is the canonical zero with no gcd and no division, and so is a
+difference of two single operators with equal stored forms, with no kernel
+call.  ``invert`` eliminates on the stored form fraction-free, dividing
+pivot rows by monomial units and each row by the plain gcd of its
+coefficients: its rows share no wide factor, so ``_content`` gains nothing.
 """
 
 from __future__ import annotations
@@ -85,8 +73,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from hombrax.scalars import (MissingParameter, RationalLike, Scalar, ZeroAtNegativeExponent,
-                              param_order, parse_scalar, reduce_mod_p)
+from hombrax.scalars import (EXP_LIMIT, Laurent, RationalLike, Scalar, _entry, _evaluate,
+                              _occurring, _remap, _repacked, _text, _union, _view, as_scalar,
+                              key_digits, parse_scalar, reduce_mod_p)
 
 # The most columns (dim ** arity) an operator read from input or requested
 # on the command line may have.  The largest operators the gallery, the tests
@@ -232,109 +221,22 @@ def _check_words(a: Word, b: Word) -> None:
 
 
 def _canonical_column(entries: Iterable[tuple[int, Scalar]]) -> Column:
-    entries = tuple(entries)
-    if len({r for r, _ in entries}) < len(entries):
-        acc: dict[int, Scalar] = {}
-        for row, s in entries:
-            acc[row] = acc.get(row, Scalar.zero()) + s
-        entries = acc.items()
-    return tuple(sorted((r, s) for r, s in entries if not s.is_zero()))
-
-
-# An exponent vector (e_0, ..., e_{P-1}) over an operator's parameter order
-# is packed into the one int key sum(e_i * 2^(EXP_BITS * i)): balanced
-# base-2^EXP_BITS digits, each |e_i| < EXP_LIMIT.  Within that range the
-# packing is one-to-one and adding keys adds exponent vectors.
-EXP_BITS = 16
-EXP_LIMIT = 1 << (EXP_BITS - 1)
-_DIGIT_MASK = (1 << EXP_BITS) - 1
-
-
-def key_digits(key: int, count: int) -> list[int]:
-    """The count signed exponents packed in key, lowest parameter first."""
-    out = []
-    for _ in range(count):
-        d = key & _DIGIT_MASK
-        if d >= EXP_LIMIT:
-            d -= 1 << EXP_BITS
-        out.append(d)
-        key = (key - d) >> EXP_BITS
-    return out
-
-
-class Laurent(dict):
-    """A Laurent polynomial entry of a symbolic operator: {packed exponent
-    key: int numerator}, over the operator's parameter order and common
-    denominator.  Kernels keep no zero coefficient and treat it as
-    immutable; an operator stores a constant entry as a plain int instead.
-    ``*`` and ``+`` take another Laurent or an int, on either side.
-    """
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if other.__class__ is int:
-            if other == 1:
-                return self
-            return Laurent({k: c * other for k, c in self.items()}) if other else 0
-        out = Laurent()
-        for k1, c1 in self.items():
-            for k2, c2 in other.items():
-                k = k1 + k2
-                if k in out:
-                    c = out[k] + c1 * c2
-                    if c:
-                        out[k] = c
-                    else:
-                        del out[k]
-                else:
-                    out[k] = c1 * c2
-        return out
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if other.__class__ is int:
-            if not other:
-                return self
-            other = {0: other}
-        out = Laurent(self)
-        for k, c in other.items():
-            if k in out:
-                c += out[k]
-                if not c:
-                    del out[k]
-                    continue
-            out[k] = c
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Laurent({k: -c for k, c in self.items()})
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
+    acc: dict[int, Scalar] = {}
+    for row, s in entries:
+        acc[row] = acc[row] + s if row in acc else s
+    return tuple(sorted((r, s) for r, s in acc.items() if s))
 
 
 def _content(den: int, nums: Sequence[int]) -> int:
-    """gcd(den, *nums), taken as gcd(gcd(den, sum(nums)), *nums).
-
-    The sum lies in the ideal the numerators generate, so the content
-    divides gcd(den, sum) and the two forms are equal.  A kernel's
-    numerators over one denominator are x * den for its entries x, so each
-    shares the large factor den / den_x with den, and the plain chain
-    gcd(den, n_1, n_2, ...) stays hundreds of bits wide for many steps.  The
-    sum makes the running gcd small from the first step (usually 1, which
-    ends the work), so each later step costs one remainder of a big int by a
-    small one.
-    """
+    """gcd(den, *nums), taken as gcd(gcd(den, sum(nums)), *nums): equal, as
+    the sum lies in the numerators' ideal.  A kernel's numerators over one
+    den share its wide factors, which keep the plain chain gcd(den, n_1,
+    ...) wide for many steps; the sum makes the running gcd small at once."""
     g = math.gcd(den, sum(nums))
     return math.gcd(g, *nums) if g != 1 else 1
 
 
 _IntColumn = tuple[tuple[int, int], ...]
-_Integer = tuple[int, tuple[_IntColumn, ...]]
 # (params, den, cols, emax): the stored form of an operator.
 _Stored = tuple[tuple[str, ...], int, tuple, int]
 
@@ -343,14 +245,11 @@ def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) 
     """The stored form of the operator cols / den over params (den != 0).
 
     With raw, cols are the kernel's accumulators: per column, (row, value)
-    pairs with distinct rows in any order, zeros allowed.  Otherwise they
-    are columns with rows increasing and no zero entry, kept as they are
-    when nothing changes.  The content gcd of den and every numerator is
-    divided out; over a nonempty params, a parameter that no longer occurs
-    leaves the order (the keys are repacked) and a constant entry becomes an
-    int.  Each column is built once, in one comprehension that drops zeros,
-    divides and sorts.  The zero operator is ((), 1, empty columns, 0): cols
-    as given, or ((),) * len(cols) for raw accumulators.
+    pairs with distinct rows in any order, zeros allowed; otherwise columns
+    with rows increasing and no zero entry, kept as they are when nothing
+    changes.  The content is divided out, parameters that no longer occur
+    leave the order and constants become ints, each column built once in one
+    comprehension.  The zero operator is ((), 1, empty columns, 0).
     """
     kept, remap, const, emax = (), None, False, 0
     if params:
@@ -363,13 +262,7 @@ def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) 
                     keys.update(v)
                     nums.extend(v.values())
                     const = const or (len(v) == 1 and 0 in v)
-        used = [0] * len(params)
-        for key in keys:
-            for i, d in enumerate(key_digits(key, len(params))):
-                used[i] = max(used[i], abs(d))
-        kept = tuple(n for n, e in zip(params, used) if e)
-        remap = None if kept == params else _remap(params, kept, keys)
-        emax = max(used)
+        kept, remap, emax = _occurring(params, keys)
     else:
         # Over 1 the content is 1, and the zeros of a zero result go below.
         nums = [v for col in cols for _, v in col] if den != 1 else (1,)
@@ -395,116 +288,16 @@ def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) 
     return kept, den, cols, emax
 
 
-def _integer_columns(cols: Iterable[Iterable[tuple[int, Fraction]]]) -> _Integer:
-    """The canonical integer form of columns of Fractions (zeros dropped).
-
-    Over the least common denominator a prime dividing it keeps its full
-    power in the denominator of some entry, whose scaled numerator it does
-    not divide, so the form needs no further reduction."""
-    cols = [[(r, x) for r, x in col if x] for col in cols]
-    den = math.lcm(*{x.denominator for col in cols for _, x in col})
-    return den, tuple(tuple((r, x.numerator * (den // x.denominator)) for r, x in col)
-                      for col in cols)
-
-
-def _form(cols: tuple[Column, ...]) -> _Stored:
-    """The stored form of canonical Scalar columns.  Coefficients go over
-    the lcm of their denominators (canonical as in _integer_columns), as
-    plain ints even where a Fraction holds another integer type;
-    ValueError for an exponent outside the packing range."""
-    params = param_order(n for col in cols for _, s in col for exps, _ in s.terms
-                         for n, _ in exps)
-    den = math.lcm(*{c.denominator for col in cols for _, s in col for _, c in s.terms})
-    shift = {n: EXP_BITS * i for i, n in enumerate(params)}
-    emax = 0
-    out = []
-    for col in cols:
-        packed = []
-        for r, s in col:
-            terms = s.terms
-            if len(terms) == 1 and not terms[0][0]:
-                c = terms[0][1]
-                packed.append((r, int(c.numerator * (den // c.denominator))))
-                continue
-            v = Laurent()
-            for exps, c in terms:
-                key = 0
-                for n, e in exps:
-                    if not -EXP_LIMIT < e < EXP_LIMIT:
-                        raise ValueError(f"exponent {e} of {n} is outside the range of "
-                                         f"an operator entry, |exponent| < {EXP_LIMIT}")
-                    emax = max(emax, abs(e))
-                    key += e << shift[n]
-                v[key] = int(c.numerator * (den // c.denominator))
-            packed.append((r, v))
-        out.append(tuple(packed))
-    return params, den, tuple(out), emax
-
-
-def _entry(v, g: int, remap: dict | None):
-    """An entry divided by g, its keys renamed by remap; a constant as an int."""
-    if v.__class__ is int:
-        return v // g
-    if remap is not None:
-        v = {remap[k]: c for k, c in v.items()}
-    if len(v) == 1 and 0 in v:
-        return v[0] // g
-    return Laurent({k: c // g for k, c in v.items()})
-
-
-def _remap(old: tuple[str, ...], new: tuple[str, ...], keys) -> dict[int, int]:
-    """Keys over the parameter order old, repacked over the order new, which
-    holds every parameter that occurs in them."""
-    shift = {n: EXP_BITS * i for i, n in enumerate(new)}
-    shifts = [shift.get(n, 0) for n in old]
-    if shifts == list(range(shifts[0], shifts[0] + EXP_BITS * len(old), EXP_BITS)):
-        return {k: k << shifts[0] for k in keys}  # a block of new: every digit moves alike
-    return {k: sum(d << s for d, s in zip(key_digits(k, len(old)), shifts)) for k in keys}
-
-
-def _scalar(params: tuple[str, ...], den: int, v) -> Scalar:
-    """The Scalar of a stored entry, its one Fraction per term built once."""
-    if v.__class__ is int:
-        return Scalar({(): Fraction(v, den)})
-    return Scalar({tuple((n, d) for n, d in zip(params, key_digits(k, len(params))) if d):
-                   Fraction(c, den) for k, c in v.items()})
-
-
-def _evaluate(params: tuple[str, ...], v: Laurent, values: Mapping[str, Fraction],
-              monomials: dict[int, Fraction]) -> Fraction:
-    """The numerator sum of a Laurent entry at a point, each monomial's value
-    kept in monomials, a memo shared by the entries of one operator."""
-    total = 0
-    for k, c in v.items():
-        x = monomials.get(k)
-        if x is None:
-            x = Fraction(1)
-            for n, e in zip(params, key_digits(k, len(params))):
-                if e:
-                    if values.get(n, 0) == 0 and (e < 0 or n not in values):
-                        _refuse_evaluation(params, v, values)
-                    x *= values[n] ** e
-            monomials[k] = x
-        total += c * x
-    return total
-
-
-def _refuse_evaluation(params: tuple[str, ...], v: Laurent, values: Mapping[str, Fraction]):
-    """Raise for an entry that cannot be evaluated as Scalar.evaluate does: for
-    a missing parameter first, then at the first term, in Scalar order, with a
-    zero parameter at a negative exponent."""
-    terms = sorted(key_digits(k, len(params)) for k in v)
-    missing = {n for digits in terms for n, d in zip(params, digits) if d} - values.keys()
-    if missing:
-        raise MissingParameter(f"no value for {sorted(missing)}")
-    n, e = next((n, e) for digits in terms for n, e in zip(params, digits)
-                if e < 0 and values[n] == 0)
-    raise ZeroAtNegativeExponent(f"{n} = 0 with exponent {e}")
-
-
-def _union(orders: set[tuple[str, ...]]) -> tuple[str, ...]:
-    """The parameter order of a kernel call on operands with these orders."""
-    return orders.pop() if len(orders) == 1 else param_order(n for o in orders for n in o)
+def _stored(cols: tuple[Column, ...]) -> _Stored:
+    """The stored form of canonical Scalar columns, each entry repacked over
+    the union of their orders and the lcm of their dens.  The content stays
+    1: a prime's full power in the lcm divides some entry's den."""
+    entries = [s for col in cols for _, s in col]
+    params = _union({s._params for s in entries})
+    den = math.lcm(*{s._den for s in entries})
+    emax = max([s._emax for s in entries], default=0)
+    return params, den, tuple(tuple((r, _repacked(s._v, s._params, params) * (den // s._den))
+                                    for r, s in col) for col in cols), emax
 
 
 def _over(op: "TensorOp", params: tuple[str, ...]) -> tuple:
@@ -555,7 +348,7 @@ class TensorOp(_Frozen):
             for row, _ in col:
                 if not 0 <= row < n:
                     raise IndexError(f"row {row} out of range")
-        self._set(word, word, *_form(tuple(map(_canonical_column, columns))))
+        self._set(word, word, *_stored(tuple(map(_canonical_column, columns))))
 
     def _set(self, dom: Word, cod: Word, params: tuple[str, ...], den: int,
              cols: tuple, emax: int) -> None:
@@ -571,7 +364,7 @@ class TensorOp(_Frozen):
         """A map from Scalar columns that are canonical and in range by
         construction."""
         op = object.__new__(cls)
-        op._set(dom, cod, *_form(cols))
+        op._set(dom, cod, *_stored(cols))
         return op
 
     @classmethod
@@ -595,10 +388,10 @@ class TensorOp(_Frozen):
 
     @property
     def columns(self) -> tuple[Column, ...]:
-        """The Scalar columns, built anew from the stored form on each call."""
+        """The columns with each stored entry wrapped as a Scalar, on each call."""
         return tuple(map(self.column, range(len(self._cols))))
 
-    def _integer(self) -> _Integer | None:
+    def _integer(self) -> tuple[int, tuple[_IntColumn, ...]] | None:
         """(den, int columns) of a rational map; None for a symbolic one."""
         return None if self._params else (self._den, self._cols)
 
@@ -627,13 +420,10 @@ class TensorOp(_Frozen):
 
     def column(self, j: int) -> Column:
         params, den = self._params, self._den
-        return tuple((r, _scalar(params, den, v)) for r, v in self._cols[j])
+        return tuple((r, _view(params, den, v)) for r, v in self._cols[j])
 
     def entry(self, row: int, col: int) -> Scalar:
-        for r, s in self.column(col):
-            if r == row:
-                return s
-        return Scalar.zero()
+        return _view(self._params, self._den, dict(self._cols[col]).get(row, 0))
 
     def is_zero(self) -> bool:
         return not any(self._cols)
@@ -704,15 +494,13 @@ class TensorOp(_Frozen):
         params, den = self._params, self._den
         if not params:
             return self
-        out, monomials = [], {}
-        for col in self._cols:
-            vals = []
-            for r, v in col:
-                if v.__class__ is not int:
-                    v = _evaluate(params, v, values, monomials)
-                vals.append((r, Fraction(v, den)))
-            out.append(vals)
-        return TensorOp._rational(self.dom, self.cod, *_integer_columns(out))
+        monomials = {}
+        out = [[(r, v if v.__class__ is int else _evaluate(params, v, values, monomials))
+                for r, v in col] for col in self._cols]
+        # Entries are numerator sums over den: put them over den * lcm.
+        m = math.lcm(*[x.denominator for col in out for _, x in col])
+        return TensorOp._rational(self.dom, self.cod, den * m, tuple(tuple(
+            (r, int(x * m)) for r, x in col if x) for col in out))
 
     def dense(self) -> list[list[Scalar]]:
         rows = [[Scalar.zero()] * self.total_dim for _ in range(_size(self.cod))]
@@ -807,7 +595,7 @@ def as_op(data, dom: Word, cod: Word) -> TensorOp:
 
     def walk(cell, dims) -> None:
         if not dims:
-            flat.append(cell if isinstance(cell, Scalar) else Scalar.rational(cell))
+            flat.append(as_scalar(cell))
             return
         if len(cell) != dims[0]:
             raise ValueError(f"expected length {dims[0]}, got {len(cell)}")
@@ -938,8 +726,8 @@ class LinearMap(TensorOp):
         n = space.dim
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimMismatch(f"need a {n}x{n} matrix")
-        super().__init__(space, 1, [[(k, e if isinstance(e, Scalar) else Scalar.rational(e))
-                                     for k, e in enumerate(col)] for col in zip(*rows)])
+        super().__init__(space, 1, [[(k, as_scalar(e)) for k, e in enumerate(col)]
+                                    for col in zip(*rows)])
 
     @staticmethod
     def identity(space: BasedSpace) -> "LinearMap":
@@ -1056,7 +844,7 @@ def invert(f: TensorOp) -> TensorOp:
             if params:
                 nums = [c for v in nums for c in ((v,) if v.__class__ is int else v.values())]
                 emax[i] = _emax_of(acc.values(), len(params))
-            g = _content(nums[0], nums)
+            g = math.gcd(*nums)
             if g > 1:
                 acc = {c: _entry(v, g, None) for c, v in acc.items()}
             rows[i] = acc
@@ -1105,18 +893,9 @@ def rebase(op: TensorOp, space: BasedSpace, arity: int) -> TensorOp:
 # ---------------------------------------------------------------------------
 
 def _text_columns(op: TensorOp) -> tuple:
-    """The columns with entries as text: str(Fraction(v, den)) for an int
-    entry, what str of the constant Scalar prints, else str of the Scalar."""
+    """The columns with each stored entry as the text str of its Scalar prints."""
     params, den = op._params, op._den
-    return tuple(tuple((r, _fraction_text(v, den) if v.__class__ is int
-                        else str(_scalar(params, den, v))) for r, v in col)
-                 for col in op._cols)
-
-
-def _fraction_text(v: int, den: int) -> str:
-    """str(Fraction(v, den)) for den > 0, from one gcd and two divisions."""
-    g = math.gcd(v, den)
-    return str(v // g) if g == den else f"{v // g}/{den // g}"
+    return tuple(tuple((r, _text(params, den, v)) for r, v in col) for col in op._cols)
 
 
 def op_to_json_dict(op: TensorOp) -> dict:

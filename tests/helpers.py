@@ -34,7 +34,14 @@ from hombrax.quantum import (
     maximal_patterns,
     phi,
 )
-from hombrax.scalars import Scalar, ScalarParseError, _canonical_exps
+from hombrax.scalars import (
+    MissingParameter,
+    NotAMonomial,
+    Scalar,
+    ScalarParseError,
+    ZeroAtNegativeExponent,
+    param_order,
+)
 from hombrax.tensor import BasedSpace, LinearMap, TensorOp, residual
 
 
@@ -292,3 +299,92 @@ def reference_parse_scalar(text: str) -> Scalar:
         if coef != 0:
             total[exps] = total.get(exps, Fraction(0)) + coef
     return Scalar(total)
+
+
+# -- the reference Laurent arithmetic -------------------------------------------
+#
+# Term-tuple arithmetic on plain {exponent pairs: Fraction} dicts, exponent
+# pairs ((name, exp), ...) with nonzero exps in the canonical parameter
+# order: the oracle of Scalar's arithmetic, evaluation and text, sharing no
+# code with the packed form Scalar runs on.
+
+def _canonical_exps(pairs) -> tuple:
+    merged: dict = {}
+    for name, e in pairs:
+        merged[name] = merged.get(name, 0) + e
+    rank = {n: i for i, n in enumerate(param_order(merged))}
+    return tuple(sorted(((n, e) for n, e in merged.items() if e != 0), key=lambda p: rank[p[0]]))
+
+
+def ref_terms(x: dict) -> tuple:
+    """The nonzero terms of x, sorted lexicographically on dense exponent
+    vectors over the names that occur, in the canonical order."""
+    items = [(exps, Fraction(c)) for exps, c in x.items() if c != 0]
+    names = param_order(n for exps, _ in items for n, _ in exps)
+
+    def vec(exps):
+        dense = dict(exps)
+        return tuple(dense.get(n, 0) for n in names)
+
+    return tuple(sorted(items, key=lambda t: vec(t[0])))
+
+
+def ref_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for exps, c in y.items():
+        out[exps] = out.get(exps, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_neg(x: dict) -> dict:
+    return {e: -c for e, c in x.items()}
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = _canonical_exps(e1 + e2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_inverse(x: dict) -> dict:
+    terms = ref_terms(x)
+    if len(terms) != 1:
+        raise NotAMonomial(f"{ref_str(x)} has {len(terms)} terms, cannot invert")
+    (exps, c), = terms
+    return {tuple((n, -e) for n, e in exps): 1 / c}
+
+
+def ref_pow(x: dict, n: int) -> dict:
+    if n < 0:
+        return ref_pow(ref_inverse(x), -n)
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, x)
+    return out
+
+
+def ref_evaluate(x: dict, assignment) -> Fraction:
+    values = {n: Fraction(v) for n, v in assignment.items()}
+    terms = ref_terms(x)
+    missing = {n for exps, _ in terms for n, _ in exps} - values.keys()
+    if missing:
+        raise MissingParameter(f"no value for {sorted(missing)}")
+    total = Fraction(0)
+    for exps, c in terms:
+        for n, e in exps:
+            if values[n] == 0 and e < 0:
+                raise ZeroAtNegativeExponent(f"{n} = 0 with exponent {e}")
+            c *= values[n] ** e
+        total += c
+    return total
+
+
+def ref_str(x: dict) -> str:
+    terms = ref_terms(x)
+    if not terms:
+        return "0"
+    return " + ".join("*".join([str(c)] + [n if e == 1 else f"{n}^{e}" for n, e in exps])
+                      for exps, c in terms)

@@ -59,6 +59,7 @@ from hombrax.quantum import (
     maximal_patterns,
     phi,
 )
+from hombrax import scalars
 from hombrax.scalars import DenominatorDivisibleByP, Scalar, param_order, reduce_mod_p
 from hombrax.tensor import (
     EXP_LIMIT,
@@ -675,7 +676,12 @@ def test_rational_scale_and_negation_build_no_scalar(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a Scalar")
 
-    monkeypatch.setattr(Scalar, "__init__", refuse)
+    # Every Scalar, the views of stored entries included, is made by _make.
+    monkeypatch.setattr(scalars, "_make", refuse)
+    with pytest.raises(AssertionError, match="built a Scalar"):
+        B.columns
+    with pytest.raises(AssertionError, match="built a Scalar"):
+        Scalar({(("q", 1),): 1})
     got = [B.scale(Fraction(2, 3)), -B]
     monkeypatch.undo()
     assert got == want and all(op._integer() for op in got)

@@ -1,13 +1,29 @@
 """Laurent scalar arithmetic: ring laws, units, evaluation, text format."""
 
+import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import phi_alpha_symbolic, rational_gallery, reference_parse_scalar
-from hombrax.quantum import bql, phi
+from helpers import (
+    _canonical_exps,
+    phi_alpha_symbolic,
+    rational_gallery,
+    ref_add,
+    ref_evaluate,
+    ref_inverse,
+    ref_mul,
+    ref_neg,
+    ref_pow,
+    ref_str,
+    ref_terms,
+    reference_parse_scalar,
+)
+from hombrax.homlie import heisenberg_morphism, sl2_morphism
+from hombrax.quantum import CompatibleAlpha, SupportPattern, bql, phi
 from hombrax.scalars import (
     DenominatorDivisibleByP,
     MissingParameter,
@@ -15,9 +31,11 @@ from hombrax.scalars import (
     Scalar,
     ScalarParseError,
     ZeroAtNegativeExponent,
+    as_scalar,
     parse_scalar,
     reduce_mod_p,
 )
+from hombrax.tensor import BasedSpace, LinearMap, as_op
 
 Q = Scalar.param("q")
 L = Scalar.param("l")
@@ -36,7 +54,7 @@ def test_additive_inverse_is_structurally_zero():
 def test_rational_keeps_a_fraction_as_it_is():
     f = Fraction(2 ** 600 + 1, 3 ** 300)
     assert Scalar.rational(f).terms == (((), f),)
-    assert Scalar.rational(f).terms[0][1] is f
+    assert type(Scalar.rational(f).terms[0][1]) is Fraction
     assert Scalar.rational(Fraction(0)) is Scalar.zero()
     assert Scalar.rational(-4).terms == (((), Fraction(-4)),)
 
@@ -81,6 +99,9 @@ def test_text_format_examples():
     assert str(Q ** -1 - Q) == "1*q^-1 + -1*q"
     assert str(Scalar.zero()) == "0"
     assert str(L) == "1*l"
+    # Terms follow their exponent vectors from the first parameter on, which
+    # is not the integer order of the packed keys (q is the lowest digit).
+    assert str(L * Q ** -1 + Q * L ** -1) == "1*q^-1*l + 1*q*l^-1"
     assert parse_scalar("1*q^-1 + -1*q^1") == Q ** -1 - Q
     assert parse_scalar("3/2*q") == Scalar.rational(Fraction(3, 2)) * Q
     assert parse_scalar("a") == Scalar.param("a")
@@ -156,29 +177,15 @@ def test_text_round_trip(x):
     assert parse_scalar(str(x)) == x
 
 
-# The general term-map path: every result goes through Scalar(term_map).
-def _term_map_mul(x, y):
-    out = {}
-    for e1, c1 in x.terms:
-        for e2, c2 in y.terms:
-            e = Scalar.monomial(1, e1 + e2).terms[0][0]
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return Scalar(out)
+# -- Scalar against the reference term-tuple arithmetic of tests/helpers.py ----
+#
+# The operands are plain {exponent pairs: Fraction} dicts: Scalar(term_map)
+# packs them, and each result is compared term by term, and as text, with the
+# reference, which shares no code with the packed form.
 
-
-def _term_map_add(x, y):
-    out = dict(x.terms)
-    for e, c in y.terms:
-        out[e] = out.get(e, Fraction(0)) + c
-    return Scalar(out)
-
-
-def _term_map_neg(x):
-    return Scalar({e: -c for e, c in x.terms})
-
-
-constants = fractions.map(Scalar.rational)
-mixed = st.one_of(constants, scalars)
+term_maps = st.lists(terms, max_size=4).map(lambda ts: functools.reduce(
+    ref_add, ({_canonical_exps(exps.items()): c} for exps, c in ts), {}))
+points = st.dictionaries(names, st.sampled_from((0, 2, Fraction(-1, 3), Fraction(5, 2))))
 
 
 def _same_terms(got, want):
@@ -186,13 +193,49 @@ def _same_terms(got, want):
     assert all(type(c) is Fraction for _, c in got.terms)
 
 
+def _matches(got: Scalar, want: dict) -> None:
+    assert got.terms == ref_terms(want) and str(got) == ref_str(want)
+    assert all(type(c) is Fraction for _, c in got.terms)
+
+
+def _same_outcome(got, want, check) -> None:
+    """got() and want() return alike (compared by check) or raise the same
+    exception type with the same message."""
+    try:
+        expected = want()
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            got()
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    check(got(), expected)
+
+
 @settings(deadline=None)
-@given(mixed, mixed)
+@given(term_maps, term_maps)
 def test_fast_path_matches_term_map_path(x, y):
-    _same_terms(x * y, _term_map_mul(x, y))
-    _same_terms(x + y, _term_map_add(x, y))
-    _same_terms(x - y, _term_map_add(x, _term_map_neg(y)))
-    _same_terms(-x, _term_map_neg(x))
+    sx, sy = Scalar(x), Scalar(y)
+    _matches(sx, x)
+    _matches(sx * sy, ref_mul(x, y))
+    _matches(sx + sy, ref_add(x, y))
+    _matches(sx - sy, ref_add(x, ref_neg(y)))
+    _matches(-sx, ref_neg(x))
+    assert (sx == sy) == (ref_terms(x) == ref_terms(y))
+
+
+@settings(deadline=None)
+@given(term_maps, st.integers(-3, 3), points)
+# Stored in the other order, the terms must still be refused in text order.
+@example({(("l", -1),): Fraction(1), (("q", -1),): Fraction(1)}, 1, {"q": 0, "l": 0})
+def test_powers_inverses_and_values_match_the_reference(x, n, point):
+    sx = Scalar(x)
+    _same_outcome(lambda: sx ** n, lambda: ref_pow(x, n), _matches)
+    _same_outcome(sx.inverse, lambda: ref_inverse(x), _matches)
+    _same_outcome(lambda: sx.evaluate(point), lambda: ref_evaluate(x, point), _same_value)
+
+
+def _same_value(got, want) -> None:
+    assert got == want and type(got) is Fraction
 
 
 # -- the parser against its reference copy -------------------------------------
@@ -271,3 +314,40 @@ def test_parse_reads_a_number_at_the_digit_limit():
     assert parse_scalar("1.5e4299") == Scalar.rational(15 * 10 ** 4298)
     assert parse_scalar("1e2") == Scalar.rational(100)
     assert parse_scalar("1.5") == Scalar.rational(Fraction(3, 2))
+
+
+# -- the one rational coercion -------------------------------------------------
+
+def test_rational_coercion_refuses_floats_and_keeps_numpy_integers():
+    # A float is not the rational it was written as (0.1 would be stored as
+    # 3602879701896397/36028797018963968), so every entry point refuses it.
+    V = BasedSpace.of_dim(2)
+    calls = [lambda: LinearMap(V, [[0.1, 0], [0, 1]]),
+             lambda: LinearMap.diagonal(V, [1, 0.5]),
+             lambda: as_op([[0.5, 0], [0, 1]], (V,), (V,)),
+             lambda: CompatibleAlpha(SupportPattern(2, {1: 1}), {1: 0.5}),
+             lambda: heisenberg_morphism(1, 0, 0.5, 0, 0, 1),
+             lambda: sl2_morphism(1, a=0.5),
+             lambda: as_scalar("1")]
+    for call in calls:
+        with pytest.raises(TypeError, match="rational number"):
+            call()
+    rows = np.array([[1, 0], [-2, 3]])
+    assert LinearMap(V, rows) == LinearMap(V, [[1, 0], [-2, 3]])
+    assert as_scalar(np.int64(-4)) == Scalar.rational(-4)
+    assert as_scalar(Fraction(1, 3)) == Scalar.rational(Fraction(1, 3))
+    assert as_scalar(Q) is Q
+
+
+def test_products_are_exact_or_refused_at_the_packing_limit():
+    # Per parameter, a product's exponents are the sums of its factors'
+    # extremes: exact below 2^15, refused at it, never wrapped into the next
+    # parameter's digit.
+    X = Scalar.param("x1")
+    assert str(Q ** 30000 * X ** -30000) == "1*q^30000*x1^-30000"
+    assert Q ** 20000 * Q ** -20000 == 1 and (Q ** 32767).terms == (((("q", 32767),), 1),)
+    for call in (lambda: Q ** 20000 * Q ** 20000, lambda: Q ** 32768, lambda: Q ** -32768,
+                 lambda: (Q ** 16384 + L) * (Q ** 16384 + 1), lambda: Q ** 10 ** 20,
+                 lambda: Scalar.param("q", 32768), lambda: parse_scalar("q^-40000*l")):
+        with pytest.raises(ValueError, match="outside the range of an operator entry"):
+            call()

@@ -627,5 +627,5 @@ def test_entry_text_is_the_fraction_text():
 @settings(deadline=None, max_examples=200)
 @given(_NUMERATOR.filter(bool), st.one_of(st.integers(1, 50), st.integers(1, 1 << 700)))
 def test_fraction_text_is_str_of_the_fraction(v, den):
-    from hombrax.tensor import _fraction_text
-    assert _fraction_text(v, den) == str(Fraction(v, den))
+    from hombrax.scalars import _text
+    assert _text((), den, v) == str(Fraction(v, den))
