@@ -235,7 +235,7 @@ class Scalar:
 
     @staticmethod
     def rational(value: RationalLike) -> "Scalar":
-        c = value if value.__class__ is Fraction else Fraction(value)
+        c = _rational(value)
         return _make((), int(c.denominator), int(c.numerator), 0) if c else _ZERO
 
     @staticmethod
@@ -246,7 +246,7 @@ class Scalar:
 
     @staticmethod
     def monomial(coef: RationalLike, pairs: Iterable[tuple[str, int]]) -> "Scalar":
-        return _from_terms([(pairs, Fraction(coef))])
+        return _from_terms([(pairs, coef)])
 
     # -- structure ---------------------------------------------------------
 
@@ -293,8 +293,13 @@ class Scalar:
         params = _union({self._params, other._params})
         da, db = self._den, other._den
         den = da * db // math.gcd(da, db)
-        return _view(params, den, _repacked(self._v, self._params, params) * (den // da)
-                     + _repacked(other._v, other._params, params) * (den // db))
+        a = _repacked(self._v, self._params, params) * (den // da)
+        b = _repacked(other._v, other._params, params) * (den // db)
+        v = a + b
+        # A key that cancelled is a key of both operands.  If none did, every
+        # parameter of either operand still occurs and no exponent was lost.
+        kept = v.__class__ is not int and v.keys() >= (b if a.__class__ is int else a).keys()
+        return _view(params, den, v, max(self._emax, other._emax) if kept else None)
 
     __radd__ = __add__
 
@@ -408,16 +413,20 @@ def _make(params: tuple[str, ...], den: int, v, emax: int) -> Scalar:
 _set_params, _set_den, _set_v, _set_emax = (getattr(Scalar, n).__set__ for n in Scalar.__slots__)
 
 
-def _view(params: tuple[str, ...], den: int, v) -> Scalar:
+def _view(params: tuple[str, ...], den: int, v, emax: int | None = None) -> Scalar:
     """The Scalar v / den (den != 0) of an entry v, an int or a Laurent over
-    a nonempty params, made canonical.  ``.columns``, ``entry`` and
-    ``dense()`` wrap an operator's stored entries with it."""
+    a nonempty params, made canonical.  A caller that passes emax vouches
+    that every parameter of params occurs in v and that emax is its largest
+    |exponent|.  ``.columns``, ``entry`` and ``dense()`` wrap an operator's
+    stored entries with it."""
     if not v:
         return _ZERO
     if v.__class__ is int:
         params, remap, emax, g = (), None, 0, math.gcd(v, den)
     else:
-        params, remap, emax = _occurring(params, v)
+        remap = None
+        if emax is None:
+            params, remap, emax = _occurring(params, v)
         g = math.gcd(den, *v.values())
     if den < 0:
         g = -g
@@ -430,6 +439,17 @@ _ZERO = _make((), 1, 0, 0)
 _ONE = _make((), 1, 1, 0)
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction, for a rational number (a numpy integer too).
+    TypeError for anything else, a float included: a float is not the
+    rational it was written as."""
+    if x.__class__ is Fraction:
+        return x
+    if isinstance(x, (int, numbers.Rational)):  # int first: the ABC check is slow
+        return Fraction(x)
+    raise TypeError(f"a scalar must be a Scalar or a rational number, not {x!r}")
+
+
 def _coerce(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
@@ -439,48 +459,36 @@ def _coerce(x) -> Scalar:
 
 
 def as_scalar(x) -> Scalar:
-    """x as a Scalar: a Scalar as it is, a rational number (a numpy integer
-    too) exactly.  TypeError for anything else, a float included: a float is
-    not the rational it was written as."""
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, numbers.Rational):
-        return Scalar.rational(x)
-    raise TypeError(f"a scalar must be a Scalar or a rational number, not {x!r}")
+    """x as a Scalar: a Scalar as it is, a rational number exactly."""
+    return x if isinstance(x, Scalar) else Scalar.rational(x)
 
 
 def _from_terms(items: Iterable[tuple[Iterable[tuple[str, int]], RationalLike]]) -> Scalar:
     """The Scalar of (exponent pairs, coefficient) terms: repeated names and
-    repeated exponent vectors add up.  ValueError for a nonzero term with an
-    exponent outside the packing, the first in term order and then in
-    parameter order."""
-    terms, names = [], set()
+    repeated exponent vectors add up.  ValueError for an exponent outside
+    the packing, the first in the order of .terms and then of parameters."""
+    total: dict[frozenset, Fraction] = {}
     for pairs, c in items:
-        if c:
-            exps: dict[str, int] = {}
-            for n, e in pairs:
-                exps[n] = exps.get(n, 0) + e
-            terms.append((exps, c if isinstance(c, (int, Fraction)) else Fraction(c)))
-            names.update(n for n, e in exps.items() if e)
-    params = param_order(names)
+        exps: dict[str, int] = {}
+        for n, e in pairs:
+            exps[n] = exps.get(n, 0) + e
+        key = frozenset((n, e) for n, e in exps.items() if e)
+        c = _rational(c)
+        total[key] = total[key] + c if key in total else c
+    terms = [(dict(key), c) for key, c in total.items() if c]
+    params = param_order(n for exps, _ in terms for n in exps)
+    if not params:  # a rational: one term or none
+        return Scalar.rational(terms[0][1] if terms else 0)
+    bad = [([exps.get(m, 0) for m in params], _param_key(n), n, e)
+           for exps, _ in terms for n, e in exps.items() if not -EXP_LIMIT < e < EXP_LIMIT]
+    if bad:
+        raise _range_error(*min(bad)[2:])
     shift = {n: EXP_BITS * i for i, n in enumerate(params)}
     den = math.lcm(*[int(c.denominator) for _, c in terms])
-    v, emax, merged = Laurent(), 0, False
-    for exps, c in terms:
-        bad = [(n, e) for n, e in exps.items() if not -EXP_LIMIT < e < EXP_LIMIT]
-        if bad:
-            raise _range_error(*min(bad, key=lambda b: _param_key(b[0])))
-        k = sum(e << shift[n] for n, e in exps.items() if e)
-        emax = max([emax, *map(abs, exps.values())])
-        merged = merged or k in v
-        c = v.pop(k, 0) + int(c.numerator) * (den // int(c.denominator))
-        if c:
-            v[k] = c
-    if not params:
-        return _view((), den, v.get(0, 0))
-    # Terms with distinct exponent vectors and reduced coefficients are
-    # canonical over the lcm as they stand; a merge may cancel or share content.
-    return _view(params, den, v) if merged else _make(params, den, v, emax)
+    v = Laurent({sum(e << shift[n] for n, e in exps.items()):
+                 int(c.numerator) * (den // int(c.denominator)) for exps, c in terms})
+    # The keys are distinct and every parameter occurs: _view need not decode them.
+    return _view(params, den, v, max(abs(e) for exps, _ in terms for e in exps.values()))
 
 
 def _in_order(params: tuple[str, ...], v: Laurent) -> list[tuple[list[int], int]]:
@@ -581,8 +589,7 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the scalar text format; inverse of ``str(scalar)``.
 
     A term's first number is its coefficient (any further one multiplies
-    it), and a term is added into the total only when its exponents repeat
-    those of an earlier term; the total is packed once.  Raises
+    it); the terms are packed once, by ``_from_terms``.  Raises
     ScalarParseError for text that is not in the format, and ValueError for
     an exponent outside the packing."""
     if not isinstance(text, str):
@@ -590,7 +597,7 @@ def parse_scalar(text: str) -> Scalar:
     text = text.strip()
     if not text:
         raise ScalarParseError("empty scalar text")
-    total: dict[frozenset, Fraction] = {}
+    terms = []
     for part in text.split("+"):
         part = part.strip()
         if not part:
@@ -620,15 +627,8 @@ def parse_scalar(text: str) -> Scalar:
             except ZeroDivisionError:
                 raise ScalarParseError(f"zero denominator in {tok!r}") from None
             coef = x if coef is None else coef * x
-        if coef is None:
-            coef = Fraction(1)
-        elif not coef:
-            continue
-        key = frozenset((n, e) for n, e in exps.items() if e) if exps else frozenset()
-        total[key] = total[key] + coef if key in total else coef
-    if not any(total):  # a rational: one term or none
-        return Scalar.rational(total.popitem()[1] if total else 0)
-    return _from_terms(total.items())
+        terms.append((exps.items(), 1 if coef is None else coef))
+    return _from_terms(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,18 @@ def test_exponents_outside_the_packing_exit_2(capsys, monkeypatch, entry, code):
         assert (got, out, err) == (0, "PASS ybe\n", "")
 
 
+@pytest.mark.parametrize("entry, named", [("1*q^40000 + 1*l^50000", "50000 of l"),
+                                          ("1*q^40000*l^50000", "40000 of q"),
+                                          ("1*q^-1*l^40000 + 1*q*l^-50000", "40000 of l")])
+def test_the_first_exponent_outside_the_packing_is_named(capsys, monkeypatch, entry, named):
+    # The offender named is the first in the order of the entry's terms as
+    # str prints them, then in parameter order; not the first in the text.
+    doc = {"dim": 2, "arity": 2, "columns": {"0": [["0", entry]]}}
+    got, out, err = run(capsys, ["verify", "ybe"], stdin=json.dumps(doc),
+                        monkeypatch=monkeypatch)
+    assert (got, out) == (2, "") and f"error: exponent {named} is outside the range" in err
+
+
 @pytest.mark.parametrize("row, entry", [("99", "0"), ("-5", "0/7"), ("99", "1")])
 def test_an_entry_at_an_out_of_range_row_exits_2(capsys, monkeypatch, row, entry):
     # A zero entry is refused as a nonzero one is: the row is checked first.

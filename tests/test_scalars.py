@@ -196,6 +196,9 @@ def _same_terms(got, want):
 def _matches(got: Scalar, want: dict) -> None:
     assert got.terms == ref_terms(want) and str(got) == ref_str(want)
     assert all(type(c) is Fraction for _, c in got.terms)
+    # A parameter whose terms all cancelled is gone from the stored entry too.
+    assert got.parameters() == {n for exps, c in want.items() if c for n, _ in exps}
+    assert got == Scalar(want) and hash(got) == hash(Scalar(want))
 
 
 def _same_outcome(got, want, check) -> None:
@@ -213,6 +216,8 @@ def _same_outcome(got, want, check) -> None:
 
 @settings(deadline=None)
 @given(term_maps, term_maps)
+# The sum and the difference each lose a parameter to cancellation.
+@example({(("q", 1),): Fraction(1), (): Fraction(1)}, {(("q", 1),): Fraction(-1)})
 def test_fast_path_matches_term_map_path(x, y):
     sx, sy = Scalar(x), Scalar(y)
     _matches(sx, x)
@@ -328,7 +333,8 @@ def test_rational_coercion_refuses_floats_and_keeps_numpy_integers():
              lambda: CompatibleAlpha(SupportPattern(2, {1: 1}), {1: 0.5}),
              lambda: heisenberg_morphism(1, 0, 0.5, 0, 0, 1),
              lambda: sl2_morphism(1, a=0.5),
-             lambda: as_scalar("1")]
+             lambda: as_scalar("1"), lambda: Scalar.rational(0.1),
+             lambda: Scalar.monomial(0.5, [("q", 1)]), lambda: Scalar({(("q", 1),): 0.5})]
     for call in calls:
         with pytest.raises(TypeError, match="rational number"):
             call()
