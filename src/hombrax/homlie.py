@@ -32,9 +32,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import RationalLike, Scalar, as_scalar
 from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
-                            SymbolicNotMonomialInvertible, TensorOp, _json_dense, _json_dim,
-                            _json_labels, _json_sparse, _on, _OnSpace, _sparse_json, as_op,
-                            compose, identity_op, invert, residual, swap_op, tensor_product)
+                            SymbolicNotMonomialInvertible, TensorOp, _from_entries, _json_dense,
+                            _json_dim, _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
+                            as_op, compose, identity_op, invert, residual, swap_op, tensor_product)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,17 +110,20 @@ class HomLieAlgebra(_OnSpace):
 def lie_algebra(labels: Sequence[str],
                 bracket_map: Mapping[tuple[int, int], Mapping[int, RationalLike | Scalar]],
                 alpha: TensorOp | None = None) -> HomLieAlgebra:
-    """Build an algebra from sparse i<j brackets; skew part is filled in."""
-    n = len(labels)
-    c = [[[Scalar.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    """Build an algebra from sparse brackets {(i, j): {k: c}}; the skew part
+    is filled in and a pair given both ways adds up."""
+    space = BasedSpace(labels)
+    n = space.dim
+    cols = [[] for _ in range(n * n)]
     for (i, j), vec in bracket_map.items():
         if i == j:
             raise InvariantViolated(f"[x_{i}, x_{i}] must be zero")
         for k, coef in vec.items():
             s = as_scalar(coef)
-            c[i][j][k] = c[i][j][k] + s
-            c[j][i][k] = c[j][i][k] - s
-    return HomLieAlgebra(labels, c, alpha or identity_op(BasedSpace(labels)))
+            cols[i * n + j].append((k, s))
+            cols[j * n + i].append((k, -s))
+    bracket = _from_entries((space, space), (space,), cols)
+    return HomLieAlgebra(labels, bracket, alpha or identity_op(space))
 
 
 def heisenberg() -> HomLieAlgebra:
@@ -421,27 +424,29 @@ def extension_space(L: HomLieAlgebra) -> BasedSpace:
 
 def extended_alpha(L: HomLieAlgebra) -> LinearMap:
     """alpha extended by the identity on the added line: (a, x) -> (a, alpha x)."""
-    n = L.dim
-    zero, one = Scalar.zero(), Scalar.one()
-    rows = [[one] + [zero] * n] + [[zero] + row for row in L.alpha.dense()]
-    return LinearMap(extension_space(L), rows)
+    return _one_plus(extension_space(L), L.alpha)
+
+
+def _one_plus(E: BasedSpace, a: TensorOp) -> LinearMap:
+    """1 (+) a on E = C (+) L for a self-map a of L: a's stored columns moved
+    down one row, after the column e_0 -> e_0 (the stored den over den)."""
+    cols = (((0, a._den),),) + tuple(tuple((r + 1, v) for r, v in col) for col in a._cols)
+    return LinearMap._packed((E,), (E,), a._params, a._den, cols)
 
 
 def _extension_braiding(L: HomLieAlgebra, a: TensorOp, b: TensorOp,
                         bracket_left: bool) -> TensorOp:
     """swap (a' (x) a') plus the bracket term, on E (x) E for E = C (+) L.
 
-    a' = 1 (+) a is unit o coord + inc o a o proj, built from the unit
-    () -> E, its coordinate E -> (), the inclusion L -> E and the projection
-    E -> L.  The bracket term inc o b o (proj (x) proj) sits beside the unit:
+    a' is 1 (+) a.  The bracket term inc o b o (proj (x) proj), with the
+    inclusion L -> E and the projection E -> L, sits beside the unit () -> E:
     in the right tensor factor, or in the left one when bracket_left.
     """
     E, V, n = extension_space(L), L.space, L.dim
     unit = TensorOp._rational((), (E,), 1, (((0, 1),),))
-    coord = TensorOp._rational((E,), (), 1, (((0, 1),),) + ((),) * n)
     inc = TensorOp._rational((V,), (E,), 1, tuple(((k + 1, 1),) for k in range(n)))
     proj = TensorOp._rational((E,), (V,), 1, ((),) + tuple(((k, 1),) for k in range(n)))
-    a_ext = compose(unit, coord) + compose(inc, a, proj)
+    a_ext = _one_plus(E, a)
     term = compose(inc, b, tensor_product(proj, proj))
     term = tensor_product(term, unit) if bracket_left else tensor_product(unit, term)
     return compose(swap_op(E), tensor_product(a_ext, a_ext)) + term
@@ -525,6 +530,6 @@ def algebra_to_json_dict(L: HomLieAlgebra) -> dict:
 
 def algebra_from_json_dict(data: Mapping) -> HomLieAlgebra:
     n = _json_dim(data, 3)
-    labels = _json_labels(data, n, "x")
-    alpha = LinearMap(BasedSpace(labels), _json_dense(data["alpha"], (n, n), "alpha"))
-    return HomLieAlgebra(labels, _json_sparse(data["c"], (n, n, n), 2, "c"), alpha)
+    V = BasedSpace(_json_labels(data, n, "x"))
+    alpha = LinearMap(V, _json_dense(data["alpha"], (n, n), "alpha"))
+    return HomLieAlgebra(V.labels, _json_sparse(data["c"], (V, V), (V,), "c"), alpha)

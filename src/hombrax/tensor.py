@@ -23,13 +23,14 @@ else works on the operator through ``compose``, ``invert``, ``lift``,
 ``rebase`` and ``dense()``.
 
 Columns are canonical: rows strictly increase, no entry is zero and every
-row is in range.  ``TensorOp(space, arity, columns)`` is the one validating
-entry for columns of an operator on V^(tensor m) (JSON, user code,
-``LinearMap``) and ``as_op`` the one for structure constants given as a
-grid.  Everything else (``compose``, ``tensor_product``, sums, scaling,
-``lift``, ``invert``, ``rebase``, ``identity_op``, ``swap_op``) builds its
-result with ``TensorOp._trusted``, ``_rational`` or ``_packed``: the columns
-are canonical and in range by construction or canonicalised there.
+row is in range.  ``_from_entries`` is the one place Scalar entries become
+a stored form, for ``TensorOp(space, arity, columns)`` (JSON operators, user
+code, ``LinearMap``), ``as_op`` grids, ``map_scalars`` and the sparse
+structure-constant reader.  Everything else (``compose``, ``tensor_product``,
+sums, scaling, ``lift``, ``invert``, ``rebase``, ``identity_op``,
+``swap_op``) builds its result with ``TensorOp._rational`` or ``_packed``:
+the columns are canonical and in range by construction or canonicalised
+there.
 
 An operator stores its entries in the one coefficient form of
 ``hombrax.scalars`` (an ``int`` or a packed ``Laurent``), over one parameter
@@ -37,14 +38,13 @@ order and one denominator for all of them: ``(params, den, cols)``, the
 operator cols / den, canonical as a Scalar is (den > 0, content 1, only the
 parameters that occur; the zero operator is ``((), 1, empty columns)``).
 Equality and hashing are structural on ``(dom, cod, params, den, cols)``,
-and nothing is written to an operator after it is built.  Scalar columns
-are stored by repacking each Scalar's entry over the union of their orders
-and the lcm of their denominators; ``.columns``, ``entry`` and ``dense()``
-wrap stored entries as Scalars and JSON writes their text, re-sorting
-nothing.  A kernel call raises ValueError before it starts if its factors'
-largest exponents, summed along a product, reach ``EXP_LIMIT``, so keys never
-wrap.  ``mod_p(p)`` is the one reduction to F_p: the dense matrix of a
-rational operator with one inverse of the denominator.
+and nothing is written to an operator after it is built.  ``.columns``,
+``entry`` and ``dense()`` wrap stored entries as Scalars and JSON writes
+their text, re-sorting nothing.  A kernel call raises ValueError before it
+starts if its factors' largest exponents, summed along a product, reach
+``EXP_LIMIT``, so keys never wrap.  ``mod_p(p)`` is the one reduction to
+F_p: the dense matrix of a rational operator with one inverse of the
+denominator.
 
 Each kernel loop is written once, over the packed entries of every factor,
 the factors' keys first packed over the union of their orders.  One loop,
@@ -220,13 +220,6 @@ def _check_words(a: Word, b: Word) -> None:
         raise cls(f"{list(a)} vs {list(b)}")
 
 
-def _canonical_column(entries: Iterable[tuple[int, Scalar]]) -> Column:
-    acc: dict[int, Scalar] = {}
-    for row, s in entries:
-        acc[row] = acc[row] + s if row in acc else s
-    return tuple(sorted((r, s) for r, s in acc.items() if s))
-
-
 def _content(den: int, nums: Sequence[int]) -> int:
     """gcd(den, *nums), taken as gcd(gcd(den, sum(nums)), *nums): equal, as
     the sum lies in the numerators' ideal.  A kernel's numerators over one
@@ -288,16 +281,33 @@ def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) 
     return kept, den, cols, emax
 
 
-def _stored(cols: tuple[Column, ...]) -> _Stored:
-    """The stored form of canonical Scalar columns, each entry repacked over
-    the union of their orders and the lcm of their dens.  The content stays
-    1: a prime's full power in the lcm divides some entry's den."""
+def _from_entries(dom: Word, cod: Word, columns: Iterable[Iterable[tuple[int, Scalar]]],
+                  op: "TensorOp | None" = None) -> "TensorOp":
+    """The map dom -> cod with these Scalar columns (op, if given, is the
+    object filled in): every row is checked, a zero entry's too, entries
+    that share a row add up, zeros go, and the entries are repacked over the
+    union of their orders and the lcm of their dens.  The content stays 1: a
+    prime's full power in the lcm divides some entry's den."""
+    n = _size(cod)
+    cols = []
+    for col in columns:
+        acc: dict[int, Scalar] = {}
+        for row, s in col:
+            if not 0 <= row < n:
+                raise IndexError(f"row {row} out of range")
+            acc[row] = acc[row] + s if row in acc else s
+        # The rows are distinct, so sorting never compares entries.
+        cols.append(sorted([e for e in acc.items() if e[1]]))
     entries = [s for col in cols for _, s in col]
     params = _union({s._params for s in entries})
     den = math.lcm(*{s._den for s in entries})
     emax = max([s._emax for s in entries], default=0)
-    return params, den, tuple(tuple((r, _repacked(s._v, s._params, params) * (den // s._den))
-                                    for r, s in col) for col in cols), emax
+    if op is None:
+        op = object.__new__(TensorOp)
+    op._set(dom, cod, params, den, tuple(tuple(
+        (r, _repacked(s._v, s._params, params) * (den // s._den)) for r, s in col)
+        for col in cols), emax)
+    return op
 
 
 def _over(op: "TensorOp", params: tuple[str, ...]) -> tuple:
@@ -342,13 +352,7 @@ class TensorOp(_Frozen):
             columns = [columns.get(j, ()) for j in range(n)]
         elif len(columns) != n:
             raise ValueError(f"expected {n} columns, got {len(columns)}")
-        # Every row is checked, a zero entry's too, before zeros are dropped.
-        columns = [tuple(c) for c in columns]
-        for col in columns:
-            for row, _ in col:
-                if not 0 <= row < n:
-                    raise IndexError(f"row {row} out of range")
-        self._set(word, word, *_stored(tuple(map(_canonical_column, columns))))
+        _from_entries(word, word, columns, self)
 
     def _set(self, dom: Word, cod: Word, params: tuple[str, ...], den: int,
              cols: tuple, emax: int) -> None:
@@ -358,14 +362,6 @@ class TensorOp(_Frozen):
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_emax", emax)
-
-    @classmethod
-    def _trusted(cls, dom: Word, cod: Word, cols: tuple[Column, ...]) -> "TensorOp":
-        """A map from Scalar columns that are canonical and in range by
-        construction."""
-        op = object.__new__(cls)
-        op._set(dom, cod, *_stored(cols))
-        return op
 
     @classmethod
     def _rational(cls, dom: Word, cod: Word, den: int,
@@ -483,8 +479,8 @@ class TensorOp(_Frozen):
         return compose(self, other)
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "TensorOp":
-        return TensorOp._trusted(self.dom, self.cod, tuple(
-            _canonical_column((r, fn(s)) for r, s in col) for col in self.columns))
+        return _from_entries(self.dom, self.cod,
+                             [[(r, fn(s)) for r, s in col] for col in self.columns])
 
     def instantiate(self, assignment: Mapping[str, RationalLike]) -> "TensorOp":
         """Evaluate every entry at a rational parameter point, raising
@@ -604,9 +600,7 @@ def as_op(data, dom: Word, cod: Word) -> TensorOp:
 
     walk(data, [s.dim for s in dom + cod])
     n = _size(cod)
-    return TensorOp._trusted(dom, cod, tuple(
-        tuple((r, s) for r, s in enumerate(flat[j:j + n]) if not s.is_zero())
-        for j in range(0, len(flat), n)))
+    return _from_entries(dom, cod, [enumerate(flat[j:j + n]) for j in range(0, len(flat), n)])
 
 
 def identity_op(space: BasedSpace | Word, m: int = 1) -> TensorOp:
@@ -934,8 +928,8 @@ def _json_object(pairs: list[tuple[str, object]]) -> dict:
 
 # The structure-constant formats (Hom-Lie algebras, bialgebras and YD
 # modules).  The readers raise ValueError for a wrong JSON type, an index out
-# of range (a negative one included) or an oversized dim, before any grid is
-# allocated.
+# of range (a negative one included) or an oversized dim, and read only the
+# entries a document sets: nothing is allocated per zero entry.
 
 def _sparse_json(op: TensorOp) -> dict:
     """The nonzero entries of a map between words as _json_sparse reads them:
@@ -975,16 +969,14 @@ def _json_dense(data, dims: Sequence[int], what: str):
     return [_json_dense(x, dims[1:], what) for x in data]
 
 
-def _zeros(dims: Sequence[int]):
-    return [_zeros(dims[1:]) for _ in range(dims[0])] if dims else Scalar.zero()
-
-
-def _json_sparse(data, dims: Sequence[int], split: int, what: str) -> list:
-    """A dims-shaped grid of scalars, zero except where data sets an entry:
-    {"i,j": {"k": "<scalar>"}}, with the first ``split`` indices outside."""
+def _json_sparse(data, dom: Word, cod: Word, what: str) -> TensorOp:
+    """The map dom -> cod that is zero except where data sets an entry:
+    {"i,j": {"k": "<scalar>"}}, one index per factor of dom outside and one
+    per factor of cod inside."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
-    grid = _zeros(dims)
+    split, dims, n = len(dom), tuple(s.dim for s in dom + cod), _size(cod)
+    cols = [[] for _ in range(_size(dom))]
     for key, inner in data.items():
         if not isinstance(inner, Mapping) or key.count(",") != split - 1:
             raise ValueError(f"{what}: {key!r} must be {split} indices mapped to an object")
@@ -992,12 +984,12 @@ def _json_sparse(data, dims: Sequence[int], split: int, what: str) -> list:
             idx = [_json_int(x, f"{what} index") for x in f"{key},{rest}".split(",")]
             if len(idx) != len(dims) or not all(0 <= i < d for i, d in zip(idx, dims)):
                 raise ValueError(f"{what} index {key},{rest} is outside the shape {dims}")
-            *path, last = idx
-            cell = grid
-            for i in path:
-                cell = cell[i]
-            cell[last] = parse_scalar(text)
-    return grid
+            flat = 0
+            for i, d in zip(idx, dims):
+                flat = flat * d + i
+            j, r = divmod(flat, n)
+            cols[j].append((r, parse_scalar(text)))
+    return _from_entries(dom, cod, cols)
 
 
 def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorOp:

@@ -410,10 +410,10 @@ def bialgebra_to_json_dict(H: Bialgebra) -> dict:
 
 def bialgebra_from_json_dict(data: Mapping) -> Bialgebra:
     d = _json_dim(data, 3)
-    return Bialgebra(_json_labels(data, d, "h"),
-                     _json_sparse(data["mult"], (d, d, d), 2, "mult"),
+    H = BasedSpace(_json_labels(data, d, "h"))
+    return Bialgebra(H.labels, _json_sparse(data["mult"], (H, H), (H,), "mult"),
                      _json_dense(data["unit"], (d,), "unit"),
-                     _json_sparse(data["comult"], (d, d, d), 1, "comult"),
+                     _json_sparse(data["comult"], (H,), (H, H), "comult"),
                      _json_dense(data["counit"], (d,), "counit"))
 
 
@@ -429,7 +429,7 @@ def module_to_json_dict(V: YDModule) -> dict:
 
 def module_from_json_dict(data: Mapping) -> YDModule:
     n = _json_dim(data, 3)
-    H = bialgebra_from_json_dict(data["bialgebra"])
-    return YDModule(H, _json_labels(data, n, "v"),
-                    _json_sparse(data["action"], (H.dim, n, n), 2, "action"),
-                    _json_sparse(data["coaction"], (n, H.dim, n), 1, "coaction"))
+    host = bialgebra_from_json_dict(data["bialgebra"])
+    H, V = host.space, BasedSpace(_json_labels(data, n, "v"))
+    return YDModule(host, V.labels, _json_sparse(data["action"], (H, V), (V,), "action"),
+                    _json_sparse(data["coaction"], (V,), (H, V), "coaction"))

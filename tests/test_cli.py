@@ -860,7 +860,6 @@ def test_repeated_json_key_exits_2(capsys, monkeypatch, command, text):
 def test_oversized_structure_constant_json_exits_2_before_building(
         capsys, monkeypatch, command, doc):
     from hombrax import tensor
-    monkeypatch.setattr(tensor, "_zeros", _refuse)
     monkeypatch.setattr(tensor, "_json_labels", _refuse)
     code, out, err = run(capsys, command.split(), stdin=json.dumps(doc),
                          monkeypatch=monkeypatch)

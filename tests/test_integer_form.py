@@ -34,10 +34,13 @@ from helpers import (
 )
 from hombrax.braid import tensor_power_solution
 from hombrax.homlie import (
+    algebra_from_json_dict,
+    algebra_to_json_dict,
     braiding_on_extension,
     extended_alpha,
     heisenberg,
     heisenberg_morphism,
+    lie_algebra,
     multiplicativity_residual,
     sl2_star,
     sl2_star_morphism,
@@ -71,6 +74,7 @@ from hombrax.tensor import (
     SpaceMismatch,
     SymbolicNotMonomialInvertible,
     TensorOp,
+    _from_entries,
     _reduced,
     _sparse_json,
     as_op,
@@ -88,6 +92,7 @@ from hombrax.tensor import (
     tensor_product,
 )
 from hombrax.yd import YDModule, group_bialgebra, yd_residual, z2_sign_module
+from hombrax.yd import module_from_json_dict, module_to_json_dict
 
 V2 = BasedSpace.of_dim(2)
 GALLERY = rational_gallery()
@@ -569,7 +574,7 @@ def _check_packed(op: TensorOp) -> None:
                 assert set(v) != {0} and all(isinstance(c, int) and c for c in v.values())
             nums += [v] if isinstance(v, int) else v.values()
     assert op._den > 0 and math.gcd(op._den, *nums) == 1
-    copy = TensorOp._trusted(op.dom, op.cod, op.columns)
+    copy = _from_entries(op.dom, op.cod, op.columns)
     assert op == copy and hash(op) == hash(copy) and op.columns == copy.columns
 
 
@@ -601,7 +606,67 @@ def _built_every_way() -> list:
                 tensor_product(op, SMALL), residual((op, op), op)]
         if fraction_det_and_inverse(fraction_matrix(op))[0]:
             ops.append(invert(op))
+    # Structure constants given by their entries: the sparse JSON readers,
+    # lie_algebra and 1 (+) alpha on the extension of a symbolic twist.
+    q = Scalar.param("q")
+    L = yau_twist(sl2_star(), sl2_star_morphism(1, a21=q, a22=Fraction(1, 2), a33=q ** -1))
+    module = module_from_json_dict(_symbolic_module_doc())
+    H = module.host
+    ops += [algebra_from_json_dict(algebra_to_json_dict(L)).bracket, H.mult, H.unit, H.comult,
+            H.counit, module.action, module.coaction, *_lie_brackets().values(),
+            extended_alpha(L)]
     return ops
+
+
+def _symbolic_module_doc() -> dict:
+    """The Z/2 sign module's JSON with symbolic and zero entries written into
+    each sparse map (a document, not a YD module: nothing validates it)."""
+    doc = module_to_json_dict(z2_sign_module())
+    doc["action"]["1,0"] = {"0": "q", "1": "0"}
+    doc["coaction"]["1"] = {"0,1": "1/2*q^-1", "1,0": "0", "1,1": "3"}
+    doc["bialgebra"]["mult"]["1,1"] = {"0": "1 + q", "1": "0"}
+    doc["bialgebra"]["comult"]["0"] = {"0,0": "1", "1,1": "2/3*l"}
+    return doc
+
+
+_XYZ = ("x", "y", "z")
+
+
+def _lie_brackets() -> dict:
+    """lie_algebra brackets with one pair given both ways, and one given both
+    ways so that it cancels."""
+    q = Scalar.param("q")
+    return {"both ways": lie_algebra(_XYZ, {(0, 1): {2: q, 0: Fraction(1, 3)}, (1, 0): {2: 1},
+                                            (1, 2): {0: q, 1: -q}}).bracket,
+            "cancels": lie_algebra(_XYZ, {(0, 1): {2: 1}, (1, 0): {2: 1}}).bracket}
+
+
+def _nested(op: TensorOp) -> list:
+    """The structure-constant grid of a map between words, indexed by the
+    domain's indices, then the codomain's, as as_op reads it."""
+    grid = [s for col in zip(*op.dense()) for s in col]
+    for d in reversed([s.dim for s in op.dom + op.cod]):
+        grid = [grid[i:i + d] for i in range(0, len(grid), d)]
+    return grid[0]
+
+
+def test_every_way_of_building_has_the_stored_form_of_its_dense_grid():
+    # as_op of a dense grid is the oracle of the one builder.
+    for op in _built_every_way():
+        assert op._key() == as_op(_nested(op), op.dom, op.cod)._key()
+
+
+def test_lie_algebra_adds_a_pair_given_both_ways():
+    q, zero = Scalar.param("q"), Scalar.zero()
+    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1] = [Fraction(1, 3), zero, q - 1]
+    c[1][0] = [Fraction(-1, 3), zero, 1 - q]
+    c[1][2], c[2][1] = [q, -q, zero], [-q, q, zero]
+    space = BasedSpace(_XYZ)
+    brackets = _lie_brackets()
+    assert brackets["both ways"] == as_op(c, (space, space), (space,))
+    assert brackets["cancels"] == lie_algebra(_XYZ, {}).bracket
+    assert brackets["cancels"].is_zero() and brackets["cancels"]._integer() == (1, ((),) * 9)
 
 
 def test_every_way_of_building_stores_one_form():
@@ -641,7 +706,7 @@ def test_reading_an_operator_writes_nothing_to_it():
 def _scaled_entrywise(op: TensorOp, s) -> TensorOp:
     """op.scale(s) as map_scalars computed it: s * v on each Scalar entry v."""
     s = s if isinstance(s, Scalar) else Scalar.rational(s)
-    return TensorOp._trusted(op.dom, op.cod, tuple(
+    return _from_entries(op.dom, op.cod, tuple(
         tuple((r, s * v) for r, v in col if not (s * v).is_zero()) for col in op.columns))
 
 
