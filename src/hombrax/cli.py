@@ -138,12 +138,10 @@ def _construct_homlie(args) -> dict:
         alpha = homlie.sl2_star_morphism(args.kind, **dict(zip(names, params)))
         g = homlie.sl2_star()
     elif args.algebra == "sl2":
-        if args.kind == 0:
-            alpha = homlie.sl2_morphism(0)
-        else:
-            if len(params) != 3:
-                raise ValueError("sl2 needs --params a,b,c")
-            alpha = homlie.sl2_morphism(args.kind, *params)
+        if args.kind != 0 and len(params) != 3:
+            raise ValueError("sl2 needs --params a,b,c")
+        # Kind 0 has no parameters: sl2_morphism names any that are given.
+        alpha = homlie.sl2_morphism(args.kind, *params[:3])
         g = homlie.sl2()
     else:
         raise ValueError(f"unknown algebra {args.algebra}")

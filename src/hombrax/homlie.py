@@ -33,8 +33,9 @@ from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import RationalLike, Scalar, as_scalar
 from hombrax.tensor import (BasedSpace, DimMismatch, LinearMap, Singular,
                             SymbolicNotMonomialInvertible, TensorOp, _from_entries, _json_dense,
-                            _json_dim, _json_labels, _json_sparse, _on, _OnSpace, _sparse_json,
-                            as_op, compose, identity_op, invert, residual, swap_op, tensor_product)
+                            _json_dim, _json_labels, _json_sparse, _on, _one_plus, _OnSpace,
+                            _sparse_json, as_op, compose, identity_op, invert, residual, swap_op,
+                            tensor_product)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,11 +112,14 @@ def lie_algebra(labels: Sequence[str],
                 bracket_map: Mapping[tuple[int, int], Mapping[int, RationalLike | Scalar]],
                 alpha: TensorOp | None = None) -> HomLieAlgebra:
     """Build an algebra from sparse brackets {(i, j): {k: c}}; the skew part
-    is filled in and a pair given both ways adds up."""
+    is filled in, a pair given both ways adds up and an index outside 0..n-1
+    raises IndexError."""
     space = BasedSpace(labels)
     n = space.dim
     cols = [[] for _ in range(n * n)]
     for (i, j), vec in bracket_map.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"bracket [x_{i}, x_{j}] out of range for dim {n}")
         if i == j:
             raise InvariantViolated(f"[x_{i}, x_{i}] must be zero")
         for k, coef in vec.items():
@@ -195,22 +199,34 @@ def heisenberg_morphism(a12, a13, a22, a23, a32, a33) -> LinearMap:
                                  [zero, a32, a33]])
 
 
+def _check_names(kind: int, given: Sequence[str], names: Sequence[str]) -> None:
+    """Refuse the given parameters that the family kind does not have."""
+    extra = [n for n in given if n not in names]
+    if extra:
+        raise ConstraintViolated(f"kind {kind} has no parameter {', '.join(extra)}")
+
+
 def sl2_star_morphism(kind: int, **params) -> LinearMap:
     """Self-morphisms of the Poincare algebra.
 
     kind 1 fixes X up to adding Y, Z components and acts freely on the
     plane span(Y, Z); kind 2 sends the plane to zero and scales X by
-    a11 != 1, with Y, Z components of the image of X free.
+    a11 != 1, with Y, Z components of the image of X free.  Omitted
+    parameters are 0; a parameter the kind does not have raises
+    ConstraintViolated.
     """
     zero = Scalar.zero()
     if kind == 1:
-        a21, a31, a22, a23, a32, a33 = (as_scalar(params.get(k, 0)) for k in
-                                        ("a21", "a31", "a22", "a23", "a32", "a33"))
+        names = ("a21", "a31", "a22", "a23", "a32", "a33")
+        _check_names(kind, params, names)
+        a21, a31, a22, a23, a32, a33 = (as_scalar(params.get(k, 0)) for k in names)
         return LinearMap(_SPACE3, [[Scalar.one(), zero, zero],
                                      [a21, a22, a23],
                                      [a31, a32, a33]])
     if kind == 2:
-        a11, a21, a31 = (as_scalar(params.get(k, 0)) for k in ("a11", "a21", "a31"))
+        names = ("a11", "a21", "a31")
+        _check_names(kind, params, names)
+        a11, a21, a31 = (as_scalar(params.get(k, 0)) for k in names)
         if (a11 - Scalar.one()).is_zero():
             raise ConstraintViolated("kind 2 needs a11 != 1")
         return LinearMap(_SPACE3, [[a11, zero, zero],
@@ -219,16 +235,19 @@ def sl2_star_morphism(kind: int, **params) -> LinearMap:
     raise ConstraintViolated(f"kind must be 1 or 2, got {kind}")
 
 
-def sl2_morphism(kind: int, a=0, b=0, c=0) -> LinearMap:
+def sl2_morphism(kind: int, a=None, b=None, c=None) -> LinearMap:
     """The four families of sl(2) self-morphisms.
 
-    kind 0 is the zero map.  Kinds 1 and 2 need b != 0 and ac = 0; kind 3
-    needs ab != 0 and c != +-1.  All three nonzero kinds have determinant 1.
+    kind 0 is the zero map and has no parameters (ConstraintViolated if one
+    is given).  Kinds 1 and 2 need b != 0 and ac = 0; kind 3 needs ab != 0
+    and c != +-1; an omitted parameter is 0.  All three nonzero kinds have
+    determinant 1.
     """
-    a, b, c = map(as_scalar, (a, b, c))
     zero, one = Scalar.zero(), Scalar.one()
     if kind == 0:
+        _check_names(0, [n for n, x in zip("abc", (a, b, c)) if x is not None], ())
         return LinearMap(_SPACE3, [[zero] * 3] * 3)
+    a, b, c = (zero if x is None else as_scalar(x) for x in (a, b, c))
     if kind in (1, 2):
         if b.is_zero():
             raise ConstraintViolated(f"kind {kind} needs b != 0")
@@ -425,13 +444,6 @@ def extension_space(L: HomLieAlgebra) -> BasedSpace:
 def extended_alpha(L: HomLieAlgebra) -> LinearMap:
     """alpha extended by the identity on the added line: (a, x) -> (a, alpha x)."""
     return _one_plus(extension_space(L), L.alpha)
-
-
-def _one_plus(E: BasedSpace, a: TensorOp) -> LinearMap:
-    """1 (+) a on E = C (+) L for a self-map a of L: a's stored columns moved
-    down one row, after the column e_0 -> e_0 (the stored den over den)."""
-    cols = (((0, a._den),),) + tuple(tuple((r + 1, v) for r, v in col) for col in a._cols)
-    return LinearMap._packed((E,), (E,), a._params, a._den, cols)
 
 
 def _extension_braiding(L: HomLieAlgebra, a: TensorOp, b: TensorOp,

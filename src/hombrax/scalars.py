@@ -472,13 +472,14 @@ def _from_terms(items: Iterable[tuple[Iterable[tuple[str, int]], RationalLike]])
         exps: dict[str, int] = {}
         for n, e in pairs:
             exps[n] = exps.get(n, 0) + e
-        key = frozenset((n, e) for n, e in exps.items() if e)
+        key = frozenset([(n, e) for n, e in exps.items() if e]) if exps else frozenset()
         c = _rational(c)
         total[key] = total[key] + c if key in total else c
     terms = [(dict(key), c) for key, c in total.items() if c]
-    params = param_order(n for exps, _ in terms for n in exps)
-    if not params:  # a rational: one term or none
+    names = {n for exps, _ in terms for n in exps}
+    if not names:  # a rational: one term or none
         return Scalar.rational(terms[0][1] if terms else 0)
+    params = param_order(names)
     bad = [([exps.get(m, 0) for m in params], _param_key(n), n, e)
            for exps, _ in terms for n, e in exps.items() if not -EXP_LIMIT < e < EXP_LIMIT]
     if bad:
@@ -602,8 +603,7 @@ def parse_scalar(text: str) -> Scalar:
         part = part.strip()
         if not part:
             raise ScalarParseError(f"empty term in {text!r}")
-        coef = None
-        exps: dict[str, int] = {}
+        coef, pairs = None, []
         for i, tok in enumerate(part.split("*")):
             tok = tok.strip()
             # An identifier never spells a number, so a factor is tried as a
@@ -614,7 +614,7 @@ def parse_scalar(text: str) -> Scalar:
                     e = int(exp) if caret else 1
                 except ValueError:
                     raise ScalarParseError(f"bad exponent in {tok!r}") from None
-                exps[name] = exps.get(name, 0) + e
+                pairs.append((name, e))
                 continue
             try:
                 x = _number(tok)
@@ -627,7 +627,7 @@ def parse_scalar(text: str) -> Scalar:
             except ZeroDivisionError:
                 raise ScalarParseError(f"zero denominator in {tok!r}") from None
             coef = x if coef is None else coef * x
-        terms.append((exps.items(), 1 if coef is None else coef))
+        terms.append((pairs, 1 if coef is None else coef))
     return _from_terms(terms)
 
 

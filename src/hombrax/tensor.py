@@ -745,6 +745,13 @@ class LinearMap(TensorOp):
         return invert(self)
 
 
+def _one_plus(space: BasedSpace, a: TensorOp) -> LinearMap:
+    """1 (+) a on space, for a self-map a of the span of all but space's
+    first basis vector: a's stored columns moved down one row."""
+    cols = (((0, a._den),),) + tuple(tuple((r + 1, v) for r, v in col) for col in a._cols)
+    return LinearMap._packed((space,), (space,), a._params, a._den, cols)
+
+
 def linear_map_from_op(op: TensorOp) -> TensorOp:
     """op itself, once checked to be a self-map of one space (kept for perfbench)."""
     if op.arity != 1:

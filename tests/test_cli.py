@@ -43,6 +43,13 @@ def test_construct_bql_dim3(capsys):
     assert len(doc["columns"]) == 9
 
 
+@pytest.mark.parametrize("params, named", [("1,2,3", "a, b, c"), ("0", "a")])
+def test_construct_sl2_kind_0_refuses_params(capsys, params, named):
+    code, out, err = run(capsys, ["construct", "homlie", "--algebra", "sl2",
+                                  "--kind", "0", "--params", params])
+    assert (code, out) == (2, "") and err == f"error: kind 0 has no parameter {named}\n"
+
+
 def test_construct_homlie_identity_twist(capsys):
     code, out, _ = run(capsys, ["construct", "homlie", "--algebra", "sl2",
                                 "--kind", "1", "--params", "0,1,0"])

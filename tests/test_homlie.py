@@ -154,6 +154,21 @@ def test_sl2_morphism_kinds():
         sl2_morphism(3, 0, 1, 0)
 
 
+def test_family_constructors_refuse_parameters_their_kind_lacks():
+    with pytest.raises(ConstraintViolated, match="kind 2 has no parameter a12, a22"):
+        sl2_star_morphism(2, a11=3, a12=5, a22=9)
+    with pytest.raises(ConstraintViolated, match="kind 1 has no parameter a11"):
+        sl2_star_morphism(1, a11=3, a22=2)
+    with pytest.raises(ConstraintViolated, match="kind 0 has no parameter a, b, c"):
+        sl2_morphism(0, 5, 6, 7)
+    with pytest.raises(ConstraintViolated, match="kind 0 has no parameter b"):
+        sl2_morphism(0, b=0)
+    assert sl2_morphism(0).is_zero()
+    # An omitted parameter of the kind is still 0.
+    assert sl2_morphism(1, b=1) == sl2_morphism(1, 0, 1, 0)
+    assert sl2_star_morphism(2, a11=3) == sl2_star_morphism(2, a11=3, a21=0, a31=0)
+
+
 def det3(m: LinearMap) -> Scalar:
     r = m.dense()
     return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
@@ -320,6 +335,16 @@ def test_validate_names_the_failed_axiom():
     # [a, b] = a, [b, c] = b: the Jacobi sum on (a, b, c) is -a.
     with pytest.raises(InvariantViolated, match="twisted Jacobi fails at"):
         lie_algebra(("a", "b", "c"), {(0, 1): {0: 1}, (1, 2): {1: 1}}).validate()
+
+
+@pytest.mark.parametrize("brackets", [{(1, -1): {-3: 1}}, {(2, -1): {0: 1}},
+                                      {(-1, -1): {0: 1}}, {(3, 0): {1: 1}},
+                                      {(0, 1): {-1: 1}}, {(0, 1): {3: 0}}], ids=repr)
+def test_lie_algebra_refuses_an_index_outside_the_basis(brackets):
+    # (1, -1): {-3: 1} would wrap to heisenberg() and (2, -1): {0: 1} cancel
+    # to the zero bracket; i and j are checked before the i == j test.
+    with pytest.raises(IndexError, match="out of range"):
+        lie_algebra(("X", "Y", "Z"), brackets)
 
 
 def test_braiding_inverse_singular_alpha():
