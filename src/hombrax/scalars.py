@@ -472,7 +472,7 @@ def _from_terms(items: Iterable[tuple[Iterable[tuple[str, int]], RationalLike]])
         exps: dict[str, int] = {}
         for n, e in pairs:
             exps[n] = exps.get(n, 0) + e
-        key = frozenset([(n, e) for n, e in exps.items() if e]) if exps else frozenset()
+        key = frozenset((n, e) for n, e in exps.items() if e)
         c = _rational(c)
         total[key] = total[key] + c if key in total else c
     terms = [(dict(key), c) for key, c in total.items() if c]
