@@ -118,37 +118,35 @@ def _gallery_phi_alpha() -> tuple[TensorOp, TensorOp]:
     return B, alpha
 
 
+_HOMLIE = {"heisenberg": (homlie.heisenberg, homlie.HEISENBERG_FAMILIES),
+           "sl2star": (homlie.sl2_star, homlie.SL2_STAR_FAMILIES),
+           "sl2": (homlie.sl2, homlie.SL2_FAMILIES)}
+
+
 def _construct_homlie(args) -> dict:
+    if args.algebra is None:
+        raise ValueError("construct homlie needs --algebra")
+    algebra, families = _HOMLIE[args.algebra]
+    if None in families and args.kind is not None:
+        raise ValueError(f"{args.algebra} has one morphism family: --kind does not apply")
+    kind = None if None in families else 1 if args.kind is None else args.kind
+    if kind not in families:
+        raise ValueError(f"{args.algebra} kinds are {', '.join(map(str, families))}")
+    names = families[kind].params
     params = [parse_scalar(p) for p in args.params.split(",")] if args.params else []
-    if args.algebra == "heisenberg":
-        if len(params) != 6:
-            raise ValueError("heisenberg needs --params a12,a13,a22,a23,a32,a33")
-        alpha = homlie.heisenberg_morphism(*params)
-        g = homlie.heisenberg()
-    elif args.algebra == "sl2star":
-        if args.kind == 1:
-            names = ("a21", "a31", "a22", "a23", "a32", "a33")
-        elif args.kind == 2:
-            names = ("a11", "a21", "a31")
-        else:
-            raise ValueError("sl2star kinds are 1 and 2")
-        if len(params) != len(names):
-            raise ValueError(f"sl2star kind {args.kind} needs --params "
-                             + ",".join(names))
-        alpha = homlie.sl2_star_morphism(args.kind, **dict(zip(names, params)))
-        g = homlie.sl2_star()
-    elif args.algebra == "sl2":
-        if args.kind != 0 and len(params) != 3:
-            raise ValueError("sl2 needs --params a,b,c")
-        # Kind 0 has no parameters: sl2_morphism names any that are given.
-        alpha = homlie.sl2_morphism(args.kind, *params[:3])
-        g = homlie.sl2()
-    else:
-        raise ValueError(f"unknown algebra {args.algebra}")
-    return homlie.algebra_to_json_dict(homlie.yau_twist(g, alpha))
+    if names and len(params) != len(names):
+        raise ValueError(f"{args.algebra}{'' if kind is None else f' kind {kind}'} "
+                         f"needs --params {','.join(names)}")
+    # Values given to a kind without parameters take the names of the
+    # algebra's other kinds, so that the refusal names them.
+    names = names or max((f.params for f in families.values()), key=len)
+    alpha = homlie.morphism(families, kind, **dict(zip(names, params)))
+    return homlie.algebra_to_json_dict(homlie.yau_twist(algebra(), alpha))
 
 
 def cmd_construct(args) -> int:
+    if args.target != "homlie" and (args.kind is not None or args.params):
+        raise ValueError(f"construct {args.target} takes no --kind or --params")
     if args.target == "phi":
         doc = tensor.op_to_json_dict(quantum.phi())
     elif args.target == "bql":
@@ -303,8 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target",
                    choices=["phi", "bql", "homlie", "yd-braiding", "tensor-power"])
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--algebra", choices=["heisenberg", "sl2star", "sl2"])
-    p.add_argument("--kind", type=int, default=1)
+    p.add_argument("--algebra", choices=list(_HOMLIE))
+    p.add_argument("--kind", type=int, default=None,
+                   help="family kind of an algebra that has kinds (default 1)")
     p.add_argument("--params", default="")
     p.add_argument("--gallery", choices=["z2", "trivial"], default="z2")
     p.add_argument("--n", type=int, default=2)

@@ -17,16 +17,18 @@ Twisting a classical algebra along such a morphism (``yau_twist``) yields a
 Hom-Lie algebra, and every Hom-Lie algebra L gives a braiding on the
 one-dimensional extension C (+) L which solves the twisted braid identity.
 
-The family lists are backed by exhaustive finite-field oracles
-(``classify_*_finite_field``) that scan every matrix A over F_p for the
-bracket residual A[x_i, x_j] - [A x_i, A x_j] and confirm that the families
-cover all morphism solutions.
+Each family is stated once, as data (``Family`` in the tables
+``HEISENBERG_FAMILIES``, ``SL2_STAR_FAMILIES`` and ``SL2_FAMILIES``): the
+same formula builds the map over Q and tests membership over F_p.  One
+driver, ``classify``, scans every matrix A over F_p for the bracket
+residual A[x_i, x_j] - [A x_i, A x_j] and counts the solutions each family
+of a table covers; the report names any that none covers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
@@ -183,108 +185,134 @@ def yau_twist(g: HomLieAlgebra, alpha: TensorOp) -> HomLieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# The classified morphism families.
+# The classified morphism families, each stated once for both rings.
 # ---------------------------------------------------------------------------
 
 _SPACE3 = BasedSpace(("X", "Y", "Z"))
 
 
-def heisenberg_morphism(a12, a13, a22, a23, a32, a33) -> LinearMap:
-    """The general Heisenberg self-morphism; X scales by the Y,Z-block determinant."""
-    a12, a13, a22, a23, a32, a33 = map(as_scalar, (a12, a13, a22, a23, a32, a33))
-    delta = a22 * a33 - a23 * a32
-    zero = Scalar.zero()
-    return LinearMap(_SPACE3, [[delta, a12, a13],
-                                 [zero, a22, a23],
-                                 [zero, a32, a33]])
+class Family(NamedTuple):
+    """One family of self-maps of a 3-dim algebra, stated once for both rings.
+
+    ``rows(inv, *params)`` is its matrix; each constraint ``(text, f,
+    must_vanish)`` says that ``f(*params)`` is zero (nonzero when not
+    must_vanish) and keeps every argument of inv nonzero.  Both use only +,
+    -, * and inv: ``build`` reads them over Q on Scalars, ``mod_p`` over F_p
+    on arrays of residues.  A matrix in the family has its parameters at the
+    flat entries ``at`` (row * 3 + column).
+    """
+
+    name: str
+    params: tuple[str, ...]
+    at: tuple[int, ...]
+    rows: Callable
+    constraints: tuple[tuple[str, Callable, bool], ...] = ()
+
+    def build(self, *values) -> LinearMap:
+        """The map at the given parameter values; ConstraintViolated names
+        the first constraint they break."""
+        values = tuple(map(as_scalar, values))
+        for text, f, must_vanish in self.constraints:
+            if as_scalar(f(*values)).is_zero() != must_vanish:
+                raise ConstraintViolated(text)
+        return LinearMap(_SPACE3, self.rows(Scalar.inverse, *values))
+
+    def mod_p(self, values: Sequence[np.ndarray], p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nine entries mod p (last axis) and whether every constraint
+        holds mod p, at broadcastable arrays of parameter residues."""
+        import numpy as np
+        table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        ok = np.ones(shape, dtype=bool)
+        for _, f, must_vanish in self.constraints:
+            ok &= (f(*values) % p == 0) == must_vanish
+        entries = [np.broadcast_to(e, shape)
+                   for row in self.rows(lambda x: table[x % p], *values) for e in row]
+        return np.stack(entries, axis=-1) % p, ok
 
 
-def _check_names(kind: int, given: Sequence[str], names: Sequence[str]) -> None:
-    """Refuse the given parameters that the family kind does not have."""
-    extra = [n for n in given if n not in names]
+# An algebra with one family keys it by None: it has no kinds.
+HEISENBERG_FAMILIES = {None: Family(
+    "heisenberg", ("a12", "a13", "a22", "a23", "a32", "a33"), (1, 2, 4, 5, 7, 8),
+    lambda inv, a12, a13, a22, a23, a32, a33: [[a22 * a33 - a23 * a32, a12, a13],
+                                                [0, a22, a23],
+                                                [0, a32, a33]])}
+
+# Kind 1 fixes X up to adding Y, Z components and acts freely on the plane
+# span(Y, Z); kind 2 sends the plane to zero and scales X by a11 != 1.
+SL2_STAR_FAMILIES = {
+    1: Family("kind1", ("a21", "a31", "a22", "a23", "a32", "a33"), (3, 6, 4, 5, 7, 8),
+              lambda inv, a21, a31, a22, a23, a32, a33: [[1, 0, 0],
+                                                          [a21, a22, a23],
+                                                          [a31, a32, a33]]),
+    2: Family("kind2", ("a11", "a21", "a31"), (0, 3, 6),
+              lambda inv, a11, a21, a31: [[a11, 0, 0], [a21, 0, 0], [a31, 0, 0]],
+              (("kind 2 needs a11 != 1", lambda a11, a21, a31: a11 - 1, False),)),
+}
+
+# a11 is 1 in kind 1, -1 in kind 2 and c in kind 3; all three nonzero kinds
+# have determinant 1.
+SL2_FAMILIES = {
+    0: Family("zero", (), (), lambda inv: [[0] * 3] * 3),
+    1: Family("kind1", ("a", "b", "c"), (2, 4, 1),
+              lambda inv, a, b, c: [[1, c, a],
+                                    [-2 * a * b, b, -a * a * b],
+                                    [-2 * inv(b) * c, -inv(b) * c * c, inv(b)]],
+              (("kind 1 needs b != 0", lambda a, b, c: b, False),
+               ("kind 1 needs ac = 0", lambda a, b, c: a * c, True))),
+    2: Family("kind2", ("a", "b", "c"), (2, 7, 1),
+              lambda inv, a, b, c: [[-1, c, a],
+                                    [2 * inv(b) * c, -inv(b) * c * c, inv(b)],
+                                    [2 * a * b, b, -a * a * b]],
+              (("kind 2 needs b != 0", lambda a, b, c: b, False),
+               ("kind 2 needs ac = 0", lambda a, b, c: a * c, True))),
+    3: Family("kind3", ("a", "b", "c"), (1, 3, 0),
+              lambda inv, a, b, c: [
+                  [c, a, (1 - c * c) * inv(4 * a)],
+                  [b, a * b * inv(c - 1), b * (1 - c) * inv(4 * a)],
+                  [(1 - c * c) * inv(b), a * (1 - c) * inv(b),
+                   (c - 1) * (c + 1) * (c + 1) * inv(4 * a) * inv(b)]],
+              (("kind 3 needs ab != 0", lambda a, b, c: a * b, False),
+               ("kind 3 needs c != +-1", lambda a, b, c: (c - 1) * (c + 1), False))),
+}
+
+
+def morphism(families: Mapping, kind, **params) -> LinearMap:
+    """The map of one kind of a family table; an omitted parameter is 0, and
+    a kind the table lacks or a parameter the kind does not have raises
+    ConstraintViolated."""
+    if kind not in families:
+        raise ConstraintViolated(f"kind must be one of {', '.join(map(str, families))}, "
+                                 f"got {kind}")
+    family = families[kind]
+    extra = [n for n in params if n not in family.params]
     if extra:
         raise ConstraintViolated(f"kind {kind} has no parameter {', '.join(extra)}")
+    return family.build(*(params.get(n, 0) for n in family.params))
+
+
+def heisenberg_morphism(a12, a13, a22, a23, a32, a33) -> LinearMap:
+    """The general Heisenberg self-morphism; X scales by the Y,Z-block determinant."""
+    return HEISENBERG_FAMILIES[None].build(a12, a13, a22, a23, a32, a33)
 
 
 def sl2_star_morphism(kind: int, **params) -> LinearMap:
-    """Self-morphisms of the Poincare algebra.
-
-    kind 1 fixes X up to adding Y, Z components and acts freely on the
-    plane span(Y, Z); kind 2 sends the plane to zero and scales X by
-    a11 != 1, with Y, Z components of the image of X free.  Omitted
-    parameters are 0; a parameter the kind does not have raises
-    ConstraintViolated.
-    """
-    zero = Scalar.zero()
-    if kind == 1:
-        names = ("a21", "a31", "a22", "a23", "a32", "a33")
-        _check_names(kind, params, names)
-        a21, a31, a22, a23, a32, a33 = (as_scalar(params.get(k, 0)) for k in names)
-        return LinearMap(_SPACE3, [[Scalar.one(), zero, zero],
-                                     [a21, a22, a23],
-                                     [a31, a32, a33]])
-    if kind == 2:
-        names = ("a11", "a21", "a31")
-        _check_names(kind, params, names)
-        a11, a21, a31 = (as_scalar(params.get(k, 0)) for k in names)
-        if (a11 - Scalar.one()).is_zero():
-            raise ConstraintViolated("kind 2 needs a11 != 1")
-        return LinearMap(_SPACE3, [[a11, zero, zero],
-                                     [a21, zero, zero],
-                                     [a31, zero, zero]])
-    raise ConstraintViolated(f"kind must be 1 or 2, got {kind}")
+    """Self-morphisms of the Poincare algebra, kinds 1 and 2 of
+    ``SL2_STAR_FAMILIES``; see ``morphism`` for omitted and unknown
+    parameters."""
+    return morphism(SL2_STAR_FAMILIES, kind, **params)
 
 
 def sl2_morphism(kind: int, a=None, b=None, c=None) -> LinearMap:
-    """The four families of sl(2) self-morphisms.
-
-    kind 0 is the zero map and has no parameters (ConstraintViolated if one
-    is given).  Kinds 1 and 2 need b != 0 and ac = 0; kind 3 needs ab != 0
-    and c != +-1; an omitted parameter is 0.  All three nonzero kinds have
-    determinant 1.
-    """
-    zero, one = Scalar.zero(), Scalar.one()
-    if kind == 0:
-        _check_names(0, [n for n, x in zip("abc", (a, b, c)) if x is not None], ())
-        return LinearMap(_SPACE3, [[zero] * 3] * 3)
-    a, b, c = (zero if x is None else as_scalar(x) for x in (a, b, c))
-    if kind in (1, 2):
-        if b.is_zero():
-            raise ConstraintViolated(f"kind {kind} needs b != 0")
-        if not (a * c).is_zero():
-            raise ConstraintViolated(f"kind {kind} needs ac = 0")
-        binv = b.inverse()
-        if kind == 1:
-            return LinearMap(_SPACE3, [
-                [one, c, a],
-                [-2 * a * b, b, -a * a * b],
-                [-2 * binv * c, -binv * c * c, binv],
-            ])
-        return LinearMap(_SPACE3, [
-            [-one, c, a],
-            [2 * binv * c, -binv * c * c, binv],
-            [2 * a * b, b, -a * a * b],
-        ])
-    if kind == 3:
-        if a.is_zero() or b.is_zero():
-            raise ConstraintViolated("kind 3 needs ab != 0")
-        if (c - one).is_zero() or (c + one).is_zero():
-            raise ConstraintViolated("kind 3 needs c != +-1")
-        binv = b.inverse()
-        cm1_inv = (c - one).inverse()
-        inv4a = (4 * a).inverse()
-        one_m_c2 = one - c * c
-        return LinearMap(_SPACE3, [
-            [c, a, one_m_c2 * inv4a],
-            [b, a * b * cm1_inv, b * (one - c) * inv4a],
-            [one_m_c2 * binv, a * (one - c) * binv,
-             (c - one) * (c + one) ** 2 * inv4a * binv],
-        ])
-    raise ConstraintViolated(f"kind must be 0..3, got {kind}")
+    """The four families of sl(2) self-morphisms, kinds 0..3 of
+    ``SL2_FAMILIES`` (kind 0, the zero map, has no parameters); see
+    ``morphism`` for omitted and unknown parameters."""
+    return morphism(SL2_FAMILIES, kind,
+                    **{n: x for n, x in zip("abc", (a, b, c)) if x is not None})
 
 
 # ---------------------------------------------------------------------------
-# Finite-field completeness oracles.
+# The finite-field classification driver.
 # ---------------------------------------------------------------------------
 
 class ClassificationReport:
@@ -341,54 +369,27 @@ def morphism_matrices_mod_p(L: HomLieAlgebra, p: int) -> np.ndarray:
     return scan_matrices(n, p, preserves_brackets)
 
 
-def _sl2_equation_solutions_mod_p(p: int) -> np.ndarray:
-    """The sl(2) morphism scan (kept for perfbench)."""
-    return morphism_matrices_mod_p(sl2(), p)
+def classify(algebra: str, L: HomLieAlgebra, families: Mapping, p: int,
+             strict: bool = False) -> ClassificationReport:
+    """Scan every morphism of L over F_p once and cover the solutions by the
+    families of a table.
 
-
-def _sl2_family_kinds(flat: tuple[int, ...], p: int) -> list[str]:
-    """The families containing a solution over F_p.
-
-    a11 is 1 in kind 1, -1 in kind 2 and c in kind 3, so it picks the one
-    nonzero family to try.  That family's parameters are read off the
-    entries where ``sl2_morphism`` places them, and the solution is in the
-    family when the formula at those integer residues, reduced mod p,
-    reproduces it.  Residues lie in 0..p-1, so b != 0, ac = 0, ab != 0 and
-    c != 1 hold over Q exactly when they hold mod p; c = -1 mod p is p - 1,
-    which goes to kind 2.
+    Each family reads its parameters off all solutions at once and covers
+    those its formula reproduces mod p with every constraint holding mod p
+    (over Q on the residues, c != -1 would hold at c = p - 1).  With strict,
+    a solution no family covers raises UnclassifiedMorphismFound.
     """
-    kinds = [] if any(flat) else ["zero"]
-    if flat[0] == 1:
-        kind, a, b, c = 1, flat[2], flat[4], flat[1]
-    elif flat[0] == p - 1:
-        kind, a, b, c = 2, flat[2], flat[7], flat[1]
-    else:
-        kind, a, b, c = 3, flat[1], flat[3], flat[0]
-    try:
-        alpha = sl2_morphism(kind, a, b, c)
-    except ConstraintViolated:
-        return kinds
-    if tuple(x for row in alpha.mod_p(p) for x in row) == flat:
-        kinds.append(f"kind{kind}")
-    return kinds
-
-
-def _make_report(algebra: str, p: int, solutions: np.ndarray,
-                 member_fn, strict: bool) -> ClassificationReport:
-    counts: dict[str, int] = {}
-    overlaps = 0
-    unclassified: list[tuple[int, ...]] = []
-    for mat in solutions:
-        flat = tuple(int(x) for x in mat.reshape(-1))
-        kinds = member_fn(flat)
-        for k in kinds:
-            counts[k] = counts.get(k, 0) + 1
-        if len(kinds) > 1:
-            overlaps += 1
-        if not kinds:
-            unclassified.append(flat)
-    report = ClassificationReport(algebra, p, int(solutions.shape[0]),
-                                  counts, overlaps, unclassified)
+    import numpy as np
+    flat = morphism_matrices_mod_p(L, p).reshape(-1, L.dim * L.dim)
+    covered = {}
+    for family in families.values():
+        entries, ok = family.mod_p([flat[:, k] for k in family.at], p)
+        covered[family.name] = ok & (entries == flat).all(axis=1)
+    hits = sum(covered.values(), np.zeros(len(flat), dtype=np.int64))
+    unclassified = [tuple(map(int, row)) for row in flat[hits == 0]]
+    report = ClassificationReport(
+        algebra, p, len(flat), {k: int(v.sum()) for k, v in covered.items() if v.any()},
+        int((hits > 1).sum()), unclassified)
     if strict and unclassified:
         raise UnclassifiedMorphismFound(
             f"{len(unclassified)} {algebra} morphisms over F_{p} fall outside "
@@ -396,41 +397,22 @@ def _make_report(algebra: str, p: int, solutions: np.ndarray,
     return report
 
 
+# The entry points below are bound by name in perfbench/spans.py.
+
+def _sl2_equation_solutions_mod_p(p: int) -> np.ndarray:
+    return morphism_matrices_mod_p(sl2(), p)
+
+
 def classify_sl2_finite_field(p: int, strict: bool = False) -> ClassificationReport:
-    """Brute-force sl(2) morphisms over F_p, then cover every solution by the
-    four sl(2) families."""
-    solutions = morphism_matrices_mod_p(sl2(), p)
-    return _make_report("sl2", p, solutions,
-                        lambda flat: _sl2_family_kinds(flat, p), strict)
+    return classify("sl2", sl2(), SL2_FAMILIES, p, strict)
 
 
 def classify_heisenberg_finite_field(p: int, strict: bool = False) -> ClassificationReport:
-    """Brute-force Heisenberg morphisms over F_p; they all lie in one family."""
-    solutions = morphism_matrices_mod_p(heisenberg(), p)
-
-    def member(flat: tuple[int, ...]) -> list[str]:
-        a11, a12, a13, a21, a22, a23, a31, a32, a33 = flat
-        if a21 == 0 and a31 == 0 and a11 == (a22 * a33 - a23 * a32) % p:
-            return ["heisenberg"]
-        return []
-
-    return _make_report("heisenberg", p, solutions, member, strict)
+    return classify("heisenberg", heisenberg(), HEISENBERG_FAMILIES, p, strict)
 
 
 def classify_sl2_star_finite_field(p: int, strict: bool = False) -> ClassificationReport:
-    """Brute-force Poincare-algebra morphisms over F_p against the two families."""
-    solutions = morphism_matrices_mod_p(sl2_star(), p)
-
-    def member(flat: tuple[int, ...]) -> list[str]:
-        a11, a12, a13, a21, a22, a23, a31, a32, a33 = flat
-        kinds = []
-        if a11 == 1 and a12 == 0 and a13 == 0:
-            kinds.append("kind1")
-        if a11 != 1 and not any((a12, a13, a22, a23, a32, a33)):
-            kinds.append("kind2")
-        return kinds
-
-    return _make_report("sl2_star", p, solutions, member, strict)
+    return classify("sl2_star", sl2_star(), SL2_STAR_FAMILIES, p, strict)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,29 @@ def test_construct_sl2_kind_0_refuses_params(capsys, params, named):
     assert (code, out) == (2, "") and err == f"error: kind 0 has no parameter {named}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "homlie", "--algebra", "heisenberg", "--kind", "7",
+      "--params", "1,2,3,4,5,6"], "heisenberg has one morphism family: --kind does not apply"),
+    (["construct", "homlie", "--algebra", "heisenberg", "--kind", "1",
+      "--params", "1,2,3,4,5,6"], "heisenberg has one morphism family: --kind does not apply"),
+    (["construct", "phi", "--kind", "3", "--params", "9"],
+     "construct phi takes no --kind or --params"),
+    (["construct", "phi", "--kind", "1"], "construct phi takes no --kind or --params"),
+    (["construct", "bql", "--params", "1"], "construct bql takes no --kind or --params"),
+    (["construct", "tensor-power", "--kind", "1"],
+     "construct tensor-power takes no --kind or --params"),
+], ids=["heisenberg-kind7", "heisenberg-kind1", "phi-kind-params", "phi-kind", "bql-params",
+        "tensor-power-kind"])
+def test_construct_refuses_kind_and_params_nothing_reads(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_construct_homlie_kind_defaults_to_1(capsys):
+    for algebra, params in (("sl2", "0,2,3"), ("sl2star", "1,2,3,4,5,6")):
+        argv = ["construct", "homlie", "--algebra", algebra, "--params", params]
+        assert run(capsys, argv) == run(capsys, argv + ["--kind", "1"])
+
+
 def test_construct_homlie_identity_twist(capsys):
     code, out, _ = run(capsys, ["construct", "homlie", "--algebra", "sl2",
                                 "--kind", "1", "--params", "0,1,0"])

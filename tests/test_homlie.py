@@ -15,6 +15,9 @@ from helpers import (
     random_sl2_morphism,
 )
 from hombrax.homlie import (
+    HEISENBERG_FAMILIES,
+    SL2_FAMILIES,
+    SL2_STAR_FAMILIES,
     AlphaSingular,
     ConstraintViolated,
     HomLieAlgebra,
@@ -212,13 +215,47 @@ def test_classifications_complete_at_p3():
 
 
 @pytest.mark.scan
-def test_classify_sl2_report_at_p5():
-    report = classify_sl2_finite_field(5, strict=True)
-    assert report.total_solutions == 121
-    assert report.family_counts == {"zero": 1, "kind1": 36, "kind2": 36,
-                                    "kind3": 48}
+@pytest.mark.parametrize("runner, total, counts", [
+    (classify_sl2_finite_field, 121, {"zero": 1, "kind1": 36, "kind2": 36, "kind3": 48}),
+    (classify_heisenberg_finite_field, 15625, {"heisenberg": 15625}),
+    (classify_sl2_star_finite_field, 15725, {"kind1": 15625, "kind2": 100}),
+], ids=["sl2", "heisenberg", "sl2_star"])
+def test_classify_report_at_p5(runner, total, counts):
+    report = runner(5, strict=True)
+    assert report.total_solutions == total
+    assert report.family_counts == counts
     assert report.overlap_count == 0
     assert report.unclassified == []
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_each_family_formula_is_the_same_over_q_and_f_p(p):
+    # The driver's F_p evaluation and mod-p constraint test at every residue
+    # tuple against the constructor over Q, read mod p (a refusal is a
+    # miss).  Residues are lifted to -(p-1)/2..(p-1)/2, where each constraint
+    # holds over Q exactly when it holds mod p.
+    import itertools
+
+    import numpy as np
+    for families in (HEISENBERG_FAMILIES, SL2_STAR_FAMILIES, SL2_FAMILIES):
+        for family in families.values():
+            tuples = list(itertools.product(range(p), repeat=len(family.params)))
+            entries, ok = family.mod_p(list(np.array(tuples, dtype=np.int64).T), p)
+            entries = np.broadcast_to(entries, (len(tuples), 9))
+            for values, got, inside in zip(tuples, entries, np.broadcast_to(ok, len(tuples))):
+                try:
+                    alpha = family.build(*(x if 2 * x < p else x - p for x in values))
+                    want = tuple(x for row in alpha.mod_p(p) for x in row)
+                except ConstraintViolated:
+                    want = None
+                assert (tuple(map(int, got)) if inside else None) == want, (family.name, values)
+    # On the residue p - 1 itself, c != -1 holds over Q: kind 3 is built and
+    # reduces to a kind-2 matrix, which only the mod-p constraint keeps out.
+    flat = np.array([x for row in sl2_morphism(3, 1, 1, p - 1).mod_p(p) for x in row])
+    kind2, kind3 = SL2_FAMILIES[2], SL2_FAMILIES[3]
+    entries, ok = kind2.mod_p([flat[k] for k in kind2.at], p)
+    assert ok and (entries == flat).all()
+    assert not kind3.mod_p([flat[k] for k in kind3.at], p)[1]
 
 
 @pytest.mark.scan
@@ -244,9 +281,7 @@ def test_morphism_scan_counts_match_family_formulas():
 def test_uncovered_morphisms_are_reported(capsys, monkeypatch):
     import hombrax.homlie as homlie
     from hombrax.cli import main
-    kinds = homlie._sl2_family_kinds
-    monkeypatch.setattr(homlie, "_sl2_family_kinds",
-                        lambda flat, p: [k for k in kinds(flat, p) if k != "kind3"])
+    monkeypatch.delitem(homlie.SL2_FAMILIES, 3)
     with pytest.raises(UnclassifiedMorphismFound):
         classify_sl2_finite_field(3, strict=True)
     report = classify_sl2_finite_field(3)
