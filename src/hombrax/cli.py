@@ -130,15 +130,13 @@ def _construct_homlie(args) -> dict:
     if None in families and args.kind is not None:
         raise ValueError(f"{args.algebra} has one morphism family: --kind does not apply")
     kind = None if None in families else 1 if args.kind is None else args.kind
-    if kind not in families:
-        raise ValueError(f"{args.algebra} kinds are {', '.join(map(str, families))}")
-    names = families[kind].params
+    names = families[kind].params if kind in families else ()
     params = [parse_scalar(p) for p in args.params.split(",")] if args.params else []
     if names and len(params) != len(names):
         raise ValueError(f"{args.algebra}{'' if kind is None else f' kind {kind}'} "
                          f"needs --params {','.join(names)}")
-    # Values given to a kind without parameters take the names of the
-    # algebra's other kinds, so that the refusal names them.
+    # Values given to a kind without parameters, or to a kind the algebra
+    # lacks, take the names of its other kinds: homlie.morphism refuses them.
     names = names or max((f.params for f in families.values()), key=len)
     alpha = homlie.morphism(families, kind, **dict(zip(names, params)))
     return homlie.algebra_to_json_dict(homlie.yau_twist(algebra(), alpha))

@@ -213,7 +213,7 @@ class Family(NamedTuple):
         the first constraint they break."""
         values = tuple(map(as_scalar, values))
         for text, f, must_vanish in self.constraints:
-            if as_scalar(f(*values)).is_zero() != must_vanish:
+            if f(*values).is_zero() != must_vanish:
                 raise ConstraintViolated(text)
         return LinearMap(_SPACE3, self.rows(Scalar.inverse, *values))
 
@@ -297,9 +297,7 @@ def heisenberg_morphism(a12, a13, a22, a23, a32, a33) -> LinearMap:
 
 
 def sl2_star_morphism(kind: int, **params) -> LinearMap:
-    """Self-morphisms of the Poincare algebra, kinds 1 and 2 of
-    ``SL2_STAR_FAMILIES``; see ``morphism`` for omitted and unknown
-    parameters."""
+    """Poincare-algebra self-morphisms: ``morphism`` on kinds 1, 2 of ``SL2_STAR_FAMILIES``."""
     return morphism(SL2_STAR_FAMILIES, kind, **params)
 
 
@@ -315,20 +313,17 @@ def sl2_morphism(kind: int, a=None, b=None, c=None) -> LinearMap:
 # The finite-field classification driver.
 # ---------------------------------------------------------------------------
 
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """The outcome of one finite-field classification: how many morphisms
     the scan found, how many each family covers, how many lie in more than
     one family and the ones no family covers."""
 
-    def __init__(self, algebra: str, prime: int, total_solutions: int,
-                 family_counts: dict[str, int], overlap_count: int,
-                 unclassified: list[tuple[int, ...]] | None = None):
-        self.algebra = algebra
-        self.prime = prime
-        self.total_solutions = total_solutions
-        self.family_counts = family_counts
-        self.overlap_count = overlap_count
-        self.unclassified = [] if unclassified is None else unclassified
+    algebra: str
+    prime: int
+    total_solutions: int
+    family_counts: dict[str, int]
+    overlap_count: int
+    unclassified: list[tuple[int, ...]]
 
     @property
     def complete(self) -> bool:
