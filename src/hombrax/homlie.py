@@ -20,7 +20,7 @@ one-dimensional extension C (+) L which solves the twisted braid identity.
 Each family is stated once, as data (``Family`` in the tables
 ``HEISENBERG_FAMILIES``, ``SL2_STAR_FAMILIES`` and ``SL2_FAMILIES``): the
 same formula builds the map over Q and tests membership over F_p.  One
-driver, ``classify``, scans every matrix A over F_p for the bracket
+function, ``classify``, scans every matrix A over F_p for the bracket
 residual A[x_i, x_j] - [A x_i, A x_j] and counts the solutions each family
 of a table covers; the report names any that none covers.
 """
@@ -310,7 +310,7 @@ def sl2_morphism(kind: int, a=None, b=None, c=None) -> LinearMap:
 
 
 # ---------------------------------------------------------------------------
-# The finite-field classification driver.
+# Finite-field classification of morphisms.
 # ---------------------------------------------------------------------------
 
 class ClassificationReport(NamedTuple):

@@ -230,7 +230,7 @@ def test_classify_report_at_p5(runner, total, counts):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_each_family_formula_is_the_same_over_q_and_f_p(p):
-    # The driver's F_p evaluation and mod-p constraint test at every residue
+    # The F_p evaluation and mod-p constraint test of ``classify`` at every residue
     # tuple against the constructor over Q, read mod p (a refusal is a
     # miss).  Residues are lifted to -(p-1)/2..(p-1)/2, where each constraint
     # holds over Q exactly when it holds mod p.
