@@ -1,10 +1,12 @@
 """Command-line front end: construct gallery objects, verify identities,
 run the classification oracles, and move operators around as JSON.
 
-Reports are line-oriented with machine-parsable PASS/FAIL prefixes.
+Each (command, target) pair declares, in one table, the options its handler
+reads.  Reports are line-oriented with machine-parsable PASS/FAIL prefixes.
 Exit codes: 0 all PASS, 1 a verification or classification failed, 2 bad
-arguments, malformed or oversized input, or a scan the engine refuses
-(``classify --field`` not an odd prime, or more than 2^26 candidates).
+arguments (an option the target does not declare too), malformed or
+oversized input, or a scan the engine refuses (``classify --field`` not an
+odd prime, or more than 2^26 candidates).
 HOMBRAX_THREADS caps the thread count of the exhaustive finite-field scans.
 """
 
@@ -25,7 +27,7 @@ _MAX_POWER_COLUMNS = 1 << 12
 
 
 def _read_input(args) -> dict:
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile) as fh:
             data = tensor._json_loads(fh.read())
     else:
@@ -36,7 +38,7 @@ def _read_input(args) -> dict:
 
 
 def _write_output(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -53,7 +55,7 @@ def _load_operator_and_alpha(args, need_alpha: bool) -> tuple[TensorOp, TensorOp
     opdata = data.get("operator", data)
     op = tensor.op_from_json_dict(opdata)
     alpha = None
-    if getattr(args, "alpha", None):
+    if need_alpha and args.alpha:  # verify ybe declares no --alpha
         alpha = _parse_alpha_text(args.alpha, op.space)
     elif "alpha" in data:
         n = op.space.dim
@@ -91,7 +93,7 @@ def _yd_line(module: yd.YDModule) -> str:
 
 
 def _yd_module_from_args(args) -> yd.YDModule:
-    if not getattr(args, "gallery", None):
+    if args.gallery is None:
         return yd.module_from_json_dict(_read_input(args))
     module = yd.z2_sign_module()
     if args.gallery == "z2":
@@ -124,8 +126,6 @@ _HOMLIE = {"heisenberg": (homlie.heisenberg, homlie.HEISENBERG_FAMILIES),
 
 
 def _construct_homlie(args) -> dict:
-    if args.algebra is None:
-        raise ValueError("construct homlie needs --algebra")
     algebra, families = _HOMLIE[args.algebra]
     if None in families and args.kind is not None:
         raise ValueError(f"{args.algebra} has one morphism family: --kind does not apply")
@@ -143,8 +143,6 @@ def _construct_homlie(args) -> dict:
 
 
 def cmd_construct(args) -> int:
-    if args.target != "homlie" and (args.kind is not None or args.params):
-        raise ValueError(f"construct {args.target} takes no --kind or --params")
     if args.target == "phi":
         doc = tensor.op_to_json_dict(quantum.phi())
     elif args.target == "bql":
@@ -154,10 +152,8 @@ def cmd_construct(args) -> int:
         doc = _construct_homlie(args)
     elif args.target == "yd-braiding":
         doc = tensor.op_to_json_dict(yd.yd_braiding(_yd_module_from_args(args)))
-    elif args.target == "tensor-power":
+    else:  # tensor-power
         doc = _tensor_power_doc(*_gallery_phi_alpha(), args.n)
-    else:
-        raise ValueError(f"unknown construct target {args.target}")
     _write_output(args, json.dumps(doc, sort_keys=True))
     return 0
 
@@ -166,14 +162,14 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     lines = []
-    if args.identity == "ybe":
+    if args.target == "ybe":
         op, _ = _load_operator_and_alpha(args, need_alpha=False)
         tensor._check_size(op.space.dim, 3)
         lines.append(_pass_or_fail("ybe", hybe.ybe_residual(op)))
-    elif args.identity == "compat":
+    elif args.target == "compat":
         op, alpha = _load_operator_and_alpha(args, need_alpha=True)
         lines.append(_pass_or_fail("compat", hybe.compatibility_residual(op, alpha)))
-    elif args.identity == "hybe":
+    elif args.target == "hybe":
         op, alpha = _load_operator_and_alpha(args, need_alpha=True)
         tensor._check_size(op.space.dim, 3)
         compat = hybe.compatibility_residual(op, alpha)
@@ -195,7 +191,7 @@ def cmd_verify(args) -> int:
                 lines.append(_fail_line("hybe", direct))
         else:
             lines.append("FAIL hybe (pair is incompatible)")
-    elif args.identity == "braid":
+    elif args.target == "braid":
         if args.n < 3:
             raise ValueError(f"--n {args.n}: braid relations need at least 3 strands")
         op, alpha = _load_operator_and_alpha(args, need_alpha=True)
@@ -207,7 +203,7 @@ def cmd_verify(args) -> int:
             lines.append(_fail_line(f"braid[{k}]", r))
         else:
             lines.append(f"PASS braid (n={args.n}, {len(residuals)} relations)")
-    elif args.identity == "hom-jacobi":
+    elif args.target == "hom-jacobi":
         res = homlie.hom_jacobi_residual(homlie.algebra_from_json_dict(_read_input(args)))
         hit = res.first_nonzero_column()
         if hit:
@@ -216,10 +212,8 @@ def cmd_verify(args) -> int:
                          + ", ".join(str(row[j]) for row in res.dense()))
         else:
             lines.append("PASS hom-jacobi")
-    elif args.identity == "yd":
-        lines.append(_yd_line(_yd_module_from_args(args)))
-    else:
-        raise ValueError(f"unknown identity {args.identity}")
+    else:  # yd
+        lines.append(_yd_line(yd.module_from_json_dict(_read_input(args))))
     return _report(lines, args)
 
 
@@ -260,7 +254,7 @@ def cmd_classify(args) -> int:
 
 def cmd_braid(args) -> int:
     op, alpha = _load_operator_and_alpha(args, need_alpha=True)
-    if args.action == "power":
+    if args.target == "power":
         doc = _tensor_power_doc(op, alpha, args.n)
     else:
         images = tuple(int(x) for x in args.perm.split(","))
@@ -275,7 +269,7 @@ def cmd_braid(args) -> int:
 
 def cmd_yd(args) -> int:
     module = _yd_module_from_args(args)
-    if args.action == "verify":
+    if args.target == "verify":
         return _report([_yd_line(module)], args)
     doc = tensor.op_to_json_dict(yd.yd_braiding(module))
     _write_output(args, json.dumps(doc, sort_keys=True))
@@ -284,71 +278,75 @@ def cmd_yd(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+# argparse keywords of each option, defaults aside.
+_OPTIONS = {
+    "--dim": {"type": int},
+    "--algebra": {"choices": list(_HOMLIE), "required": True},
+    "--kind": {"type": int, "help": "family kind of an algebra that has kinds (default 1)"},
+    "--params": {},
+    "--gallery": {"choices": ["z2", "trivial"]},
+    "--n": {"type": int},
+    "--perm": {"help": "permutation images like '3,4,1,2'"},
+    "--in": {"dest": "infile"},
+    "--alpha": {"help": "matrix rows like 'a,0;0,d'"},
+    "--field": {"type": int},
+}
+
+_OPERATOR = {"--in": None, "--alpha": None}
+_MODULE = {"--gallery": None, "--in": None}
+
+# Each command: its help and, per target, the options its handler reads with
+# their defaults.  Every target also takes --out; argparse refuses the rest.
+_COMMANDS = {
+    "construct": ("emit a gallery object as JSON", {
+        "phi": {}, "bql": {"--dim": 2},
+        "homlie": {"--algebra": None, "--kind": None, "--params": ""},
+        "yd-braiding": {"--gallery": "z2"}, "tensor-power": {"--n": 2}}),
+    "verify": ("check an identity on JSON input", {
+        "compat": _OPERATOR, "ybe": {"--in": None}, "hybe": _OPERATOR,
+        "braid": {**_OPERATOR, "--n": 3}, "hom-jacobi": {"--in": None},
+        "yd": {"--in": None}}),
+    "classify": ("run a classification oracle", {
+        "compatible": {"--dim": 2, "--field": None}, "sl2": {"--field": 5},
+        "heisenberg": {"--field": 5}, "sl2star": {"--field": 5}}),
+    "braid": ("braid operators from permutations", {
+        "power": {"--n": 2, **_OPERATOR}, "eval": {"--perm": "", **_OPERATOR}}),
+    "yd": ("Yetter-Drinfel'd verification and braiding",
+           {"verify": _MODULE, "braiding": _MODULE}),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first ``main`` call: a
-    build makes a help formatter per argument, about 1 ms in all."""
+    build makes a help formatter per argument, a few ms in all."""
     parser = argparse.ArgumentParser(
         prog="hombrax",
         description="Exact constructions and verification of twisted "
                     "Yang-Baxter braidings.",
         epilog="HOMBRAX_THREADS caps the threads used by the exhaustive scans.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="emit a gallery object as JSON")
-    p.add_argument("target",
-                   choices=["phi", "bql", "homlie", "yd-braiding", "tensor-power"])
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--algebra", choices=list(_HOMLIE))
-    p.add_argument("--kind", type=int, default=None,
-                   help="family kind of an algebra that has kinds (default 1)")
-    p.add_argument("--params", default="")
-    p.add_argument("--gallery", choices=["z2", "trivial"], default="z2")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify", help="check an identity on JSON input")
-    p.add_argument("identity",
-                   choices=["compat", "ybe", "hybe", "braid", "hom-jacobi", "yd"])
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--alpha", help="matrix rows like 'a,0;0,d'")
-    p.add_argument("--n", type=int, default=3, help="strand count for braid")
-    p.add_argument("--out")
-
-    p = sub.add_parser("classify", help="run a classification oracle")
-    p.add_argument("target", choices=["compatible", "sl2", "heisenberg", "sl2star"])
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--field", type=int, default=None)
-    p.add_argument("--out")
-
-    p = sub.add_parser("braid", help="braid operators from permutations")
-    p.add_argument("action", choices=["power", "eval"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--perm", default="", help="permutation images like '3,4,1,2'")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--alpha")
-    p.add_argument("--out")
-
-    p = sub.add_parser("yd", help="Yetter-Drinfel'd verification and braiding")
-    p.add_argument("action", choices=["verify", "braiding"])
-    p.add_argument("--gallery", choices=["z2", "trivial"], default=None)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, targets) in _COMMANDS.items():
+        targets_parser = commands.add_parser(command, help=help_text).add_subparsers(
+            dest="target", required=True)
+        for target, options in targets.items():
+            p = targets_parser.add_parser(target)
+            # A YD module from the gallery or from --in, not both.
+            source = p.add_mutually_exclusive_group() if options.keys() >= _MODULE.keys() else p
+            for flag, default in options.items():
+                (source if flag in _MODULE else p).add_argument(flag, default=default,
+                                                                **_OPTIONS[flag])
+            p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "classify" and args.target != "compatible" and args.field is None:
-        args.field = 5
+    args = _build_parser().parse_args(argv)
     try:
         # By name on each call, so that a wrapper bound in a handler's place
         # (the benchmark's spans) is called, though the parser is built once.
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, KeyError, IndexError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

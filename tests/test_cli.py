@@ -56,15 +56,21 @@ def test_construct_sl2_kind_0_refuses_params(capsys, params, named):
     (["construct", "homlie", "--algebra", "heisenberg", "--kind", "1",
       "--params", "1,2,3,4,5,6"], "heisenberg has one morphism family: --kind does not apply"),
     (["construct", "phi", "--kind", "3", "--params", "9"],
-     "construct phi takes no --kind or --params"),
-    (["construct", "phi", "--kind", "1"], "construct phi takes no --kind or --params"),
-    (["construct", "bql", "--params", "1"], "construct bql takes no --kind or --params"),
-    (["construct", "tensor-power", "--kind", "1"],
-     "construct tensor-power takes no --kind or --params"),
+     "unrecognized arguments: --kind 3 --params 9"),
+    (["construct", "phi", "--kind", "1"], "unrecognized arguments: --kind 1"),
+    (["construct", "bql", "--params", "1"], "unrecognized arguments: --params 1"),
+    (["construct", "tensor-power", "--kind", "1"], "unrecognized arguments: --kind 1"),
 ], ids=["heisenberg-kind7", "heisenberg-kind1", "phi-kind-params", "phi-kind", "bql-params",
         "tensor-power-kind"])
 def test_construct_refuses_kind_and_params_nothing_reads(capsys, argv, message):
-    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    if not message.startswith("unrecognized arguments"):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+        return
+    # Only homlie declares --kind and --params: argparse refuses them elsewhere.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "") and err.endswith(f"error: {message}\n")
 
 
 def test_construct_homlie_kind_defaults_to_1(capsys):
@@ -440,6 +446,36 @@ def _fresh_env():
     src = str(Path(hombrax.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+# Each passes an option its target does not declare.  Given these inputs,
+# each exited 0 and ignored that option while every target of a command
+# shared one option list.
+_UNDECLARED = [
+    (["construct", "phi", "--algebra", "sl2", "--dim", "9", "--n", "5",
+      "--gallery", "trivial"], None),
+    (["classify", "sl2", "--dim", "3"], None),
+    (["verify", "ybe", "--alpha", "1,0;0,1"], "phi"),
+    (["braid", "power", "--perm", "2,1"], "pair1"),
+    (["yd", "verify", "--gallery", "z2", "--in", "missing.json"], None),
+    (["construct", "homlie", "--algebra", "sl2", "--params", "0,1,0", "--n", "7",
+      "--dim", "5"], None),
+    (["verify", "hom-jacobi", "--n", "4"], "heis"),
+    (["braid", "eval", "--n", "3", "--perm", "2,1"], "pair1"),
+]
+
+
+@pytest.mark.parametrize("argv, source", _UNDECLARED, ids=[" ".join(a) for a, _ in _UNDECLARED])
+def test_an_option_the_target_does_not_declare_exits_2(capsys, monkeypatch, argv, source):
+    import io
+    stdin = run(capsys, _GOLDEN_INPUTS[source])[1] if source else ""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
+    proc = subprocess.run([sys.executable, "-m", "hombrax.cli", *argv], env=_fresh_env(),
+                          input=stdin, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
 
 
 _FRESH_SCANS = [["classify", "sl2", "--field", "3"],
