@@ -235,6 +235,8 @@ class Scalar:
 
     @staticmethod
     def rational(value: RationalLike) -> "Scalar":
+        if value.__class__ is int:  # bool and numpy integers go through _rational
+            return _make((), 1, value, 0) if value else _ZERO
         c = _rational(value)
         return _make((), int(c.denominator), int(c.numerator), 0) if c else _ZERO
 

@@ -59,6 +59,14 @@ def test_rational_keeps_a_fraction_as_it_is():
     assert Scalar.rational(-4).terms == (((), Fraction(-4)),)
 
 
+def test_rational_of_an_int_stores_what_its_fraction_stores():
+    fields = ("_params", "_den", "_v", "_emax")
+    for n in (0, 1, -1, 2 ** 70, -2 ** 70, True, np.int64(-3)):
+        got, want = Scalar.rational(n), Scalar.rational(Fraction(int(n)))
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert type(got._v) is int and (got is Scalar.zero()) == (n == 0)
+
+
 def test_exponent_cancellation():
     assert Q ** -1 * (Q * L) == L
 
