@@ -223,7 +223,7 @@ def cmd_classify(args) -> int:
     if args.target == "compatible":
         quantum.pattern_count(args.dim)
         field_lines = []
-        if args.field:
+        if args.field is not None:
             # Scan before listing the patterns: a --field the scan engine
             # refuses fails at once.
             brute = quantum.brute_force_compatible_field(args.dim, args.field)
@@ -286,7 +286,7 @@ _OPTIONS = {
     "--params": {},
     "--gallery": {"choices": ["z2", "trivial"]},
     "--n": {"type": int},
-    "--perm": {"help": "permutation images like '3,4,1,2'"},
+    "--perm": {"help": "permutation images like '3,4,1,2'", "required": True},
     "--in": {"dest": "infile"},
     "--alpha": {"help": "matrix rows like 'a,0;0,d'"},
     "--field": {"type": int},
@@ -310,7 +310,7 @@ _COMMANDS = {
         "compatible": {"--dim": 2, "--field": None}, "sl2": {"--field": 5},
         "heisenberg": {"--field": 5}, "sl2star": {"--field": 5}}),
     "braid": ("braid operators from permutations", {
-        "power": {"--n": 2, **_OPERATOR}, "eval": {"--perm": "", **_OPERATOR}}),
+        "power": {"--n": 2, **_OPERATOR}, "eval": {"--perm": None, **_OPERATOR}}),
     "yd": ("Yetter-Drinfel'd verification and braiding",
            {"verify": _MODULE, "braiding": _MODULE}),
 }

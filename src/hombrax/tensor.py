@@ -24,13 +24,17 @@ else works on the operator through ``compose``, ``invert``, ``lift``,
 
 Columns are canonical: rows strictly increase, no entry is zero and every
 row is in range.  ``_from_entries`` is the one place Scalar entries become
-a stored form, for ``TensorOp(space, arity, columns)`` (JSON operators, user
-code, ``LinearMap``), ``as_op`` grids, ``map_scalars`` and the sparse
-structure-constant reader.  Everything else (``compose``, ``tensor_product``,
-sums, scaling, ``lift``, ``invert``, ``rebase``, ``identity_op``,
-``swap_op``) builds its result with ``TensorOp._rational`` or ``_packed``:
-the columns are canonical and in range by construction or canonicalised
-there.
+a stored form, for ``TensorOp(space, arity, columns)`` (user code,
+``LinearMap``), ``as_op`` grids, ``map_scalars`` and JSON documents with a
+symbolic entry.  The two JSON readers, of operators and of structure
+constants, share one packer: a document whose entries are all plain
+rational text (``-n/d``, the form JSON writes for a rational entry) is read
+as integers, with no Fraction or Scalar per entry, over the lcm of its
+denominators and made canonical by ``_packed``.  Everything else
+(``compose``, ``tensor_product``, sums, scaling, ``lift``, ``invert``,
+``rebase``, ``identity_op``, ``swap_op``) builds its result with
+``TensorOp._rational`` or ``_packed``: the columns are canonical and in
+range by construction or canonicalised there.
 
 An operator stores its entries in the one coefficient form of
 ``hombrax.scalars`` (an ``int`` or a packed ``Laurent``), over one parameter
@@ -70,6 +74,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -976,6 +981,50 @@ def _json_dense(data, dims: Sequence[int], what: str):
     return [_json_dense(x, dims[1:], what) for x in data]
 
 
+# A plain rational text, the one form _text writes for a rational entry:
+# an optional minus and ASCII digits, then optionally a slash and more
+# digits, each number at most 4,300 digits long, the most int() reads by
+# default.
+_PLAIN = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
+
+
+def _json_entry(text) -> tuple[int, int] | Scalar:
+    """An entry text of a JSON document: (n, d) for plain rational text,
+    read with no Fraction, no gcd and no Scalar; any other text (a symbolic
+    term, "+3", "1e3", "3/0", a non-string) as parse_scalar reads it, or
+    raises."""
+    m = _PLAIN.fullmatch(text) if text.__class__ is str else None
+    if m is None:
+        return parse_scalar(text)
+    num, den = m.groups()
+    d = int(den) if den else 1
+    return (int(num), d) if d else parse_scalar(text)
+
+
+def _from_json_entries(dom: Word, cod: Word, cols: Sequence[Sequence[tuple]]) -> TensorOp:
+    """The map dom -> cod with these columns of (row, _json_entry value)
+    pairs, rows distinct in a column: the one packer of the JSON readers.
+    Every row is checked first, a zero entry's too.  When every value is a
+    plain rational (n, d), the document is packed once: den is the lcm of
+    the d's, each numerator n * (den // d), and _reduced divides out the
+    content.  Otherwise the values go to _from_entries as Scalars."""
+    n = _size(cod)
+    for col in cols:
+        for r, _ in col:
+            if not 0 <= r < n:
+                raise IndexError(f"row {r} out of range")
+    values = [v for col in cols for _, v in col]
+    if any(v.__class__ is not tuple for v in values):
+        return _from_entries(dom, cod, [[(r, v if v.__class__ is not tuple else
+                                          _view((), v[1], v[0])) for r, v in col]
+                                        for col in cols])
+    dens = {d for _, d in values}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return TensorOp._packed(dom, cod, (), den, [[(r, v[0] * scale[v[1]]) for r, v in col]
+                                                for col in cols], raw=True)
+
+
 def _json_sparse(data, dom: Word, cod: Word, what: str) -> TensorOp:
     """The map dom -> cod that is zero except where data sets an entry:
     {"i,j": {"k": "<scalar>"}}, one index per factor of dom outside and one
@@ -995,8 +1044,8 @@ def _json_sparse(data, dom: Word, cod: Word, what: str) -> TensorOp:
             for i, d in zip(idx, dims):
                 flat = flat * d + i
             j, r = divmod(flat, n)
-            cols[j].append((r, parse_scalar(text)))
-    return _from_entries(dom, cod, cols)
+            cols[j].append((r, _json_entry(text)))
+    return _from_json_entries(dom, cod, cols)
 
 
 def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorOp:
@@ -1015,7 +1064,7 @@ def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorO
     elif space.dim != dim:
         raise DimMismatch(f"space dim {space.dim} != json dim {dim}")
     total = dim ** arity
-    cols: dict[int, list[tuple[int, Scalar]]] = {}
+    cols: dict[int, list[tuple[int, tuple[int, int] | Scalar]]] = {}
     for key, entries in columns.items():
         j = _json_int(key, "column")
         if not 0 <= j < total:
@@ -1023,10 +1072,11 @@ def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorO
         if not isinstance(entries, (list, tuple)) or any(
                 not isinstance(e, (list, tuple)) or len(e) != 2 for e in entries):
             raise ValueError(f"column {key}: entries must be [row, scalar] pairs")
-        cols[j] = [(_json_int(r, "row"), parse_scalar(text)) for r, text in entries]
+        cols[j] = [(_json_int(r, "row"), _json_entry(text)) for r, text in entries]
         if len({r for r, _ in cols[j]}) < len(cols[j]):
             raise ValueError(f"column {key} repeats a row")
-    return TensorOp(space, arity, cols)
+    word = _word(space, arity)
+    return _from_json_entries(word, word, [cols.get(j, ()) for j in range(total)])
 
 
 def op_dumps(op: TensorOp) -> str:

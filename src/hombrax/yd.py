@@ -139,7 +139,9 @@ class YDModule(_OnSpace):
     H (x) V -> V and V -> H (x) V (grids or operators accepted).
     """
 
-    __slots__ = ("host", "space", "action", "coaction")
+    # _residual: set by the first yd_residual call that passes the axioms; a
+    # failure is never remembered.
+    __slots__ = ("host", "space", "action", "coaction", "_residual")
 
     def __init__(self, host: Bialgebra, labels: Sequence[str], action, coaction):
         H, V = host.space, BasedSpace(labels)
@@ -147,6 +149,7 @@ class YDModule(_OnSpace):
         object.__setattr__(self, "space", V)
         object.__setattr__(self, "action", as_op(action, (H, V), (V,)))
         object.__setattr__(self, "coaction", as_op(coaction, (V,), (H, V)))
+        object.__setattr__(self, "_residual", None)
 
     def module_axioms(self) -> list[tuple]:
         H, act, v = self.host, self.action, identity_op(self.space)
@@ -175,18 +178,23 @@ class YDModule(_OnSpace):
 
 def yd_residual(V: YDModule) -> TensorOp:
     """LHS - RHS of the compatibility as a map H (x) V -> H (x) V, after the
-    host, module and comodule axioms are checked (AxiomViolation)."""
+    host, module and comodule axioms are checked (AxiomViolation); built
+    once per module."""
+    if V._residual is not None:
+        return V._residual
     H = V.host
     H.check_axioms()
     V.check_module()
     V.check_comodule()
     h, v = identity_op(H.space), identity_op(V.space)
     m, act, co, D = H.mult, V.action, V.coaction, H.comult
-    return residual((tensor_product(m, act), tensor_product(h, swap_op(H.space), v),
-                     tensor_product(D, co)),
-                    (tensor_product(m, v), tensor_product(h, swap_op(V.space, H.space)),
-                     tensor_product(compose(co, act), h),
-                     tensor_product(h, swap_op(H.space, V.space)), tensor_product(D, v)))
+    res = residual((tensor_product(m, act), tensor_product(h, swap_op(H.space), v),
+                    tensor_product(D, co)),
+                   (tensor_product(m, v), tensor_product(h, swap_op(V.space, H.space)),
+                    tensor_product(compose(co, act), h),
+                    tensor_product(h, swap_op(H.space, V.space)), tensor_product(D, v)))
+    object.__setattr__(V, "_residual", res)
+    return res
 
 
 def yd_condition_residual(V: YDModule) -> list[tuple[tuple[int, int], list[list[Scalar]]]]:

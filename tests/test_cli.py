@@ -1113,3 +1113,24 @@ def test_classify_compatible_refuses_too_many_patterns(capsys, monkeypatch, dim)
     code, out, err = run(capsys, ["classify", "compatible", "--dim", dim])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "exceeds the limit of 16384" in err
+
+
+def test_classify_compatible_refuses_field_0(capsys):
+    # --field 0 is a field that is not an odd prime, not a missing --field.
+    code, out, err = run(capsys, ["classify", "compatible", "--dim", "2", "--field", "0"])
+    assert (code, out) == (2, "") and err == "error: 0 is not an odd prime\n"
+    code, out, _ = run(capsys, ["classify", "compatible", "--dim", "2"])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "1a3fcf65f3b9c83a62c85a26823656336e7120e112dd40f298cdb13c171b7753")
+
+
+def test_braid_eval_requires_perm_before_reading_input(capsys, monkeypatch):
+    class Unread:
+        def read(self, *args):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    with pytest.raises(SystemExit) as exc:
+        main(["braid", "eval"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --perm" in capsys.readouterr().err

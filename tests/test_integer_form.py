@@ -63,7 +63,8 @@ from hombrax.quantum import (
     phi,
 )
 from hombrax import scalars
-from hombrax.scalars import DenominatorDivisibleByP, Scalar, param_order, reduce_mod_p
+from hombrax.scalars import (DenominatorDivisibleByP, Scalar, param_order, parse_scalar,
+                             reduce_mod_p)
 from hombrax.tensor import (
     EXP_LIMIT,
     ArityMismatch,
@@ -75,6 +76,7 @@ from hombrax.tensor import (
     SymbolicNotMonomialInvertible,
     TensorOp,
     _from_entries,
+    _json_sparse,
     _reduced,
     _sparse_json,
     as_op,
@@ -533,6 +535,100 @@ def test_json_from_integer_form_matches_scalar_text(name):
     key = lambda word, flat: ",".join(map(str, decode_word(word, flat)))  # noqa: E731
     assert _sparse_json(fresh) == {key(op.dom, j): {key(op.cod, r): str(s) for r, s in col}
                                    for j, col in enumerate(op.columns) if col}
+
+
+# -- JSON text read straight into the integer form --------------------------
+
+def _outcome(build):
+    """The stored form build() returns, or its exception's type and text."""
+    try:
+        return build()._key()
+    except Exception as exc:  # noqa: BLE001 - the readers' errors are compared
+        return type(exc), str(exc)
+
+
+def _scalar_read(doc: dict) -> TensorOp:
+    """An operator document read as the readers did with one Scalar per
+    entry: parse_scalar on each text, column by column, then TensorOp."""
+    cols = {int(j): [(int(r), parse_scalar(text)) for r, text in col]
+            for j, col in doc["columns"].items()}
+    return TensorOp(BasedSpace.of_dim(doc["dim"]), doc["arity"], cols)
+
+
+def _sparse_doc(doc: dict) -> dict:
+    """An operator document on V2 (x) V2 in the structure-constant format."""
+    key = lambda flat: ",".join(map(str, decode_word((V2, V2), flat)))  # noqa: E731
+    return {key(int(j)): {key(int(r)): text for r, text in col}
+            for j, col in doc["columns"].items()}
+
+
+def _seeded_phi_pair(seed: int) -> tuple[TensorOp, LinearMap]:
+    """phi twisted by a seeded diagonal alpha at a seeded rational point."""
+    rng = random.Random(seed)
+    a, d, q, l = (rand_fraction(rng, nonzero=True) for _ in range(4))
+    alpha = LinearMap.diagonal(phi().space, [a, d])
+    return twist(phi(), alpha).instantiate({"q": q, "l": l}), alpha
+
+
+_PACKED_DOCS = {name: json.loads(op_dumps(op)) for name, op in GALLERY.items()}
+for _seed in (3, 8):
+    for _n in (2, 3):
+        _PACKED_DOCS[f"phi{_seed}_power{_n}"] = json.loads(op_dumps(
+            tensor_power_solution(*_seeded_phi_pair(_seed), _n)[0]))
+for _text in ("2/4", "-0", "0/7", "0007/0014", "-6/4"):
+    _PACKED_DOCS[_text] = {"dim": 2, "arity": 2,
+                           "columns": {"1": [["0", "1/3"]], "0": [["2", _text], ["3", "5"]]}}
+
+
+@pytest.mark.parametrize("name", sorted(_PACKED_DOCS))
+def test_json_readers_pack_rational_text_as_scalars_would(name):
+    doc = _PACKED_DOCS[name]
+    want = _scalar_read(doc)._key()
+    got = op_loads(json.dumps(doc))
+    assert got._key() == want and got._integer()
+    if doc["arity"] == 2 and doc["dim"] == 2:
+        assert _json_sparse(_sparse_doc(doc), (V2, V2), (V2, V2), "c")._key() == want
+
+
+# Texts that are not plain rationals, read by parse_scalar as before: a
+# value, or the same exception type and message.
+_FALLBACK_TEXTS = ["1*q^-1 + 2/3", "q", "+3", " 3", "3 ", "1_000", "1e3", "1.5",
+                   "\u0661\u0662", "\uff11", "\u00b2", "3/0", "0/0", "-0/0", "1/-2", "1 /2",
+                   "--1", "-", "", "1" * 4301, "2/" + "3" * 4301, 3, None, True, [1]]
+
+
+@pytest.mark.parametrize("text", _FALLBACK_TEXTS,
+                         ids=lambda t: repr(t) if len(repr(t)) < 20 else f"{len(t)} chars")
+@pytest.mark.parametrize("shape", ["entry", "after a row out of range"])
+def test_json_readers_read_other_text_as_parse_scalar_does(text, shape):
+    # Every text is parsed before any row is range-checked.
+    first = [["0", "1/3"]] if shape == "entry" else [["99", "1"]]
+    doc = {"dim": 2, "arity": 2, "columns": {"0": first, "1": [["2", text], ["3", "-6/4"]]}}
+    want = _outcome(lambda: _scalar_read(doc))
+    assert _outcome(lambda: op_loads(json.dumps(doc))) == want
+    if shape == "entry":
+        got = _outcome(lambda: _json_sparse(_sparse_doc(doc), (V2, V2), (V2, V2), "c"))
+        assert got == want
+
+
+def test_json_readers_build_no_scalar_for_rational_text(monkeypatch):
+    doc = _PACKED_DOCS["phi3_power3"]
+    want = _scalar_read(doc)
+    sparse = {"0,0": {"0,0": "2/4", "1,1": "-0"}, "1,0": {"0,1": "0007/0014"}}
+    sparse_want = _scalar_read({"dim": 2, "arity": 2,
+                                "columns": {"0": [["0", "2/4"], ["3", "-0"]],
+                                            "2": [["1", "0007/0014"]]}})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Scalar")
+
+    # Every Scalar, the views of stored entries included, is made by _make.
+    monkeypatch.setattr(scalars, "_make", refuse)
+    with pytest.raises(AssertionError, match="built a Scalar"):
+        op_loads('{"dim": 1, "arity": 1, "columns": {"0": [["0", "q"]]}}')
+    got = [op_loads(json.dumps(doc)), _json_sparse(sparse, (V2, V2), (V2, V2), "c")]
+    monkeypatch.undo()
+    assert got == [want, sparse_want]
 
 
 # -- one stored form per operator ---------------------------------------------

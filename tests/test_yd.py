@@ -247,3 +247,45 @@ def test_yd_verify_checks_the_host_once(monkeypatch, capsys, gallery):
     assert main(["yd", "verify", "--gallery", gallery]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_yd_verify_builds_the_residual_once(monkeypatch, capsys):
+    # comodule_from_qt checks the induced module and the verdict line reads
+    # the residual again: one build serves both.
+    from hombrax import yd
+
+    built, build = [], yd.residual
+
+    def counted(lhs, rhs):
+        res = build(lhs, rhs)
+        if res.dom == res.cod and [s.labels for s in res.dom] == [("g0", "g1"), ("v0", "v1")]:
+            built.append(res)
+        return res
+
+    monkeypatch.setattr(yd, "residual", counted)
+    assert main(["yd", "verify", "--gallery", "trivial"]) == 0
+    assert capsys.readouterr().out == "PASS yd\n"
+    assert len(built) == 1 and built[0].is_zero()
+
+
+def test_a_failing_yd_residual_is_not_remembered(monkeypatch):
+    checks, real = [], YDModule.module_axioms
+
+    def counted(self):
+        checks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(YDModule, "module_axioms", counted)
+    H = group_bialgebra(2)
+    # g1 acts as 2: g1.(g1.v) = 4v, but g1 g1 = g0 acts as 1.
+    doubled = YDModule(H, ("v0", "v1"), [[[ONE, ZERO], [ZERO, ONE]],
+                                         [[2 * ONE, ZERO], [ZERO, 2 * ONE]]],
+                       GRADING_COACTION)
+    for _ in range(2):
+        with pytest.raises(AxiomViolation, match=r"\(xy\).v = x.\(y.v\) fails"):
+            yd_residual(doubled)
+    V = comodule_from_qt(("v0", "v1"), SIGN_ACTION, trivial_qt(H))
+    res = yd_residual(V)
+    W = YDModule(H, V.labels, V.action, V.coaction)
+    assert yd_residual(V) is res and yd_residual(W) == res and res.is_zero()
+    assert checks == [doubled, doubled, V, W]
