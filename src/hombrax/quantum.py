@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Mapping
 # map_chunks stays bound here by name: perfbench/spans.py wraps every binding.
 from hombrax.runtime import map_chunks, scan_matrices, scan_size  # noqa: F401
 from hombrax.scalars import Scalar, as_scalar
-from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, TensorOp, _Frozen, compose,
-                            lift, rebase)
+from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, TensorOp, _Frozen, _json_int,
+                            compose, lift, rebase)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,8 +143,11 @@ class SupportPattern(_Frozen):
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "SupportPattern":
-        return SupportPattern(int(data["N"]),
-                              {int(c): int(r) for c, r in data["k"].items()})
+        N, k = _json_int(data["N"], "N"), data["k"]
+        if not isinstance(k, Mapping):
+            raise ValueError(f"k must be a JSON object, not {type(k).__name__}")
+        return SupportPattern(N, {_json_int(c, "column"): _json_int(r, "row")
+                                  for c, r in k.items()})
 
 
 # The most patterns, C(2N, N), a dimension may have: N <= 8.

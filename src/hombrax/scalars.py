@@ -358,7 +358,7 @@ class Scalar:
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Fraction:
         """Exact rational value at a point covering every parameter."""
-        values = {n: Fraction(v) for n, v in assignment.items()}
+        values = {n: _rational(v) for n, v in assignment.items()}
         v = self._v
         if v.__class__ is not int:
             v = _evaluate(self._params, v, values, {})
@@ -654,7 +654,7 @@ def reduce_mod_p(x: RationalLike, p: int) -> int:
     # The classified families divide by 2 and 4, so p = 2 is excluded.
     if not is_odd_prime(p):
         raise ValueError(f"modulus {p} is not an odd prime")
-    x = Fraction(x)
+    x = _rational(x)
     if x.denominator % p == 0:
         raise DenominatorDivisibleByP(f"{x} has denominator divisible by {p}")
     return x.numerator * pow(x.denominator, -1, p) % p

@@ -23,18 +23,15 @@ else works on the operator through ``compose``, ``invert``, ``lift``,
 ``rebase`` and ``dense()``.
 
 Columns are canonical: rows strictly increase, no entry is zero and every
-row is in range.  ``_from_entries`` is the one place Scalar entries become
-a stored form, for ``TensorOp(space, arity, columns)`` (user code,
-``LinearMap``), ``as_op`` grids, ``map_scalars`` and JSON documents with a
-symbolic entry.  The two JSON readers, of operators and of structure
-constants, share one packer: a document whose entries are all plain
-rational text (``-n/d``, the form JSON writes for a rational entry) is read
-as integers, with no Fraction or Scalar per entry, over the lcm of its
-denominators and made canonical by ``_packed``.  Everything else
-(``compose``, ``tensor_product``, sums, scaling, ``lift``, ``invert``,
-``rebase``, ``identity_op``, ``swap_op``) builds its result with
-``TensorOp._rational`` or ``_packed``: the columns are canonical and in
-range by construction or canonicalised there.
+row is in range.  One routine, ``_built``, builds every map given by its
+entries, each in the coefficient form (v, den, params): a Scalar's slots
+for ``TensorOp(space, arity, columns)`` (user code, ``LinearMap``),
+``as_op`` grids, ``map_scalars`` and ``lie_algebra``, plain rational JSON
+text as (n, d, ()) with no Fraction or Scalar, and ``instantiate``'s values.
+Everything else (``compose``, ``tensor_product``, sums, scaling, ``lift``,
+``invert``, ``identity_op``, ``swap_op``) builds its result with
+``TensorOp._rational`` or ``_packed``, and ``_reduced`` makes every operator
+canonical; ``rebase`` keeps its operand's stored form.
 
 An operator stores its entries in the one coefficient form of
 ``hombrax.scalars`` (an ``int`` or a packed ``Laurent``), over one parameter
@@ -79,8 +76,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from hombrax.scalars import (EXP_LIMIT, Laurent, RationalLike, Scalar, _entry, _evaluate,
-                              _occurring, _remap, _repacked, _text, _union, _view, as_scalar,
-                              key_digits, parse_scalar, reduce_mod_p)
+                              _occurring, _rational, _remap, _repacked, _text, _union, _view,
+                              as_scalar, key_digits, parse_scalar, reduce_mod_p)
 
 # The most columns (dim ** arity) an operator read from input or requested
 # on the command line may have.  The largest operators the gallery, the tests
@@ -242,12 +239,13 @@ _Stored = tuple[tuple[str, ...], int, tuple, int]
 def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) -> _Stored:
     """The stored form of the operator cols / den over params (den != 0).
 
-    With raw, cols are the kernel's accumulators: per column, (row, value)
-    pairs with distinct rows in any order, zeros allowed; otherwise columns
-    with rows increasing and no zero entry, kept as they are when nothing
-    changes.  The content is divided out, parameters that no longer occur
-    leave the order and constants become ints, each column built once in one
-    comprehension.  The zero operator is ((), 1, empty columns, 0).
+    With raw, cols are the accumulators of a kernel or of _built: per
+    column, (row, value) pairs with distinct rows in any order, zeros
+    allowed; otherwise columns with rows increasing and no zero entry, kept
+    as they are when nothing changes.  The content is divided out, parameters
+    that no longer occur leave the order and constants become ints, each
+    column built once in one comprehension.  The zero operator is ((), 1,
+    empty columns, 0).
     """
     kept, remap, const, emax = (), None, False, 0
     if params:
@@ -286,33 +284,37 @@ def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) 
     return kept, den, cols, emax
 
 
-def _from_entries(dom: Word, cod: Word, columns: Iterable[Iterable[tuple[int, Scalar]]],
-                  op: "TensorOp | None" = None) -> "TensorOp":
-    """The map dom -> cod with these Scalar columns (op, if given, is the
-    object filled in): every row is checked, a zero entry's too, entries
-    that share a row add up, zeros go, and the entries are repacked over the
-    union of their orders and the lcm of their dens.  The content stays 1: a
-    prime's full power in the lcm divides some entry's den."""
-    n = _size(cod)
-    cols = []
-    for col in columns:
-        acc: dict[int, Scalar] = {}
-        for row, s in col:
-            if not 0 <= row < n:
-                raise IndexError(f"row {row} out of range")
-            acc[row] = acc[row] + s if row in acc else s
-        # The rows are distinct, so sorting never compares entries.
-        cols.append(sorted([e for e in acc.items() if e[1]]))
-    entries = [s for col in cols for _, s in col]
-    params = _union({s._params for s in entries})
-    den = math.lcm(*{s._den for s in entries})
-    emax = max([s._emax for s in entries], default=0)
+def _built(dom: Word, cod: Word, cols: Sequence[Sequence[tuple]],
+           op: "TensorOp | None" = None) -> "TensorOp":
+    """The map dom -> cod with columns of (row, (v, den, params)) entries,
+    each v / den over params (op, if given, is the object filled in).  Every
+    row is checked, a zero entry's too; the entries are packed over one
+    order and one lcm, one scale per distinct den, those that share a row
+    add up, and _reduced makes the accumulators canonical."""
+    params = _union({ps for col in cols for _, (_, _, ps) in col})
+    dens = {d for col in cols for _, (_, d, _) in col}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    n, out = _size(cod), []
+    for col in cols:
+        acc = {}
+        for r, (v, d, ps) in col:
+            if not 0 <= r < n:
+                raise IndexError(f"row {r} out of range")
+            v = (v if ps == params else _repacked(v, ps, params)) * scale[d]
+            acc[r] = acc[r] + v if r in acc else v
+        out.append(acc.items())
     if op is None:
         op = object.__new__(TensorOp)
-    op._set(dom, cod, params, den, tuple(tuple(
-        (r, _repacked(s._v, s._params, params) * (den // s._den)) for r, s in col)
-        for col in cols), emax)
+    op._set(dom, cod, *_reduced(params, den, out, raw=True))
     return op
+
+
+def _from_entries(dom: Word, cod: Word, columns: Iterable[Iterable[tuple[int, Scalar]]],
+                  op: "TensorOp | None" = None) -> "TensorOp":
+    """The map dom -> cod with these Scalar columns: _built on their slots."""
+    return _built(dom, cod, [[(r, (s._v, s._den, s._params)) for r, s in col]
+                             for col in columns], op)
 
 
 def _over(op: "TensorOp", params: tuple[str, ...]) -> tuple:
@@ -491,17 +493,16 @@ class TensorOp(_Frozen):
         """Evaluate every entry at a rational parameter point, raising
         MissingParameter and ZeroAtNegativeExponent as Scalar.evaluate does
         on the entries in column order."""
-        values = {n: Fraction(v) for n, v in assignment.items()}
+        values = {n: _rational(v) for n, v in assignment.items()}
         params, den = self._params, self._den
         if not params:
             return self
         monomials = {}
         out = [[(r, v if v.__class__ is int else _evaluate(params, v, values, monomials))
                 for r, v in col] for col in self._cols]
-        # Entries are numerator sums over den: put them over den * lcm.
-        m = math.lcm(*[x.denominator for col in out for _, x in col])
-        return TensorOp._rational(self.dom, self.cod, den * m, tuple(tuple(
-            (r, int(x * m)) for r, x in col if x) for col in out))
+        # An entry x / den, x a numerator sum, is the coefficient x.n / (den * x.d).
+        return _built(self.dom, self.cod, [[(r, (x.numerator, den * x.denominator, ()))
+                                            for r, x in col] for col in out])
 
     def dense(self) -> list[list[Scalar]]:
         rows = [[Scalar.zero()] * self.total_dim for _ in range(_size(self.cod))]
@@ -988,41 +989,19 @@ def _json_dense(data, dims: Sequence[int], what: str):
 _PLAIN = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
-def _json_entry(text) -> tuple[int, int] | Scalar:
-    """An entry text of a JSON document: (n, d) for plain rational text,
-    read with no Fraction, no gcd and no Scalar; any other text (a symbolic
-    term, "+3", "1e3", "3/0", a non-string) as parse_scalar reads it, or
-    raises."""
+def _json_entry(text) -> tuple:
+    """An entry text of a JSON document as the coefficient (v, den, params):
+    plain rational text as (n, d, ()), read with no Fraction, no gcd and no
+    Scalar; any other text (a symbolic term, "+3", "1e3", "3/0", a
+    non-string) as parse_scalar reads it, or raises."""
     m = _PLAIN.fullmatch(text) if text.__class__ is str else None
-    if m is None:
-        return parse_scalar(text)
-    num, den = m.groups()
-    d = int(den) if den else 1
-    return (int(num), d) if d else parse_scalar(text)
-
-
-def _from_json_entries(dom: Word, cod: Word, cols: Sequence[Sequence[tuple]]) -> TensorOp:
-    """The map dom -> cod with these columns of (row, _json_entry value)
-    pairs, rows distinct in a column: the one packer of the JSON readers.
-    Every row is checked first, a zero entry's too.  When every value is a
-    plain rational (n, d), the document is packed once: den is the lcm of
-    the d's, each numerator n * (den // d), and _reduced divides out the
-    content.  Otherwise the values go to _from_entries as Scalars."""
-    n = _size(cod)
-    for col in cols:
-        for r, _ in col:
-            if not 0 <= r < n:
-                raise IndexError(f"row {r} out of range")
-    values = [v for col in cols for _, v in col]
-    if any(v.__class__ is not tuple for v in values):
-        return _from_entries(dom, cod, [[(r, v if v.__class__ is not tuple else
-                                          _view((), v[1], v[0])) for r, v in col]
-                                        for col in cols])
-    dens = {d for _, d in values}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    return TensorOp._packed(dom, cod, (), den, [[(r, v[0] * scale[v[1]]) for r, v in col]
-                                                for col in cols], raw=True)
+    if m is not None:
+        num, den = m.groups()
+        d = int(den) if den else 1
+        if d:
+            return int(num), d, ()
+    s = parse_scalar(text)
+    return s._v, s._den, s._params
 
 
 def _json_sparse(data, dom: Word, cod: Word, what: str) -> TensorOp:
@@ -1045,7 +1024,7 @@ def _json_sparse(data, dom: Word, cod: Word, what: str) -> TensorOp:
                 flat = flat * d + i
             j, r = divmod(flat, n)
             cols[j].append((r, _json_entry(text)))
-    return _from_json_entries(dom, cod, cols)
+    return _built(dom, cod, cols)
 
 
 def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorOp:
@@ -1064,7 +1043,7 @@ def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorO
     elif space.dim != dim:
         raise DimMismatch(f"space dim {space.dim} != json dim {dim}")
     total = dim ** arity
-    cols: dict[int, list[tuple[int, tuple[int, int] | Scalar]]] = {}
+    cols: dict[int, list[tuple[int, tuple]]] = {}
     for key, entries in columns.items():
         j = _json_int(key, "column")
         if not 0 <= j < total:
@@ -1076,7 +1055,7 @@ def op_from_json_dict(data: Mapping, space: BasedSpace | None = None) -> TensorO
         if len({r for r, _ in cols[j]}) < len(cols[j]):
             raise ValueError(f"column {key} repeats a row")
     word = _word(space, arity)
-    return _from_json_entries(word, word, [cols.get(j, ()) for j in range(total)])
+    return _built(word, word, [cols.get(j, ()) for j in range(total)])
 
 
 def op_dumps(op: TensorOp) -> str:

@@ -40,6 +40,8 @@ from hombrax.scalars import (
     Scalar,
     ScalarParseError,
     ZeroAtNegativeExponent,
+    _repacked,
+    _union,
     param_order,
 )
 from hombrax.tensor import BasedSpace, LinearMap, TensorOp, residual
@@ -168,6 +170,31 @@ def strand_braid_relation_residuals(B: TensorOp, alpha: TensorOp,
             out.append(residual((ops[i], ops[j]), (ops[j], ops[i])))
     out.extend(_braid(ops[i], ops[i + 1]) for i in range(1, n - 1))
     return out
+
+
+def reference_from_entries(dom, cod, columns) -> tuple:
+    """The stored form (dom, cod, params, den, cols, emax) of the map dom ->
+    cod with these Scalar columns, built as the package first built it: a
+    Scalar sum per row, zeros dropped and rows sorted, then every entry
+    repacked over the union of their orders and the lcm of their dens, with
+    no content division (a prime's full power in the lcm divides some
+    entry's den) and emax the largest of the entries'.  The oracle of the
+    one builder, tensor._built, behind _from_entries and the JSON readers."""
+    n = math.prod(s.dim for s in cod)
+    cols = []
+    for col in columns:
+        acc: dict = {}
+        for row, s in col:
+            if not 0 <= row < n:
+                raise IndexError(f"row {row} out of range")
+            acc[row] = acc[row] + s if row in acc else s
+        cols.append(sorted([e for e in acc.items() if e[1]]))
+    entries = [s for col in cols for _, s in col]
+    params = _union({s._params for s in entries})
+    den = math.lcm(*{s._den for s in entries})
+    return dom, cod, params, den, tuple(tuple(
+        (r, _repacked(s._v, s._params, params) * (den // s._den)) for r, s in col)
+        for col in cols), max([s._emax for s in entries], default=0)
 
 
 def gcd_chain_content(den: int, nums) -> int:

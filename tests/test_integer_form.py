@@ -31,6 +31,7 @@ from helpers import (
     phi_alpha_symbolic,
     rand_fraction,
     rational_gallery,
+    reference_from_entries,
 )
 from hombrax.braid import tensor_power_solution
 from hombrax.homlie import (
@@ -629,6 +630,81 @@ def test_json_readers_build_no_scalar_for_rational_text(monkeypatch):
     got = [op_loads(json.dumps(doc)), _json_sparse(sparse, (V2, V2), (V2, V2), "c")]
     monkeypatch.undo()
     assert got == [want, sparse_want]
+
+
+# -- the one builder against the reference builder ----------------------------
+
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_PLAIN_TEXTS = ["2/4", "-0", "0/7", "0007/0014", "-6/4", "0", "5", "-12/18"]
+
+
+@st.composite
+def _laurent(draw) -> Scalar:
+    """A Scalar of one to three terms over up to three of q, l, a, x, so
+    that entries come in different parameter orders."""
+    names = draw(st.lists(st.sampled_from("qlax"), max_size=3, unique=True))
+    terms = draw(st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=len(names),
+                                             max_size=len(names)), _FRACTIONS),
+                          min_size=1, max_size=3))
+    return Scalar({tuple(zip(names, exps)): c for exps, c in terms})
+
+
+@st.composite
+def _scalar_column(draw) -> list:
+    """Entries on V2 (x) V2 whose rows repeat: an entry s, alone or with an
+    entry that sums with it to zero, to a constant or to another scalar,
+    which may drop a parameter of s; shuffled."""
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        r, s = draw(st.integers(0, 3)), draw(_laurent())
+        out.append((r, s))
+        total = draw(st.one_of(st.none(), st.just(Scalar.zero()),
+                               _FRACTIONS.map(Scalar.rational), _laurent()))
+        if total is not None:
+            out.append((r, total - s))
+    return draw(st.permutations(out))
+
+
+_TEXT = st.one_of(st.sampled_from(_PLAIN_TEXTS),
+                  st.builds(lambda n, d: f"{n}/{d}", st.integers(-99, 99), st.integers(1, 99)),
+                  _laurent().map(str))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_scalar_column(), min_size=4, max_size=4),
+       st.lists(st.dictionaries(st.integers(0, 3), _TEXT, max_size=4), min_size=4, max_size=4))
+def test_one_builder_matches_the_reference_builder(scalar_cols, text_cols):
+    def key(op):
+        return op._key() + (op._emax,)
+
+    want = reference_from_entries((V2, V2), (V2, V2), scalar_cols)
+    assert key(_from_entries((V2, V2), (V2, V2), scalar_cols)) == want
+    doc = {"dim": 2, "arity": 2, "columns": {str(j): [[str(r), t] for r, t in col.items()]
+                                             for j, col in enumerate(text_cols)}}
+    want = reference_from_entries((V2, V2), (V2, V2), [
+        [(r, parse_scalar(t)) for r, t in col.items()] for col in text_cols])
+    assert key(op_loads(json.dumps(doc))) == want
+    assert key(_json_sparse(_sparse_doc(doc), (V2, V2), (V2, V2), "c")) == want
+
+
+def test_mixed_json_document_makes_one_scalar_per_symbolic_entry(monkeypatch):
+    doc = {"dim": 2, "arity": 1, "columns": {"0": [["0", "2/4"], ["1", "1*q"]],
+                                             "1": [["0", "-6/4"], ["1", "0/7"]]}}
+    sparse = {"0": {"0": "2/4", "1": "1*q"}, "1": {"0": "-6/4", "1": "0/7"}}
+    want = _scalar_read(doc)._key()
+    made = []
+    real = scalars._make
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    # Every Scalar, the views of stored entries included, is made by _make.
+    monkeypatch.setattr(scalars, "_make", counted)
+    got = op_loads(json.dumps(doc))._key()
+    assert len(made) == 1 and got == want
+    got = _json_sparse(sparse, (V2,), (V2,), "c")._key()
+    assert len(made) == 2 and got == want
 
 
 # -- one stored form per operator ---------------------------------------------

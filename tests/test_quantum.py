@@ -103,6 +103,15 @@ def test_pattern_json_round_trip():
         {"N": 3, "k": {"1": 2, "3": 3}}
 
 
+@pytest.mark.parametrize("doc", [{"N": 2.9, "k": {"1": 1.7}}, {"N": True, "k": {"01": True}},
+                                 {"N": 2, "k": {"+1": 1}}, {"N": 2, "k": {" 1": 1}},
+                                 {"N": 2, "k": [["1", 1]]}],
+                         ids=["floats", "booleans", "plus", "space", "k-list"])
+def test_pattern_json_refuses_what_is_not_a_plain_integer(doc):
+    with pytest.raises(ValueError):
+        SupportPattern.from_json_dict(doc)
+
+
 def test_pattern_validation():
     with pytest.raises(InvalidPattern):
         SupportPattern(2, {1: 2, 2: 1})  # rows must increase

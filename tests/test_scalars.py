@@ -353,6 +353,23 @@ def test_rational_coercion_refuses_floats_and_keeps_numpy_integers():
     assert as_scalar(Q) is Q
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/2"])
+def test_evaluation_points_and_residues_refuse_floats_and_strings(bad):
+    q = Scalar.param("q")
+    calls = [lambda: q.evaluate({"q": bad}), lambda: phi().instantiate({"q": 2, "l": bad}),
+             lambda: reduce_mod_p(bad, 7)]
+    for call in calls:
+        with pytest.raises(TypeError, match="rational number"):
+            call()
+    with pytest.raises(ValueError, match="not an odd prime"):
+        reduce_mod_p(bad, 4)  # the modulus is checked first
+    for good in (Fraction(1, 2), 3, np.int64(3)):
+        x = Fraction(good)
+        assert q.evaluate({"q": good}) == x
+        assert phi().instantiate({"q": 2, "l": good}) == phi().instantiate({"q": 2, "l": x})
+        assert reduce_mod_p(good, 7) == x.numerator * pow(x.denominator, -1, 7) % 7
+
+
 def test_products_are_exact_or_refused_at_the_packing_limit():
     # Per parameter, a product's exponents are the sums of its factors'
     # extremes: exact below 2^15, refused at it, never wrapped into the next
