@@ -68,8 +68,7 @@ def ybe_residual(B: TensorOp) -> TensorOp:
     """Difference of the two sides of the Yang-Baxter identity on V^(x)3."""
     if B.arity != 2:
         raise DimMismatch(f"B must have arity 2, got {B.arity}")
-    one = identity_op(B.space, 1)
-    return _braid(tensor_product(one, B), tensor_product(B, one))
+    return _twisted_braid(B, identity_op(B.space, 1))
 
 
 def hybe_residual(B: TensorOp, alpha: TensorOp) -> TensorOp:

@@ -30,6 +30,7 @@ import math
 import numbers
 from fractions import _RATIONAL_FORMAT, Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -238,12 +239,10 @@ class Scalar:
         if value.__class__ is int:  # bool and numpy integers go through _rational
             return _make((), 1, value, 0) if value else _ZERO
         c = _rational(value)
-        return _make((), int(c.denominator), int(c.numerator), 0) if c else _ZERO
+        return _make((), c.denominator, c.numerator, 0) if c else _ZERO
 
     @staticmethod
     def param(name: str, exp: int = 1) -> "Scalar":
-        if not name.isidentifier():
-            raise ScalarParseError(f"bad parameter name {name!r}")
         return _from_terms([(((name, exp),), 1)])
 
     @staticmethod
@@ -442,13 +441,13 @@ _ONE = _make((), 1, 1, 0)
 
 
 def _rational(x) -> Fraction:
-    """x as a Fraction, for a rational number (a numpy integer too).
-    TypeError for anything else, a float included: a float is not the
-    rational it was written as."""
+    """x as a Fraction of two ints, for a rational number (a numpy integer's
+    parts, which Fraction(x) keeps, read with int()).  TypeError for anything
+    else, a float included: a float is not the rational it was written as."""
     if x.__class__ is Fraction:
         return x
     if isinstance(x, (int, numbers.Rational)):  # int first: the ABC check is slow
-        return Fraction(x)
+        return Fraction(x) if type(x) is int else Fraction(int(x.numerator), int(x.denominator))
     raise TypeError(f"a scalar must be a Scalar or a rational number, not {x!r}")
 
 
@@ -467,31 +466,39 @@ def as_scalar(x) -> Scalar:
 
 def _from_terms(items: Iterable[tuple[Iterable[tuple[str, int]], RationalLike]]) -> Scalar:
     """The Scalar of (exponent pairs, coefficient) terms: repeated names and
-    repeated exponent vectors add up.  ValueError for an exponent outside
+    repeated exponent vectors add up.  ScalarParseError for a name that is
+    not an identifier, TypeError for an exponent that operator.index refuses
+    (a numpy integer is read as an int), ValueError for an exponent outside
     the packing, the first in the order of .terms and then of parameters."""
     total: dict[frozenset, Fraction] = {}
+    given: dict[str, int] = {}  # every name, in order of appearance
     for pairs, c in items:
         exps: dict[str, int] = {}
         for n, e in pairs:
-            exps[n] = exps.get(n, 0) + e
+            exps[n] = exps.get(n, 0) + index(e)
+        given.update(exps)
         key = frozenset((n, e) for n, e in exps.items() if e)
         c = _rational(c)
         total[key] = total[key] + c if key in total else c
+    for n in given:
+        if not (isinstance(n, str) and n.isidentifier()):
+            raise ScalarParseError(f"bad parameter name {n!r}")
     terms = [(dict(key), c) for key, c in total.items() if c]
     names = {n for exps, _ in terms for n in exps}
     if not names:  # a rational: one term or none
         return Scalar.rational(terms[0][1] if terms else 0)
     params = param_order(names)
-    bad = [([exps.get(m, 0) for m in params], _param_key(n), n, e)
-           for exps, _ in terms for n, e in exps.items() if not -EXP_LIMIT < e < EXP_LIMIT]
-    if bad:
+    emax = max(abs(e) for exps, _ in terms for e in exps.values())
+    if emax >= EXP_LIMIT:
+        bad = [([exps.get(m, 0) for m in params], _param_key(n), n, e)
+               for exps, _ in terms for n, e in exps.items() if not -EXP_LIMIT < e < EXP_LIMIT]
         raise _range_error(*min(bad)[2:])
     shift = {n: EXP_BITS * i for i, n in enumerate(params)}
-    den = math.lcm(*[int(c.denominator) for _, c in terms])
+    den = math.lcm(*[c.denominator for _, c in terms])
     v = Laurent({sum(e << shift[n] for n, e in exps.items()):
-                 int(c.numerator) * (den // int(c.denominator)) for exps, c in terms})
+                 c.numerator * (den // c.denominator) for exps, c in terms})
     # The keys are distinct and every parameter occurs: _view need not decode them.
-    return _view(params, den, v, max(abs(e) for exps, _ in terms for e in exps.values()))
+    return _view(params, den, v, emax)
 
 
 def _in_order(params: tuple[str, ...], v: Laurent) -> list[tuple[list[int], int]]:
@@ -563,29 +570,20 @@ def _number(tok: str) -> Fraction:
     not a number, ZeroDivisionError for a zero denominator, and
     ScalarParseError for a number whose numerator or denominator, written
     out in full (the digits of the mantissa, then the power of ten),
-    exceeds _MAX_DIGITS."""
+    exceeds _MAX_DIGITS; Fraction reads a decimal or exponent token."""
     m = _RATIONAL_FORMAT.match(tok)
     if m is None:
         raise ValueError(f"not a number: {tok!r}")
     sign, num, denom, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
-    n, d = int(num or "0"), 1
-    if denom:
-        d = int(denom)
-    elif decimal or exp:
+    if decimal or exp:
         decimal = (decimal or "").replace("_", "")
-        n = n * 10 ** len(decimal) + int(decimal or "0")
         shift = (int(exp) if exp else 0) - len(decimal)
         digits = len(num.replace("_", "")) + len(decimal)
         if max(digits + shift, digits, 1 - shift) > _MAX_DIGITS:
             raise ScalarParseError(f"{tok!r} spells out a number of more than "
                                    f"{_MAX_DIGITS} digits")
-        if shift >= 0:
-            n *= 10 ** shift
-        else:
-            d = 10 ** -shift
-    if sign == "-":
-        n = -n
-    return Fraction(n) if d == 1 else Fraction(n, d)
+        return Fraction(tok)
+    return Fraction(int(sign + num), int(denom)) if denom else Fraction(int(sign + num))
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -24,10 +24,10 @@ else works on the operator through ``compose``, ``invert``, ``lift``,
 
 Columns are canonical: rows strictly increase, no entry is zero and every
 row is in range.  One routine, ``_built``, builds every map given by its
-entries, each in the coefficient form (v, den, params): a Scalar's slots
-for ``TensorOp(space, arity, columns)`` (user code, ``LinearMap``),
-``as_op`` grids, ``map_scalars`` and ``lie_algebra``, plain rational JSON
-text as (n, d, ()) with no Fraction or Scalar, and ``instantiate``'s values.
+entries, each in the coefficient form (v, den, params): the slots of a
+Scalar or rational number for ``TensorOp(space, arity, columns)``,
+``LinearMap``, ``as_op`` grids, ``map_scalars`` and ``lie_algebra``, plain
+rational JSON text as (n, d, ()), and ``instantiate``'s values.
 Everything else (``compose``, ``tensor_product``, sums, scaling, ``lift``,
 ``invert``, ``identity_op``, ``swap_op``) builds its result with
 ``TensorOp._rational`` or ``_packed``, and ``_reduced`` makes every operator
@@ -75,9 +75,9 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from hombrax.scalars import (EXP_LIMIT, Laurent, RationalLike, Scalar, _entry, _evaluate,
-                              _occurring, _rational, _remap, _repacked, _text, _union, _view,
-                              as_scalar, key_digits, parse_scalar, reduce_mod_p)
+from hombrax.scalars import (_MAX_DIGITS, EXP_LIMIT, Laurent, RationalLike, Scalar, _entry,
+                              _evaluate, _occurring, _rational, _remap, _repacked, _text, _union,
+                              _view, key_digits, parse_scalar, reduce_mod_p)
 
 # The most columns (dim ** arity) an operator read from input or requested
 # on the command line may have.  The largest operators the gallery, the tests
@@ -237,7 +237,7 @@ _Stored = tuple[tuple[str, ...], int, tuple, int]
 
 
 def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) -> _Stored:
-    """The stored form of the operator cols / den over params (den != 0).
+    """The stored form of the operator cols / den over params (den > 0).
 
     With raw, cols are the accumulators of a kernel or of _built: per
     column, (row, value) pairs with distinct rows in any order, zeros
@@ -265,8 +265,6 @@ def _reduced(params: tuple[str, ...], den: int, cols: tuple, raw: bool = False) 
     if not any(nums):
         return (), 1, ((),) * len(cols) if raw else cols, 0
     g = _content(den, nums)
-    if den < 0:
-        g = -g
     den //= g
     change = g != 1 or const or remap is not None
     # The rows of a raw column are distinct, so sorting never compares entries.
@@ -310,10 +308,11 @@ def _built(dom: Word, cod: Word, cols: Sequence[Sequence[tuple]],
     return op
 
 
-def _from_entries(dom: Word, cod: Word, columns: Iterable[Iterable[tuple[int, Scalar]]],
+def _from_entries(dom: Word, cod: Word, columns: Iterable[Iterable[tuple]],
                   op: "TensorOp | None" = None) -> "TensorOp":
-    """The map dom -> cod with these Scalar columns: _built on their slots."""
-    return _built(dom, cod, [[(r, (s._v, s._den, s._params)) for r, s in col]
+    """The map dom -> cod with entries read as ``as_scalar`` reads them: _built on their slots."""
+    return _built(dom, cod, [[(r, (s._v, s._den, s._params)) for r, x in col
+                              for s in [x if x.__class__ is Scalar else Scalar.rational(x)]]
                              for col in columns], op)
 
 
@@ -349,7 +348,7 @@ class TensorOp(_Frozen):
     __slots__ = ("dom", "cod", "_params", "_den", "_cols", "_emax")
 
     def __init__(self, space: BasedSpace, arity: int,
-                 columns: Mapping[int, Iterable[tuple[int, Scalar]]] | Sequence):
+                 columns: Mapping[int, Iterable[tuple[int, Scalar | RationalLike]]] | Sequence):
         word = _word(space, arity)
         n = space.dim ** arity
         if isinstance(columns, Mapping):
@@ -480,7 +479,7 @@ class TensorOp(_Frozen):
             if not s.is_rational():
                 return self.map_scalars(lambda v: s * v)
             s = s.constant_value()
-        return _combination(((self,),), (s,))
+        return _combination(((self,),), (_rational(s),))
 
     def __matmul__(self, other: "TensorOp") -> "TensorOp":
         return compose(self, other)
@@ -593,11 +592,11 @@ def as_op(data, dom: Word, cod: Word) -> TensorOp:
         _check_words(data.dom, dom)
         _check_words(data.cod, cod)
         return data
-    flat: list[Scalar] = []
+    flat: list = []
 
     def walk(cell, dims) -> None:
         if not dims:
-            flat.append(as_scalar(cell))
+            flat.append(cell)
             return
         if len(cell) != dims[0]:
             raise ValueError(f"expected length {dims[0]}, got {len(cell)}")
@@ -726,8 +725,7 @@ class LinearMap(TensorOp):
         n = space.dim
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DimMismatch(f"need a {n}x{n} matrix")
-        super().__init__(space, 1, [[(k, as_scalar(e)) for k, e in enumerate(col)]
-                                    for col in zip(*rows)])
+        super().__init__(space, 1, [enumerate(col) for col in zip(*rows)])
 
     @staticmethod
     def identity(space: BasedSpace) -> "LinearMap":
@@ -984,9 +982,9 @@ def _json_dense(data, dims: Sequence[int], what: str):
 
 # A plain rational text, the one form _text writes for a rational entry:
 # an optional minus and ASCII digits, then optionally a slash and more
-# digits, each number at most 4,300 digits long, the most int() reads by
-# default.
-_PLAIN = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
+# digits, each number at most _MAX_DIGITS digits long, the most int() reads
+# by default.
+_PLAIN = re.compile(rf"(-?[0-9]{{1,{_MAX_DIGITS}}})(?:/([0-9]{{1,{_MAX_DIGITS}}}))?")
 
 
 def _json_entry(text) -> tuple:

@@ -121,13 +121,12 @@ def group_bialgebra(m: int) -> Bialgebra:
     if m < 1:
         raise ValueError("m must be >= 1")
     labels = tuple(f"g{i}" for i in range(m))
-    zero, one = Scalar.zero(), Scalar.one()
-    mult = [[[one if k == (i + j) % m else zero for k in range(m)]
+    mult = [[[1 if k == (i + j) % m else 0 for k in range(m)]
              for j in range(m)] for i in range(m)]
-    comult = [[[one if a == i and b == i else zero for b in range(m)]
+    comult = [[[1 if a == i and b == i else 0 for b in range(m)]
                for a in range(m)] for i in range(m)]
-    unit = [one if i == 0 else zero for i in range(m)]
-    counit = [one] * m
+    unit = [1 if i == 0 else 0 for i in range(m)]
+    counit = [1] * m
     return Bialgebra(labels, mult, unit, comult, counit)
 
 
@@ -381,14 +380,13 @@ def dqt_braiding_operator(labels: Sequence[str], coaction,
 def z2_sign_module() -> YDModule:
     """Z/2-graded two-dimensional module: g acts by parity, rho grades."""
     H = group_bialgebra(2)
-    one, zero = Scalar.one(), Scalar.zero()
     action = [
-        [[one, zero], [zero, one]],        # g0 acts as identity
-        [[one, zero], [zero, -one]],       # g1 flips the sign of v1
+        [[1, 0], [0, 1]],                  # g0 acts as identity
+        [[1, 0], [0, -1]],                 # g1 flips the sign of v1
     ]
     coaction = [
-        [[one, zero], [zero, zero]],       # rho(v0) = g0 (x) v0
-        [[zero, zero], [zero, one]],       # rho(v1) = g1 (x) v1
+        [[1, 0], [0, 0]],                  # rho(v0) = g0 (x) v0
+        [[0, 0], [0, 1]],                  # rho(v1) = g1 (x) v1
     ]
     return YDModule(H, ("v0", "v1"), action, coaction)
 
@@ -396,8 +394,7 @@ def z2_sign_module() -> YDModule:
 def z2_bicharacter_dqt() -> DualQuasiTriangularStructure:
     """R(g^i (x) g^j) = (-1)^(i j) on the group bialgebra of Z/2."""
     H = group_bialgebra(2)
-    one = Scalar.one()
-    form = [[one, one], [one, -one]]
+    form = [[1, 1], [1, -1]]
     return DualQuasiTriangularStructure(H, form, form)
 
 

@@ -51,8 +51,8 @@ from hombrax.homlie import (
 )
 from hombrax.hybe import compatibility_residual, hybe_residual
 from hombrax.scalars import Scalar
-from hombrax.tensor import (LinearMap, compose, identity_op, invert, swap_op,
-                            tensor_product)
+from hombrax.tensor import (ArityMismatch, BasedSpace, LinearMap, compose, identity_op, invert,
+                            lift, swap_op, tensor_product)
 
 
 def test_classical_brackets():
@@ -547,3 +547,22 @@ def test_validation_runs_once_per_algebra_and_never_remembers_a_failure(monkeypa
     for _ in range(2):
         with pytest.raises(InvariantViolated, match="not multiplicative"):
             braiding_on_extension(broken)
+
+
+def test_alpha_on_another_space_of_the_same_dimension_is_relabelled():
+    # alpha given on e1, e2, e3 acts on X, Y, Z by position, as the same
+    # matrix given on X, Y, Z does.
+    a, b = Scalar.param("a"), Scalar.param("b")
+    rows = [[a, 0, 0], [0, b, 1], [Fraction(1, 2), 0, a * b]]
+    for L in (heisenberg(), sl2(), sl2_star()):
+        own, other = LinearMap(L.space, rows), LinearMap(BasedSpace.of_dim(3), rows)
+        assert other.dom != own.dom
+        relabelled = HomLieAlgebra(L.labels, L.bracket, other)
+        assert relabelled == HomLieAlgebra(L.labels, L.bracket, own)
+        assert relabelled.alpha._key() == own._key()
+        assert multiplicativity_residual(L, other) == multiplicativity_residual(L, own)
+        assert twisted_constants(L, other) == twisted_constants(L, own)
+        for call in (lambda: HomLieAlgebra(L.labels, L.bracket, lift(other, 2)),
+                     lambda: multiplicativity_residual(L, lift(other, 2))):
+            with pytest.raises(ArityMismatch, match="arity 2"):
+                call()

@@ -382,3 +382,52 @@ def test_products_are_exact_or_refused_at_the_packing_limit():
                  lambda: Scalar.param("q", 32768), lambda: parse_scalar("q^-40000*l")):
         with pytest.raises(ValueError, match="outside the range of an operator entry"):
             call()
+
+
+# -- the one check of a constructor's terms -----------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: Scalar.monomial(1, [("q^2", 1)]),
+    lambda: Scalar({(("a b", 1),): 1}),
+    lambda: Scalar.param("x y"),
+    lambda: Scalar.monomial(1, [("q", 1), ("1a", 0)]),  # a zero exponent is no excuse
+    lambda: Scalar.monomial(0, [("q*l", 1)]),
+    lambda: Scalar({((3, 1),): 1}),
+], ids=["monomial", "term map", "param", "zero exponent", "zero coefficient", "not a str"])
+def test_constructors_refuse_names_that_are_not_identifiers(call):
+    # "q^2" would be stored as a parameter of that name, printed as q^2 and
+    # read back from its text as q squared.
+    with pytest.raises(ScalarParseError, match="bad parameter name"):
+        call()
+
+
+def test_exponents_are_read_as_integers():
+    # A numpy exponent is read as an int: packed as an int64, the fifth
+    # parameter's digit (shifted by 64 bits) would vanish.
+    a, b, c, d, x = map(Scalar.param, "abcdx")
+    s = Scalar.monomial(1, [(n, np.int64(1)) for n in "abcdx"])
+    assert s == a * b * c * d * x and str(s) == "1*a*b*c*d*x"
+    assert Scalar.param("q", np.int32(-2)) == Q ** -2
+    assert Scalar({(("q", np.int64(3)),): 2}) == 2 * Q ** 3
+    assert all(e.__class__ is int for exps, _ in s.terms for _, e in exps)
+    for call in (lambda: Scalar.monomial(1, [("q", 1.0)]), lambda: Scalar.param("q", 0.0),
+                 lambda: Scalar({(("q", 2.5),): 1}), lambda: Scalar.param("q", "2")):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("tok", ["1.25", "-1.25", ".5", "1_0.2_5e-1_0", "3E2", "-7e-3",
+                                 "0.000", "1.", "12e0", "-0.5e1"])
+def test_decimal_and_exponent_tokens_read_as_fraction_reads_them(tok):
+    assert parse_scalar(tok) == Scalar.rational(Fraction(tok))
+    assert parse_scalar(f"{tok}*q") == Scalar.monomial(Fraction(tok), [("q", 1)])
+
+
+def test_numpy_integer_values_are_read_as_ints():
+    # Fraction(np.int64(x)) keeps numpy ints as its parts, whose products
+    # wrap at 2^63: q^3 at 2^40 would not be 2^120.
+    big = np.int64(2 ** 40)
+    assert (Q ** 3).evaluate({"q": big}) == 2 ** 120
+    assert phi().instantiate({"q": big, "l": 1}) == phi().instantiate({"q": 2 ** 40, "l": 1})
+    assert Scalar.monomial(big, [("q", 1)]) * big == Scalar.monomial(2 ** 80, [("q", 1)])
+    assert all(x.__class__ is int for x in (Scalar.rational(big)._v, Scalar.rational(big)._den))

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -629,3 +630,27 @@ def test_entry_text_is_the_fraction_text():
 def test_fraction_text_is_str_of_the_fraction(v, den):
     from hombrax.scalars import _text
     assert _text((), den, v) == str(Fraction(v, den))
+
+
+def test_operator_entries_may_be_rational_numbers():
+    # TensorOp(...) reads an entry as as_scalar does, as LinearMap and as_op
+    # do: a rational number exactly, a float refused by name.
+    op = TensorOp(V2, 1, [[(0, 1)], [(1, Fraction(1, 2))]])
+    assert op == LinearMap(V2, [[1, 0], [0, Fraction(1, 2)]])
+    half = Scalar.rational(Fraction(1, 2))
+    assert op._key() == LinearMap(V2, [[Scalar.one(), 0], [0, half]])._key()
+    assert TensorOp(V2, 1, {1: [(0, np.int64(-3)), (1, Scalar.param("q"))]}) == \
+        TensorOp(V2, 1, [[], [(0, Scalar.rational(-3)), (1, Scalar.param("q"))]])
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError, match="rational number"):
+            TensorOp(V2, 1, [[(0, bad)], []])
+
+
+def test_scale_reads_its_factor_as_a_rational_number():
+    one = identity_op(V2)
+    doubled = one.scale(np.int64(2))
+    assert doubled == one.scale(2) and doubled._cols[0][0][1].__class__ is int
+    assert one.scale(np.int64(2 ** 40)) @ one.scale(np.int64(2 ** 40)) == one.scale(2 ** 80)
+    for bad in (0.5, "2"):
+        with pytest.raises(TypeError, match="rational number"):
+            one.scale(bad)

@@ -7,7 +7,7 @@ import pytest
 from hombrax.cli import main
 from hombrax.hybe import hybe_residual, ybe_residual
 from hombrax.scalars import Scalar
-from hombrax.tensor import LinearMap, swap_op
+from hombrax.tensor import ArityMismatch, BasedSpace, LinearMap, lift, swap_op
 from hombrax.yd import (
     AxiomViolation,
     Bialgebra,
@@ -17,9 +17,11 @@ from hombrax.yd import (
     YDModule,
     check_colinearity,
     check_linearity,
+    colinearity_residual,
     comodule_from_qt,
     dqt_braiding_operator,
     group_bialgebra,
+    linearity_residual,
     module_from_dqt,
     module_from_json_dict,
     module_to_json_dict,
@@ -289,3 +291,18 @@ def test_a_failing_yd_residual_is_not_remembered(monkeypatch):
     W = YDModule(H, V.labels, V.action, V.coaction)
     assert yd_residual(V) is res and yd_residual(W) == res and res.is_zero()
     assert checks == [doubled, doubled, V, W]
+
+
+def test_alpha_on_another_space_of_the_same_dimension_is_relabelled():
+    a = Scalar.param("a")
+    rows = [[a, 1], [0, 2 * a]]
+    for V in (z2_sign_module(), comodule_from_qt(("v0", "v1"), SIGN_ACTION,
+                                                  trivial_qt(group_bialgebra(2)))):
+        own, other = LinearMap(V.space, rows), LinearMap(BasedSpace.of_dim(2), rows)
+        assert other.dom != own.dom
+        assert linearity_residual(other, V) == linearity_residual(own, V)
+        assert colinearity_residual(other, V) == colinearity_residual(own, V)
+        assert not linearity_residual(own, V).is_zero()
+        for residual in (linearity_residual, colinearity_residual):
+            with pytest.raises(ArityMismatch, match="arity 2"):
+                residual(lift(other, 2), V)
